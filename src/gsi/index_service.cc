@@ -292,7 +292,14 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
   span.Phase("barrier");
   // Scatter: scan each partition on its index node; gather: merge in key
   // order. Each partition scan is one round trip on the query-service ->
-  // index-node link, retried a few times under transient faults.
+  // index-node link, retried a few times under transient faults. Every
+  // partition returns its entries in (key, doc_id) order, so gathering is a
+  // merge of sorted runs, not a sort; a one-partition index merges nothing.
+  auto entry_less = [](const IndexEntry& a, const IndexEntry& b) {
+    int c = json::Value::Compare(a.key, b.key);
+    if (c != 0) return c < 0;
+    return a.doc_id < b.doc_id;
+  };
   net::Transport* t = cluster_->transport();
   std::vector<IndexEntry> merged;
   for (size_t i = 0; i < state->partitions.size(); ++i) {
@@ -311,16 +318,13 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
       std::this_thread::yield();
     }
     if (!st.ok()) return st;  // partition unreachable: the scan fails whole
+    auto run = static_cast<std::ptrdiff_t>(merged.size());
     merged.insert(merged.end(), std::make_move_iterator(part.begin()),
                   std::make_move_iterator(part.end()));
+    std::inplace_merge(merged.begin(), merged.begin() + run, merged.end(),
+                       entry_less);
+    if (merged.size() > limit) merged.resize(limit);
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const IndexEntry& a, const IndexEntry& b) {
-              int c = json::Value::Compare(a.key, b.key);
-              if (c != 0) return c < 0;
-              return a.doc_id < b.doc_id;
-            });
-  if (merged.size() > limit) merged.resize(limit);
   return merged;
 }
 

@@ -142,16 +142,18 @@ bool CollectReferencedPaths(const Expr& e, const std::string& alias,
       out->push_back(*rel);
       return true;
     }
-    default:
+    default: {
+      auto visit = [&](const ExprPtr& c) {
+        return c == nullptr || CollectReferencedPaths(*c, alias, out);
+      };
       for (const ExprPtr& c : e.children) {
-        if (c != nullptr && !CollectReferencedPaths(*c, alias, out)) {
-          return false;
-        }
+        if (!visit(c)) return false;
       }
-      return e.kind != ExprKind::kCollection &&
-             e.kind != ExprKind::kArrayComprehension
-                 ? true
-                 : true;
+      for (const CaseArm& arm : e.case_arms) {
+        if (!visit(arm.when) || !visit(arm.then)) return false;
+      }
+      return visit(e.case_else);
+    }
   }
 }
 
@@ -188,7 +190,8 @@ json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
   if (!scan.index_name.empty()) {
     scan_op["index"] = json::Value::Str(scan.index_name);
   }
-  if (scan.kind == ScanKind::kIndexScan) {
+  if (scan.kind == ScanKind::kIndexScan ||
+      scan.kind == ScanKind::kPrimaryScan) {
     scan_op["covering"] = json::Value::Bool(scan.covering);
     if (!scan.range_description.empty()) {
       scan_op["range"] = json::Value::Str(scan.range_description);
@@ -281,34 +284,23 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     sargs.push_back(MatchSarg(*c, from.alias, params));
   }
 
-  // Referenced paths for covering detection.
+  // Referenced paths for covering detection: every clause that is
+  // evaluated against a row, so a covered row must carry what they read.
   std::vector<std::string> referenced;
-  bool coverable = true;
+  bool coverable = stmt.joins.empty();
+  auto collect = [&](const ExprPtr& e) {
+    if (e != nullptr && !CollectReferencedPaths(*e, from.alias, &referenced)) {
+      coverable = false;
+    }
+  };
   for (const SelectItem& item : stmt.items) {
-    if (item.star) {
-      coverable = false;
-      continue;
-    }
-    if (item.expr != nullptr &&
-        !CollectReferencedPaths(*item.expr, from.alias, &referenced)) {
-      coverable = false;
-    }
+    if (item.star) coverable = false;
+    collect(item.expr);
   }
-  if (stmt.where != nullptr &&
-      !CollectReferencedPaths(*stmt.where, from.alias, &referenced)) {
-    coverable = false;
-  }
-  for (const OrderKey& k : stmt.order_by) {
-    if (!CollectReferencedPaths(*k.expr, from.alias, &referenced)) {
-      coverable = false;
-    }
-  }
-  for (const ExprPtr& g : stmt.group_by) {
-    if (!CollectReferencedPaths(*g, from.alias, &referenced)) {
-      coverable = false;
-    }
-  }
-  if (!stmt.joins.empty()) coverable = false;
+  collect(stmt.where);
+  for (const ExprPtr& g : stmt.group_by) collect(g);
+  collect(stmt.having);
+  for (const OrderKey& k : stmt.order_by) collect(k.expr);
 
   // 2. Look for the best qualifying secondary index.
   const gsi::IndexDefinition* best = nullptr;
@@ -464,6 +456,9 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
       plan.scan.range = id_range;
       plan.scan.range_description = "meta().id range";
     }
+    // A primary index entry is just META().id: it covers a statement that
+    // reads nothing else from the document.
+    plan.scan.covering = coverable && referenced.empty();
     plan.scan.where_consumed = true;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       if (!sargs[i].has_value() || !sargs[i]->is_meta_id) {

@@ -1,7 +1,8 @@
 // The N1QL query planner (paper §4.5.3): picks the access path for each
 // keyspace — KeyScan (USE KEYS), IndexScan (a sargable secondary index,
-// possibly covering), or PrimaryScan (full scan via the primary index) —
-// and records it in a QueryPlan the executor then runs.
+// possibly covering), or PrimaryScan (full or META().id-ranged scan via the
+// primary index; covering when the statement reads only META().id) — and
+// records it in a QueryPlan the executor then runs.
 #ifndef COUCHKV_N1QL_PLANNER_H_
 #define COUCHKV_N1QL_PLANNER_H_
 

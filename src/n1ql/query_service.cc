@@ -215,9 +215,12 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
                             plan.scan.range, scan_limit, opts.consistency);
   if (!entries.ok()) return entries.status();
 
-  if (plan.scan.kind == ScanKind::kIndexScan && plan.scan.covering) {
+  if (plan.scan.covering) {
     // Covered query (paper §5.1.2): reconstruct the referenced fields from
-    // the index entries; no document fetch at all.
+    // the index entries; no document fetch at all. A covered PrimaryScan
+    // binds an empty document that carries only META().id. Rows are as
+    // fresh as the index: an id deleted after the index last caught up
+    // still appears unless the scan is request_plus.
     std::vector<ExecRow> rows;
     rows.reserve(entries->size());
     for (const gsi::IndexEntry& e : *entries) {

@@ -164,7 +164,7 @@ Status CouchFile::AppendDoc(const kv::Document& doc, uint64_t* offset,
   EncodeDocPayload(doc, &payload);
   std::string record;
   FrameRecord(kRecordDoc, payload, &record);
-  auto off_or = file_->Append(record);
+  auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   *offset = off_or.value();
   *size = static_cast<uint32_t>(record.size());
@@ -173,6 +173,19 @@ Status CouchFile::AppendDoc(const kv::Document& doc, uint64_t* offset,
     counters_.bytes_appended->Add(record.size());
   }
   return Status::OK();
+}
+
+StatusOr<uint64_t> CouchFile::AppendRecord(const std::string& record) {
+  if (torn_tail_at_.has_value()) {
+    COUCHKV_RETURN_IF_ERROR(file_->Truncate(*torn_tail_at_));
+    torn_tail_at_.reset();
+  }
+  const uint64_t size_before = file_->Size();
+  auto off_or = file_->Append(record);
+  if (!off_or.ok() && !file_->Truncate(size_before).ok()) {
+    torn_tail_at_ = size_before;
+  }
+  return off_or;
 }
 
 Status CouchFile::SaveDocs(const std::vector<kv::Document>& docs) {
@@ -200,7 +213,7 @@ Status CouchFile::Commit() {
   PutU64(&payload, live_bytes_);
   std::string record;
   FrameRecord(kRecordCommit, payload, &record);
-  auto off_or = file_->Append(record);
+  auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   COUCHKV_RETURN_IF_ERROR(file_->Sync());
   committed_size_ = file_->Size();
@@ -363,6 +376,7 @@ Status CouchFile::CompactLocked(uint64_t purge_before_seqno,
   uint64_t old_size = file_->Size();
   COUCHKV_RETURN_IF_ERROR(env_->Rename(tmp_path, path_));
   file_ = std::move(tmp);
+  torn_tail_at_.reset();
   by_id_ = std::move(new_by_id);
   by_seqno_ = std::move(new_by_seqno);
   live_bytes_ = new_live;

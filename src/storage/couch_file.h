@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -123,6 +124,12 @@ class CouchFile {
       REQUIRES(mu_);
   Status AppendDoc(const kv::Document& doc, uint64_t* offset, uint32_t* size)
       REQUIRES(mu_);
+  // Appends one framed record. A failed append may leave a partial record
+  // behind, and recovery stops at the first bad record, so a later commit
+  // appended after it would be lost on reopen: the file is cut back to its
+  // size before the failed append (retried before the next append if that
+  // truncate fails too). Only unindexed bytes are ever cut.
+  StatusOr<uint64_t> AppendRecord(const std::string& record) REQUIRES(mu_);
   // Reads and decodes one doc record from `file` — which must be a pin
   // obtained from file_ under mu_ (or a compaction temp file), so the read
   // itself can run lock-free against the immutable pinned contents.
@@ -147,6 +154,9 @@ class CouchFile {
   uint64_t high_seqno_ GUARDED_BY(mu_) = 0;
   // File size at last commit (recovery point).
   uint64_t committed_size_ GUARDED_BY(mu_) = 0;
+  // Size to cut file_ back to before the next append: set while a failed
+  // append's partial record could not be truncated away.
+  std::optional<uint64_t> torn_tail_at_ GUARDED_BY(mu_);
   uint64_t live_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t num_commits_ GUARDED_BY(mu_) = 0;
   uint64_t num_compactions_ GUARDED_BY(mu_) = 0;

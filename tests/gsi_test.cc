@@ -2,6 +2,8 @@
 // indexes, scan consistency, memory-optimized mode, topology changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/smart_client.h"
 #include "gsi/index_service.h"
 
@@ -305,6 +307,43 @@ TEST_F(IndexServiceTest, PartitionedIndexScatterGather) {
     EXPECT_LE(Value::Compare((*entries)[i - 1].key, (*entries)[i].key), 0);
   }
   EXPECT_EQ(service_->Stats("default", "by_age_p").num_partitions, 4u);
+}
+
+// Each partition returns a sorted run with up to `limit` entries; the
+// gather must merge them into the global first `limit` in (key, doc_id)
+// order. Every key is shared by several documents, so the limit cuts
+// through a run of duplicates and the doc_id tie-break decides which
+// documents make the cut. (Keys are hashed to partitions, so equal keys
+// always share one.)
+TEST_F(IndexServiceTest, PartitionedScanMergesGlobalFirstN) {
+  IndexDefinition def = AgeIndex();
+  def.name = "by_age_p";
+  def.num_partitions = 4;
+  ASSERT_TRUE(service_->CreateIndex(def).ok());
+  std::vector<std::pair<int64_t, std::string>> expected;
+  for (int i = 0; i < 60; ++i) {
+    std::string id = "u" + std::to_string(i);
+    int64_t age = (i * 7) % 12;
+    ASSERT_TRUE(
+        client_->Upsert(id, R"({"age":)" + std::to_string(age) + "}").ok());
+    if (age >= 3) expected.emplace_back(age, id);
+  }
+  std::sort(expected.begin(), expected.end());
+  ScanRange range;
+  range.lo = Value::Int(3);
+  for (size_t limit : {size_t{1}, size_t{7}, size_t{23}, size_t{1000}}) {
+    auto entries = service_->Scan("default", "by_age_p", range, limit,
+                                  ScanConsistency::kRequestPlus);
+    ASSERT_TRUE(entries.ok());
+    size_t want = std::min(limit, expected.size());
+    ASSERT_EQ(entries->size(), want) << "limit " << limit;
+    for (size_t i = 0; i < want; ++i) {
+      EXPECT_EQ((*entries)[i].key.AsInt(), expected[i].first)
+          << "limit " << limit << " row " << i;
+      EXPECT_EQ((*entries)[i].doc_id, expected[i].second)
+          << "limit " << limit << " row " << i;
+    }
+  }
 }
 
 TEST_F(IndexServiceTest, MemoryOptimizedWritesNoDisk) {

@@ -152,6 +152,57 @@ TEST(PlannerTest, MetaIdRangeOnPrimary) {
   ASSERT_TRUE(plan->scan.range.lo.has_value());
   EXPECT_EQ(plan->scan.range.lo->AsString(), "user1");
   EXPECT_TRUE(plan->scan.where_consumed);  // LIMIT pushdown eligible
+  // The primary index entry is the id itself: nothing else is read.
+  EXPECT_TRUE(plan->scan.covering);
+}
+
+TEST(PlannerTest, PrimaryScanCoversOnlyMetaIdStatements) {
+  const gsi::IndexDefinition primary = Index("#primary", {}, true);
+  auto covering = [&](const std::string& q) {
+    auto plan = PlanSelect(Parse(q), {primary}, {Value::Str("user1")});
+    EXPECT_TRUE(plan.ok()) << q;
+    if (!plan.ok()) return false;
+    EXPECT_EQ(plan->scan.kind, ScanKind::kPrimaryScan) << q;
+    return plan->scan.covering;
+  };
+  EXPECT_TRUE(covering(
+      "SELECT META(b).id AS id FROM b WHERE META(b).id >= $1 LIMIT 5"));
+  EXPECT_TRUE(covering("SELECT COUNT(*) FROM b WHERE META().id LIKE 'u%'"));
+  EXPECT_FALSE(covering("SELECT * FROM b WHERE META(b).id >= $1"));
+  EXPECT_FALSE(covering("SELECT name FROM b WHERE META(b).id >= $1"));
+  EXPECT_FALSE(covering("SELECT META(b).cas FROM b WHERE META(b).id >= $1"));
+  EXPECT_FALSE(covering("SELECT b FROM b WHERE META(b).id >= $1"));
+  EXPECT_FALSE(covering(
+      "SELECT CASE WHEN META(b).id > 'a' THEN name ELSE 'x' END AS n "
+      "FROM b WHERE META(b).id >= $1"));
+}
+
+TEST(PlannerTest, CoveringSeesCaseArmsAndHaving) {
+  const gsi::IndexDefinition by_age = Index("by_age", {"age"});
+  auto when = PlanSelect(
+      Parse("SELECT CASE WHEN name = 'x' THEN 1 ELSE 0 END FROM b "
+            "WHERE age > 40"),
+      {by_age}, {});
+  ASSERT_TRUE(when.ok());
+  EXPECT_FALSE(when->scan.covering);
+  auto els = PlanSelect(
+      Parse("SELECT CASE WHEN age > 41 THEN 'y' ELSE name END FROM b "
+            "WHERE age > 40"),
+      {by_age}, {});
+  ASSERT_TRUE(els.ok());
+  EXPECT_FALSE(els->scan.covering);
+  auto having = PlanSelect(
+      Parse("SELECT age FROM b WHERE age > 40 GROUP BY age "
+            "HAVING MAX(name) >= 'user2'"),
+      {by_age}, {});
+  ASSERT_TRUE(having.ok());
+  EXPECT_FALSE(having->scan.covering);
+  auto arms_on_key = PlanSelect(
+      Parse("SELECT CASE WHEN age > 41 THEN age ELSE 0 END FROM b "
+            "WHERE age > 40"),
+      {by_age}, {});
+  ASSERT_TRUE(arms_on_key.ok());
+  EXPECT_TRUE(arms_on_key->scan.covering);
 }
 
 TEST(PlannerTest, ResidualPredicateBlocksPushdown) {

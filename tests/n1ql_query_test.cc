@@ -2,6 +2,8 @@
 // execution against a live 3-node cluster with GSI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/smart_client.h"
 #include "n1ql/query_service.h"
 
@@ -320,6 +322,89 @@ TEST_F(N1qlTest, WorkloadEStyleQuery) {
     EXPECT_LT(r.rows[i - 1].Field("id").AsString(),
               r.rows[i].Field("id").AsString());
   }
+}
+
+TEST_F(N1qlTest, CoveredPrimaryScanMatchesFetchedScan) {
+  LoadProfiles(50);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  const std::string covered_q =
+      "SELECT META().id AS id FROM profiles WHERE META().id >= $1 LIMIT $2";
+  const std::string fetched_q =
+      "SELECT META().id AS id, name FROM profiles "
+      "WHERE META().id >= $1 LIMIT $2";
+  QueryOptions opts;
+  opts.params = {Value::Str("profile::17"), Value::Int(12)};
+  auto ex = MustQuery("EXPLAIN " + covered_q, opts);
+  EXPECT_EQ(ex.rows[0].GetPath("operators[0].#operator").AsString(),
+            "PrimaryScan");
+  EXPECT_TRUE(ex.rows[0].GetPath("operators[0].covering").AsBool());
+  EXPECT_EQ(ex.rows[0].GetPath("operators[0].range").AsString(),
+            "meta().id range");
+  EXPECT_NE(ex.rows[0].GetPath("operators[1].#operator").AsString(), "Fetch");
+  auto ex2 = MustQuery("EXPLAIN " + fetched_q, opts);
+  EXPECT_FALSE(ex2.rows[0].GetPath("operators[0].covering").AsBool());
+  EXPECT_EQ(ex2.rows[0].GetPath("operators[1].#operator").AsString(),
+            "Fetch");
+
+  auto covered = MustQuery(covered_q, opts);
+  auto fetched = MustQuery(fetched_q, opts);
+  EXPECT_EQ(covered.metrics.docs_fetched, 0u);
+  EXPECT_EQ(fetched.metrics.docs_fetched, 12u);
+  ASSERT_EQ(covered.rows.size(), 12u);
+  ASSERT_EQ(fetched.rows.size(), covered.rows.size());
+  for (size_t i = 0; i < covered.rows.size(); ++i) {
+    EXPECT_EQ(covered.rows[i].Field("id").AsString(),
+              fetched.rows[i].Field("id").AsString());
+  }
+  EXPECT_EQ(covered.rows[0].Field("id").AsString(), "profile::17");
+}
+
+TEST_F(N1qlTest, CoveredPrimaryScanRequestPlusHidesDeletes) {
+  LoadProfiles(10);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  const std::string q =
+      "SELECT META().id AS id FROM profiles WHERE META().id >= 'profile::'";
+  ASSERT_EQ(MustQuery(q).rows.size(), 10u);
+  EXPECT_EQ(MustQuery("DELETE FROM profiles USE KEYS 'profile::3'")
+                .metrics.mutation_count,
+            1u);
+  auto r = MustQuery(q);  // request_plus
+  EXPECT_EQ(r.metrics.docs_fetched, 0u);
+  ASSERT_EQ(r.rows.size(), 9u);
+  for (const Value& row : r.rows) {
+    EXPECT_NE(row.Field("id").AsString(), "profile::3");
+  }
+}
+
+// A field read only inside a CASE arm must stop the index from covering:
+// otherwise the arm reads MISSING from the index-built row.
+TEST_F(N1qlTest, CaseArmFieldIsFetched) {
+  LoadProfiles(30);  // ages 18..47, profile::i has age 18 + i
+  MustQuery("CREATE INDEX by_age ON profiles(age) USING GSI");
+  auto r = MustQuery(
+      "SELECT CASE WHEN age > 41 THEN name ELSE 'x' END AS n "
+      "FROM profiles WHERE age > 40");
+  std::vector<std::string> names;
+  for (const Value& row : r.rows) {
+    const Value& n = row.Field("n");
+    names.push_back(n.is_string() ? n.AsString() : "<missing>");
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"user24", "user25", "user26",
+                                             "user27", "user28", "user29",
+                                             "x"}));
+}
+
+TEST_F(N1qlTest, HavingFieldIsFetched) {
+  LoadProfiles(30);
+  MustQuery("CREATE INDEX by_age ON profiles(age) USING GSI");
+  auto r = MustQuery(
+      "SELECT age FROM profiles WHERE age > 40 GROUP BY age "
+      "HAVING MAX(name) >= 'user25'");
+  std::vector<int64_t> ages;
+  for (const Value& row : r.rows) ages.push_back(row.Field("age").AsInt());
+  std::sort(ages.begin(), ages.end());
+  EXPECT_EQ(ages, (std::vector<int64_t>{43, 44, 45, 46, 47}));
 }
 
 TEST_F(N1qlTest, AnySatisfiesFilter) {

@@ -348,6 +348,65 @@ TEST_F(FaultyCouchFileTest, TornCommitFooterRecoversToLastGoodCommit) {
   EXPECT_EQ((*reopened)->high_seqno(), 1u);
 }
 
+// The flusher retries a failed batch with another SaveDocs + Commit. A
+// commit that lands after a torn record must still be reachable by
+// recovery, which stops at the first bad record: otherwise a write acked
+// with persist_to is lost on the next restart.
+TEST_F(FaultyCouchFileTest, CommitAfterTornAppendSurvivesReopen) {
+  auto fenv = MakeFaulty();
+  auto cf = CouchFile::Open(fenv.get(), path_).value();
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v1", 1)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+
+  fenv->TearNextAppend(7);  // a doc record
+  EXPECT_TRUE(cf->SaveDocs({MakeDoc("a", "v2", 2)}).IsIOError());
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v2", 2)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("b", "v3", 3)}).ok());
+  fenv->TearNextAppend(5);  // the commit record
+  EXPECT_TRUE(cf->Commit().IsIOError());
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("b", "v3", 3)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+  EXPECT_EQ(cf->Get("a")->value, "v2");
+  EXPECT_EQ(cf->Get("b")->value, "v3");
+
+  cf.reset();
+  auto reopened = CouchFile::Open(fenv.get(), path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Get("a")->value, "v2");
+  EXPECT_EQ((*reopened)->Get("b")->value, "v3");
+  EXPECT_EQ((*reopened)->high_seqno(), 3u);
+}
+
+// Cutting a torn record away reads nothing and touches no indexed record,
+// so a read fault pending at the retry cannot drop committed keys from the
+// index, and a compaction afterwards keeps them all.
+TEST_F(FaultyCouchFileTest, TornAppendRepairKeepsCommittedKeysUnderReadFaults) {
+  auto fenv = MakeFaulty();
+  auto cf = CouchFile::Open(fenv.get(), path_).value();
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v1", 1), MakeDoc("b", "v2", 2)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+
+  fenv->TearNextAppend(7);
+  EXPECT_TRUE(cf->SaveDocs({MakeDoc("c", "v3", 3)}).IsIOError());
+  fenv->FailNextReads(1);
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("c", "v3", 3)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+  EXPECT_TRUE(cf->Get("a").status().IsIOError());  // the still-pending fault
+  EXPECT_EQ(cf->Get("a")->value, "v1");
+  EXPECT_EQ(cf->Get("b")->value, "v2");
+
+  ASSERT_TRUE(cf->Compact().ok());
+  cf.reset();
+  auto reopened = CouchFile::Open(fenv.get(), path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Get("a")->value, "v1");
+  EXPECT_EQ((*reopened)->Get("b")->value, "v2");
+  EXPECT_EQ((*reopened)->Get("c")->value, "v3");
+  EXPECT_EQ((*reopened)->high_seqno(), 3u);
+}
+
 TEST_F(FaultyCouchFileTest, CompactFailureLeavesOriginalReadableAndRearmed) {
   auto fenv = MakeFaulty();
   auto cf = CouchFile::Open(fenv.get(), path_).value();
