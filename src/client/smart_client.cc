@@ -1,8 +1,6 @@
 #include "client/smart_client.h"
 
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "stats/trace.h"
 
@@ -13,115 +11,74 @@ namespace {
 std::atomic<uint32_t> next_client_id{1};
 }  // namespace
 
-uint64_t NextBackoffUs(const RetryPolicy& policy, uint64_t prev_us, Rng& rng) {
-  if (!policy.jitter) {
-    return std::min(prev_us * 2, policy.max_backoff_us);
-  }
-  // Decorrelated jitter: sleep = min(cap, uniform[base, prev * 3]). Spreads
-  // retry storms while still growing toward the cap on persistent failure.
-  uint64_t lo = policy.initial_backoff_us;
-  uint64_t hi = std::max(lo, prev_us * 3);
-  return std::min(rng.UniformRange(lo, hi), policy.max_backoff_us);
-}
-
 SmartClient::SmartClient(cluster::Cluster* cluster, std::string bucket,
                          RetryPolicy retry, uint32_t client_id)
     : cluster_(cluster),
       bucket_(std::move(bucket)),
-      retry_(retry),
       endpoint_(net::Endpoint::Client(
           client_id != 0 ? client_id : next_client_id.fetch_add(1))),
-      backoff_rng_(0x9e3779b97f4a7c15ULL ^
-                   (static_cast<uint64_t>(endpoint_.id) + 1) *
-                       0x2545f4914f6cdd1dULL) {
-  stats_scope_ = stats::Registry::Global().GetScope("client");
-  get_ns_ = stats_scope_->GetHistogram("get_ns");
-  mutate_ns_ = stats_scope_->GetHistogram("mutate_ns");
-  retries_ = stats_scope_->GetCounter("retries");
-  op_errors_ = stats_scope_->GetCounter("op_errors");
-  map_refreshes_ = stats_scope_->GetCounter("map_refreshes");
-  no_active_ = stats_scope_->GetCounter("no_active_fail_fast");
-  RefreshMap();
+      // Seeded from the endpoint id so two clients never share a jitter
+      // stream (and a given client's schedule is reproducible).
+      router_(retry, 0x9e3779b97f4a7c15ULL ^
+                         (static_cast<uint64_t>(endpoint_.id) + 1) *
+                             0x2545f4914f6cdd1dULL) {
+  get_ns_ = router_.scope()->GetHistogram("get_ns");
+  mutate_ns_ = router_.scope()->GetHistogram("mutate_ns");
+  // justified: a bucket without a map is reported by the first op.
+  (void)router_.Refresh([this] { return FetchMap(); });
 }
 
-void SmartClient::RefreshMap() {
-  if (map_refreshes_ != nullptr) map_refreshes_->Add();
+Status SmartClient::FetchMap() {
   map_ = cluster_->map(bucket_);
+  return map_ ? Status::OK() : Status::NotFound("bucket has no cluster map");
 }
 
 template <typename Fn>
 auto SmartClient::WithRouting(std::string_view key, Fn&& op)
     -> decltype(op(nullptr, uint16_t{0})) {
-  uint16_t vb = cluster::KeyToVBucket(key);
-  Status last = Status::TempFail("no attempts made");
-  uint64_t backoff_us = retry_.initial_backoff_us;
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      retries_->Add();
-      if (backoff_us > 0) {
-        // justified: client retry backoff must really wait — spinning on
-        // the clock would hammer a recovering node.
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      }
-      backoff_us = NextBackoffUs(retry_, backoff_us, backoff_rng_);
-    }
-    if (!map_) RefreshMap();
-    if (!map_) return Status::NotFound("bucket has no cluster map");
-    cluster::NodeId target = map_->ActiveFor(vb);
-    if (target == cluster::kNoNode) {
-      // Every copy of this vBucket was lost at failover. Refresh once in
-      // case a recovery just republished the map, then fail fast: no
-      // amount of retrying materializes an active, so burning the backoff
-      // budget only delays the caller's error handling.
-      RefreshMap();
-      if (map_) target = map_->ActiveFor(vb);
-      if (target == cluster::kNoNode) {
-        no_active_->Add();
-        op_errors_->Add();
-        return Status::TempFail("no active node for vbucket " +
-                                std::to_string(vb) +
-                                " (all copies failed over)");
-      }
-    }
-    cluster::Node* n = cluster_->node(target);
-    if (n == nullptr) {
-      RefreshMap();
-      continue;
-    }
-    // Both legs of the op cross the network: a lost request means it never
-    // ran; a lost reply means it ran but we can't know (ambiguous outcome —
-    // the retry may then see e.g. KeyExists from its own first attempt).
-    auto result =
-        net::Call(cluster_->transport(), endpoint_,
-                  net::Endpoint::Node(target), [&] { return op(n, vb); });
-    if (result.ok()) return result;
-    last = result.status();
-    if (last.IsNotMyVBucket() || last.IsTempFail()) {
-      // Topology moved under us (rebalance/failover), the node is
-      // overloaded/down, or the transport dropped a message: refresh the
-      // cached map and retry with backoff, as SDKs do.
-      RefreshMap();
-      continue;
-    }
-    return result;  // semantic error (NotFound, CAS mismatch, ...): surface
-  }
-  op_errors_->Add();
-  return last;
+  return router_.Run(
+      key,
+      [this](std::string_view k) {
+        Route route;
+        route.vb = cluster::KeyToVBucket(k);
+        if (map_) route.node = map_->ActiveFor(route.vb);
+        return route;
+      },
+      [this] { return FetchMap(); },
+      [&](const Route& route) -> decltype(op(nullptr, uint16_t{0})) {
+        cluster::Node* n = cluster_->node(route.node);
+        if (n == nullptr) {
+          return Status::TempFail("node " + std::to_string(route.node) +
+                                  " left the cluster");
+        }
+        // Both legs of the op cross the network: a lost request means it
+        // never ran; a lost reply means it ran but we can't know
+        // (ambiguous outcome — the retry may then see e.g. KeyExists from
+        // its own first attempt).
+        return net::Call(cluster_->transport(), endpoint_,
+                         net::Endpoint::Node(route.node),
+                         [&] { return op(n, route.vb); });
+      });
 }
+
+namespace {
+StatusOr<GetReply> ToGetReply(std::string_view key,
+                              StatusOr<kv::GetResult> r) {
+  if (!r.ok()) return r.status();
+  GetReply reply;
+  reply.key = std::string(key);
+  reply.value = std::move(r->doc.value);
+  reply.cas = r->doc.meta.cas;
+  reply.flags = r->doc.meta.flags;
+  return reply;
+}
+}  // namespace
 
 StatusOr<GetReply> SmartClient::Get(std::string_view key) {
   trace::Span span("client.get", get_ns_);
-  return WithRouting(key,
-                     [&](cluster::Node* n, uint16_t vb) -> StatusOr<GetReply> {
-                       auto r = n->Get(bucket_, vb, key);
-                       if (!r.ok()) return r.status();
-                       GetReply reply;
-                       reply.key = std::string(key);
-                       reply.value = std::move(r->doc.value);
-                       reply.cas = r->doc.meta.cas;
-                       reply.flags = r->doc.meta.flags;
-                       return reply;
-                     });
+  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
+    return ToGetReply(key, n->Get(bucket_, vb, key));
+  });
 }
 
 StatusOr<json::Value> SmartClient::GetJson(std::string_view key) {
@@ -200,27 +157,15 @@ StatusOr<MutateReply> SmartClient::UpsertJson(std::string_view key,
 StatusOr<GetReply> SmartClient::GetAndLock(std::string_view key,
                                            uint64_t lock_ms) {
   trace::Span span("client.getl", get_ns_);
-  return WithRouting(key,
-                     [&](cluster::Node* n, uint16_t vb) -> StatusOr<GetReply> {
-                       auto r = n->GetAndLock(bucket_, vb, key, lock_ms);
-                       if (!r.ok()) return r.status();
-                       GetReply reply;
-                       reply.key = std::string(key);
-                       reply.value = std::move(r->doc.value);
-                       reply.cas = r->doc.meta.cas;
-                       reply.flags = r->doc.meta.flags;
-                       return reply;
-                     });
+  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
+    return ToGetReply(key, n->GetAndLock(bucket_, vb, key, lock_ms));
+  });
 }
 
 Status SmartClient::Unlock(std::string_view key, uint64_t cas) {
-  auto r = WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<bool> {
-        Status st = n->Unlock(bucket_, vb, key, cas);
-        if (!st.ok()) return st;
-        return true;
-      });
-  return r.ok() ? Status::OK() : r.status();
+  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
+    return n->Unlock(bucket_, vb, key, cas);
+  });
 }
 
 StatusOr<json::Value> SmartClient::LookupIn(std::string_view key,
@@ -333,13 +278,9 @@ ClusterStatsResult SmartClient::ClusterStats(const std::string& group) {
 
 Status SmartClient::Touch(std::string_view key, uint32_t expiry) {
   trace::Span span("client.touch", mutate_ns_);
-  auto r = WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<bool> {
-        auto meta = n->Touch(bucket_, vb, key, expiry);
-        if (!meta.ok()) return meta.status();
-        return true;
-      });
-  return r.ok() ? Status::OK() : r.status();
+  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) -> Status {
+    return n->Touch(bucket_, vb, key, expiry).status();
+  });
 }
 
 }  // namespace couchkv::client

@@ -9,33 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "client/router.h"
 #include "cluster/cluster.h"
-#include "common/random.h"
 #include "json/value.h"
 #include "net/transport.h"
 #include "stats/registry.h"
 
 namespace couchkv::client {
-
-// How the client retries operations that fail transiently — NotMyVBucket
-// after a topology change, TempFail from an overloaded/partitioned/down
-// node, or a message lost by a faulty transport. Timeouts and semantic
-// errors (NotFound, CAS mismatch, ...) are never retried.
-struct RetryPolicy {
-  int max_attempts = 64;
-  // Exponential backoff between attempts: initial, doubling, capped.
-  uint64_t initial_backoff_us = 50;
-  uint64_t max_backoff_us = 2000;
-  // Decorrelate the backoff (next = uniform[initial, prev*3], capped):
-  // deterministic doubling synchronizes every client's retry storm at the
-  // exact moment of a failover — all of them re-hit the cluster in phase.
-  bool jitter = true;
-};
-
-// The next sleep after one of `prev_us`: capped doubling when
-// `policy.jitter` is off, decorrelated jitter (AWS-style) when on. Exposed
-// for tests.
-uint64_t NextBackoffUs(const RetryPolicy& policy, uint64_t prev_us, Rng& rng);
 
 // Options for a single write.
 struct WriteOptions {
@@ -151,32 +131,24 @@ class SmartClient {
   }
 
  private:
-  // Runs `op` against the active node for `key`'s vBucket, refreshing the
-  // cached map and retrying on NotMyVBucket / transient failures.
+  // Runs `op(node, vb)` against the active node for `key`'s vBucket
+  // through the shared routing/retry loop.
   template <typename Fn>
   auto WithRouting(std::string_view key, Fn&& op)
       -> decltype(op(nullptr, uint16_t{0}));
 
-  void RefreshMap();
+  Status FetchMap();
 
   cluster::Cluster* cluster_;
   std::string bucket_;
-  RetryPolicy retry_;
   net::Endpoint endpoint_;
-  // Seeded from the endpoint id so two clients never share a jitter stream
-  // (and a given client's schedule is reproducible).
-  Rng backoff_rng_;
+  Router router_;
   std::shared_ptr<const cluster::ClusterMap> map_;
 
-  // Client-side observability (scope "client", shared by all clients in the
-  // process): end-to-end op latency including routing retries and backoff.
-  std::shared_ptr<stats::Scope> stats_scope_;
+  // End-to-end op latency including routing retries and backoff (scope
+  // "client", shared by all clients in the process).
   Histogram* get_ns_ = nullptr;
   Histogram* mutate_ns_ = nullptr;
-  stats::Counter* retries_ = nullptr;
-  stats::Counter* op_errors_ = nullptr;
-  stats::Counter* map_refreshes_ = nullptr;
-  stats::Counter* no_active_ = nullptr;
 };
 
 }  // namespace couchkv::client

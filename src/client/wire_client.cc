@@ -6,11 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "cluster/vbucket_map.h"
 #include "json/value.h"
@@ -138,11 +137,10 @@ WireClient::WireClient(std::vector<uint16_t> bootstrap_ports,
                        std::string bucket, RetryPolicy retry,
                        uint64_t trace_seed)
     : bucket_(std::move(bucket)),
-      retry_(retry),
       bootstrap_ports_(std::move(bootstrap_ports)),
       // Seed from the opaque counter so concurrent clients never share a
       // jitter stream.
-      backoff_rng_(0x5bd1e995u + g_next_opaque.fetch_add(1)),
+      router_(retry, 0x5bd1e995u + g_next_opaque.fetch_add(1)),
       // Trace ids count up from the seed; an auto seed spreads clients far
       // apart (golden-ratio mix of the process-wide counter) so their
       // sequences cannot collide in practice.
@@ -173,6 +171,10 @@ uint16_t WireClient::port_of(uint32_t node_id) const {
 }
 
 Status WireClient::RefreshMap() {
+  return router_.Refresh([this] { return FetchMap(); });
+}
+
+Status WireClient::FetchMap() {
   // Candidate ports: everything the current map names, then the bootstrap
   // list. Any one live node can serve the map.
   std::vector<uint16_t> candidates;
@@ -315,75 +317,35 @@ Status WireClient::Dispatch(std::string_view key, wire::Message req,
   tf.trace_id = trace_id;
   wire::PutTraceFrame(&req.framing, tf);
   if (trace_out != nullptr) *trace_out = trace_id;
-  uint64_t backoff_us = 0;
-  Status last = Status::OK();
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      backoff_us = NextBackoffUs(retry_, backoff_us, backoff_rng_);
-      // justified: client retry backoff must really wait — spinning on
-      // the clock would hammer a recovering node.
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    uint32_t node_id = UINT32_MAX;
-    uint16_t vb = 0;
-    {
-      LockGuard lock(mu_);
-      if (routing_.num_vbuckets != 0) {
-        vb = cluster::KeyToVBucket(key, routing_.num_vbuckets);
-        node_id = routing_.active[vb];
-      }
-    }
-    if (node_id == UINT32_MAX) {
-      // No map yet, or the vBucket has no active copy. Refresh; if the map
-      // still names no active, fail fast — a dead partition does not heal
-      // within a retry loop (mirrors SmartClient).
-      Status st = RefreshMap();
-      if (!st.ok()) {
-        last = st;
-        continue;
-      }
-      LockGuard lock(mu_);
-      vb = cluster::KeyToVBucket(key, routing_.num_vbuckets);
-      if (routing_.active[vb] == UINT32_MAX) {
-        return Status::TempFail("wire client: vbucket " + std::to_string(vb) +
-                                " has no active node");
-      }
-      node_id = routing_.active[vb];
-    }
-    req.vbucket = vb;
-    *vb_out = vb;
-    Status st = Exchange(node_id, req, resp);
-    if (!st.ok()) {
-      // Transport-level failure: the node may be down or rebooted onto a
-      // new port. Re-learn and retry.
-      last = st;
-      // justified: refresh is best-effort inside the retry loop; the next
-      // iteration surfaces persistent failure through `last`.
-      (void)RefreshMap();
-      continue;
-    }
-    if (resp->status == wire::kNotMyVBucketErr ||
-        resp->status == wire::kTempFailErr) {
-      last = wire::StatusFromWire(resp->status, resp->value);
-      // justified: same best-effort refresh as above.
-      (void)RefreshMap();
-      continue;
-    }
-    return Status::OK();
-  }
-  return last.ok() ? Status::TempFail("wire client: retries exhausted") : last;
+  return router_.Run(
+      key,
+      [this](std::string_view k) {
+        Route route;
+        LockGuard lock(mu_);
+        if (routing_.num_vbuckets != 0) {
+          route.vb = cluster::KeyToVBucket(k, routing_.num_vbuckets);
+          route.node = routing_.active[route.vb];
+        }
+        return route;
+      },
+      [this] { return FetchMap(); },
+      [&](const Route& route) {
+        req.vbucket = route.vb;
+        if (vb_out != nullptr) *vb_out = route.vb;
+        // A transport failure is TempFail: the node may be down or rebooted
+        // onto a new port, which the router's refresh re-learns.
+        COUCHKV_RETURN_IF_ERROR(Exchange(route.node, req, resp));
+        if (resp->status == wire::kSuccess) return Status::OK();
+        return wire::StatusFromWire(resp->status, resp->value);
+      });
 }
 
-StatusOr<GetReply> WireClient::Get(std::string_view key) {
-  wire::Message req = wire::Message::Req(wire::Opcode::kGet);
+StatusOr<GetReply> WireClient::Fetch(std::string_view key, wire::Message req) {
   req.key = key;
   wire::Message resp;
-  uint16_t vb = 0;
   uint64_t trace = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb, &trace));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
+  COUCHKV_RETURN_IF_ERROR(
+      Dispatch(key, std::move(req), &resp, nullptr, &trace));
   GetReply out;
   out.key = key;
   out.value = std::move(resp.value);
@@ -395,32 +357,22 @@ StatusOr<GetReply> WireClient::Get(std::string_view key) {
   return out;
 }
 
-StatusOr<MutateReply> WireClient::Mutate(wire::Opcode op, std::string_view key,
-                                         std::string_view value,
-                                         const WriteOptions& opts) {
-  wire::Message req = wire::Message::Req(op);
+StatusOr<MutateReply> WireClient::Mutate(std::string_view key,
+                                         wire::Message req,
+                                         const cluster::Durability& dur) {
   req.key = key;
-  req.value = value;
-  req.cas = opts.cas;
-  wire::PutMutationExtras(&req.extras, opts.flags, opts.expiry);
-  const cluster::Durability& dur = opts.durability;
   if (dur.replicate_to > 0 || dur.persist_to > 0) {
     wire::DurabilityFrame df;
-    df.replicate_to = static_cast<uint8_t>(
-        dur.replicate_to > UINT8_MAX ? UINT8_MAX : dur.replicate_to);
-    df.persist_to = static_cast<uint8_t>(
-        dur.persist_to > UINT8_MAX ? UINT8_MAX : dur.persist_to);
+    df.replicate_to = static_cast<uint8_t>(std::min(dur.replicate_to, 255u));
+    df.persist_to = static_cast<uint8_t>(std::min(dur.persist_to, 255u));
     df.timeout_ms = static_cast<uint32_t>(
-        dur.timeout_ms > UINT32_MAX ? UINT32_MAX : dur.timeout_ms);
+        std::min<uint64_t>(dur.timeout_ms, UINT32_MAX));
     wire::PutDurabilityFrame(&req.framing, df);
   }
   wire::Message resp;
   uint16_t vb = 0;
   uint64_t trace = 0;
   COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb, &trace));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
   MutateReply out;
   out.cas = resp.cas;
   out.vbucket = vb;
@@ -430,75 +382,54 @@ StatusOr<MutateReply> WireClient::Mutate(wire::Opcode op, std::string_view key,
   return out;
 }
 
+namespace {
+wire::Message WriteReq(wire::Opcode op, std::string_view value,
+                       const WriteOptions& opts) {
+  wire::Message req = wire::Message::Req(op);
+  req.value = value;
+  req.cas = opts.cas;
+  wire::PutMutationExtras(&req.extras, opts.flags, opts.expiry);
+  return req;
+}
+}  // namespace
+
+StatusOr<GetReply> WireClient::Get(std::string_view key) {
+  return Fetch(key, wire::Message::Req(wire::Opcode::kGet));
+}
+
 StatusOr<MutateReply> WireClient::Upsert(std::string_view key,
                                          std::string_view value,
                                          const WriteOptions& opts) {
-  return Mutate(wire::Opcode::kSet, key, value, opts);
+  return Mutate(key, WriteReq(wire::Opcode::kSet, value, opts),
+                opts.durability);
 }
 
 StatusOr<MutateReply> WireClient::Insert(std::string_view key,
                                          std::string_view value,
                                          const WriteOptions& opts) {
-  return Mutate(wire::Opcode::kAdd, key, value, opts);
+  return Mutate(key, WriteReq(wire::Opcode::kAdd, value, opts),
+                opts.durability);
 }
 
 StatusOr<MutateReply> WireClient::Replace(std::string_view key,
                                           std::string_view value,
                                           const WriteOptions& opts) {
-  return Mutate(wire::Opcode::kReplace, key, value, opts);
+  return Mutate(key, WriteReq(wire::Opcode::kReplace, value, opts),
+                opts.durability);
 }
 
 StatusOr<MutateReply> WireClient::Remove(std::string_view key, uint64_t cas,
                                          const cluster::Durability& dur) {
   wire::Message req = wire::Message::Req(wire::Opcode::kDelete);
-  req.key = key;
   req.cas = cas;
-  if (dur.replicate_to > 0 || dur.persist_to > 0) {
-    wire::DurabilityFrame df;
-    df.replicate_to = static_cast<uint8_t>(
-        dur.replicate_to > UINT8_MAX ? UINT8_MAX : dur.replicate_to);
-    df.persist_to = static_cast<uint8_t>(
-        dur.persist_to > UINT8_MAX ? UINT8_MAX : dur.persist_to);
-    df.timeout_ms = static_cast<uint32_t>(
-        dur.timeout_ms > UINT32_MAX ? UINT32_MAX : dur.timeout_ms);
-    wire::PutDurabilityFrame(&req.framing, df);
-  }
-  wire::Message resp;
-  uint16_t vb = 0;
-  uint64_t trace = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb, &trace));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
-  MutateReply out;
-  out.cas = resp.cas;
-  out.vbucket = vb;
-  out.server = TimingFromResp(resp, trace);
-  // justified: see Mutate.
-  (void)wire::GetU64BE(resp.extras, 0, &out.seqno);
-  return out;
+  return Mutate(key, std::move(req), dur);
 }
 
 StatusOr<GetReply> WireClient::GetAndLock(std::string_view key,
                                           uint64_t lock_ms) {
   wire::Message req = wire::Message::Req(wire::Opcode::kGetLocked);
-  req.key = key;
   wire::PutU32BE(&req.extras, static_cast<uint32_t>(lock_ms));
-  wire::Message resp;
-  uint16_t vb = 0;
-  uint64_t trace = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb, &trace));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
-  GetReply out;
-  out.key = key;
-  out.value = std::move(resp.value);
-  out.cas = resp.cas;
-  out.server = TimingFromResp(resp, trace);
-  // justified: see Get.
-  (void)wire::GetU32BE(resp.extras, 0, &out.flags);
-  return out;
+  return Fetch(key, std::move(req));
 }
 
 Status WireClient::Unlock(std::string_view key, uint64_t cas) {
@@ -506,9 +437,7 @@ Status WireClient::Unlock(std::string_view key, uint64_t cas) {
   req.key = key;
   req.cas = cas;
   wire::Message resp;
-  uint16_t vb = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb));
-  return wire::StatusFromWire(resp.status, resp.value);
+  return Dispatch(key, std::move(req), &resp);
 }
 
 Status WireClient::Touch(std::string_view key, uint32_t expiry) {
@@ -516,9 +445,7 @@ Status WireClient::Touch(std::string_view key, uint32_t expiry) {
   req.key = key;
   wire::PutU32BE(&req.extras, expiry);
   wire::Message resp;
-  uint16_t vb = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb));
-  return wire::StatusFromWire(resp.status, resp.value);
+  return Dispatch(key, std::move(req), &resp);
 }
 
 StatusOr<std::string> WireClient::StatsFor(std::string_view key,
@@ -526,11 +453,7 @@ StatusOr<std::string> WireClient::StatsFor(std::string_view key,
   wire::Message req = wire::Message::Req(wire::Opcode::kStat);
   req.key = group;
   wire::Message resp;
-  uint16_t vb = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
+  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp));
   return std::move(resp.value);
 }
 
@@ -539,11 +462,7 @@ StatusOr<std::string> WireClient::ObserveTraceFor(std::string_view key,
   wire::Message req = wire::Message::Req(wire::Opcode::kObserveTrace);
   if (trace_id != 0) req.key = std::to_string(trace_id);
   wire::Message resp;
-  uint16_t vb = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb));
-  if (resp.status != wire::kSuccess) {
-    return wire::StatusFromWire(resp.status, resp.value);
-  }
+  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp));
   return std::move(resp.value);
 }
 

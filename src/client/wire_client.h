@@ -4,13 +4,14 @@
 // anywhere on the path. This is what the external load generator and the
 // socket conformance tests drive.
 //
-// Routing mirrors SmartClient: the client bootstraps a cluster-map document
-// (GET_CLUSTER_MAP) from any reachable node, hashes keys to vBuckets with
-// the same CRC32 rule, and sends each op to the vBucket's active node. On
-// NotMyVBucket or a transport-level failure it refreshes the map (nodes
-// reboot onto fresh ephemeral ports, so ports are re-learned too) and
-// retries with the shared backoff policy; semantic errors (NotFound, CAS
-// mismatch, Locked, ...) are returned immediately.
+// Routing is SmartClient's loop (client/router.h): the client bootstraps a
+// cluster-map document (GET_CLUSTER_MAP) from any reachable node, hashes
+// keys to vBuckets with the same CRC32 rule, and sends each op to the
+// vBucket's active node. On NotMyVBucket, TempFail or a transport-level
+// failure it refreshes the map (nodes reboot onto fresh ephemeral ports, so
+// ports are re-learned too) and retries; semantic errors (NotFound, CAS
+// mismatch, Locked, ...) and permanent map errors (an unknown bucket) are
+// returned immediately.
 #ifndef COUCHKV_CLIENT_WIRE_CLIENT_H_
 #define COUCHKV_CLIENT_WIRE_CLIENT_H_
 
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "client/smart_client.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "net/wire/wire.h"
@@ -110,21 +110,27 @@ class WireClient {
   // (including error statuses); returns non-OK only for transport failures.
   Status Exchange(uint32_t node_id, const net::wire::Message& req,
                   net::wire::Message* resp);
-  // Routes one request by key: resolves the vBucket's active node, runs
-  // Exchange, and handles refresh/retry per the policy. On success the
-  // response (any wire status) lands in `resp` with the vbucket used in
-  // `vb_out` and the trace id the op ran under in `trace_out` (optional).
+  // Fetches the cluster map from any reachable node (no counting; the
+  // router counts refreshes).
+  Status FetchMap();
+  // Routes one request by key through the shared routing/retry loop, each
+  // attempt an Exchange. OK only for a kSuccess response, which lands in
+  // `resp` with the vbucket used in `vb_out` and the trace id the op ran
+  // under in `trace_out` (both optional); every other wire status comes
+  // back as its Status.
   Status Dispatch(std::string_view key, net::wire::Message req,
-                  net::wire::Message* resp, uint16_t* vb_out,
+                  net::wire::Message* resp, uint16_t* vb_out = nullptr,
                   uint64_t* trace_out = nullptr);
-  StatusOr<MutateReply> Mutate(net::wire::Opcode op, std::string_view key,
-                               std::string_view value,
-                               const WriteOptions& opts);
+  // Dispatches a GET-family request and decodes the document reply.
+  StatusOr<GetReply> Fetch(std::string_view key, net::wire::Message req);
+  // Dispatches a mutation, attaching `dur` as a durability framed extra,
+  // and decodes the mutation reply.
+  StatusOr<MutateReply> Mutate(std::string_view key, net::wire::Message req,
+                               const cluster::Durability& dur);
 
   const std::string bucket_;
-  const RetryPolicy retry_;
   const std::vector<uint16_t> bootstrap_ports_;
-  Rng backoff_rng_;
+  Router router_;
   std::atomic<uint64_t> next_trace_id_;
 
   mutable Mutex mu_{"client.wire_client"};

@@ -744,10 +744,6 @@ uint16_t Cluster::wire_port(NodeId id) {
   return n != nullptr ? n->wire_port() : 0;
 }
 
-net::SocketTransport::PortResolver Cluster::WirePortResolver() {
-  return [this](uint32_t node_id) { return wire_port(node_id); };
-}
-
 Status Cluster::WaitForDurability(const std::string& bucket, uint16_t vb,
                                   uint64_t seqno, const Durability& dur) {
   if (dur.replicate_to == 0 && dur.persist_to == 0) return Status::OK();

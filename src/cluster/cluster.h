@@ -20,7 +20,6 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/synchronization.h"
-#include "net/socket_transport.h"
 #include "net/transport.h"
 #include "stats/registry.h"
 
@@ -146,17 +145,13 @@ class Cluster {
   // and bound to an ephemeral 127.0.0.1 port (read them back through
   // wire_port()). CrashNode kills the crashed node's listener;
   // RestartNode/RecoverNode bring it back on a FRESH port, so consumers
-  // must re-resolve (WirePortResolver does).
+  // must re-resolve (WireClient re-learns ports from the cluster map).
   Status StartWireServers(const std::string& bucket);
   // Stops every listener and joins their threads. Idempotent; also run by
   // the destructor before any node state is torn down.
   void StopWireServers();
   // Node `id`'s current listener port; 0 when down or never started.
   uint16_t wire_port(NodeId id);
-  // A resolver for net::SocketTransport: re-queries the live port on every
-  // hop, so crashed nodes resolve to 0 and rebooted nodes to their fresh
-  // port. Safe to call until the cluster is destroyed.
-  net::SocketTransport::PortResolver WirePortResolver();
 
   // --- Durability (paper §2.3.2) ---
   // Blocks until `seqno` in (bucket, vb) satisfies `dur`, observing replica

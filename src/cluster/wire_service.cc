@@ -74,8 +74,8 @@ wire::Message WireService::Handle(const wire::Message& req,
       ctx.received_nanos != 0 ? ctx.received_nanos : clock->NowNanos();
 
   // Adopt the caller's trace context (if any) as this thread's ambient
-  // trace: nested engine spans and outbound transport hops tag themselves
-  // with it, which is what makes a cross-node op one trace instead of two.
+  // trace: nested engine spans tag themselves with it, so their slow-op
+  // lines join the wire trace that suffered them.
   wire::TraceFrame tf;
   const bool traced = wire::GetTraceFrame(req.framing, &tf);
   trace::TraceContext tc;
@@ -201,9 +201,9 @@ wire::Message WireService::Handle(const wire::Message& req,
 wire::Message WireService::DispatchOpcode(const wire::Message& req) {
   switch (static_cast<wire::Opcode>(req.opcode)) {
     case wire::Opcode::kNoop: {
-      // The SocketTransport heartbeat: an unhealthy-but-listening node must
-      // answer TempFail so admission legs fail exactly like they would
-      // against a dead process, just with a crisper error.
+      // Liveness probe: an unhealthy-but-listening node answers TempFail,
+      // so a prober sees it exactly as it would a dead process, just with a
+      // crisper error.
       Node* n = cluster_->node(node_id_);
       if (n == nullptr || !n->healthy()) {
         return ErrorResp(req, Status::TempFail("node is down"));

@@ -122,9 +122,8 @@ inline uint64_t EdgeCount() { return 0; }
 // Marks a region that may block on the outside world (disk I/O, a socket
 // round-trip, a long sleep). Under lockdep, constructing one while holding
 // any kHotPath lock class files a report. In non-lockdep builds this is a
-// pure annotation with zero cost. Adopted at storage::Env I/O and
-// net::SocketTransport round-trip sites; adopt it in any new code that can
-// block outside the process.
+// pure annotation with zero cost. Adopted at storage::Env I/O sites; adopt
+// it in any new code that can block outside the process.
 class ScopedBlockingCall {
  public:
   explicit ScopedBlockingCall(const char* what) { OnBlockingCall(what); }

@@ -41,8 +41,6 @@ TcpServer::TcpServer(Handler handler, Options opts)
   stat_accepted_ = scope_->GetCounter("server.connections");
   stat_frames_ = scope_->GetCounter("server.frames");
   stat_protocol_errors_ = scope_->GetCounter("server.protocol_errors");
-  stat_bytes_in_ = scope_->GetCounter("server.bytes_in");
-  stat_bytes_out_ = scope_->GetCounter("server.bytes_out");
   stat_rx_bytes_ = scope_->GetCounter("rx_bytes");
   stat_tx_bytes_ = scope_->GetCounter("tx_bytes");
   stats::Counter* unknown = scope_->GetCounter("ops.UNKNOWN");
@@ -181,7 +179,6 @@ void TcpServer::ConnLoop(Conn* conn) {
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error: peer is gone
-    stat_bytes_in_->Add(static_cast<uint64_t>(n));
     stat_rx_bytes_->Add(static_cast<uint64_t>(n));
     RequestContext ctx;
     ctx.received_nanos = opts_.clock->NowNanos();
@@ -226,7 +223,6 @@ void TcpServer::ConnLoop(Conn* conn) {
         alive = false;
         break;
       }
-      stat_bytes_out_->Add(bytes.size());
       stat_tx_bytes_->Add(bytes.size());
     }
   }

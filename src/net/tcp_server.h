@@ -131,12 +131,9 @@ class TcpServer {
   stats::Counter* stat_accepted_ = nullptr;
   stats::Counter* stat_frames_ = nullptr;
   stats::Counter* stat_protocol_errors_ = nullptr;
-  stats::Counter* stat_bytes_in_ = nullptr;
-  stats::Counter* stat_bytes_out_ = nullptr;
-  // Satellite names for the same byte totals (wire.rx_bytes/tx_bytes) plus
-  // one wire.ops.<NAME> counter per opcode, resolved once at construction so
-  // the per-frame increment is a single relaxed add. Unknown opcodes share
-  // the ops.UNKNOWN slot.
+  // Byte totals (wire.rx_bytes/tx_bytes) plus one wire.ops.<NAME> counter
+  // per opcode, resolved once at construction so the per-frame increment is
+  // a single relaxed add. Unknown opcodes share the ops.UNKNOWN slot.
   stats::Counter* stat_rx_bytes_ = nullptr;
   stats::Counter* stat_tx_bytes_ = nullptr;
   stats::Counter* stat_ops_[256] = {};

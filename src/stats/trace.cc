@@ -33,8 +33,6 @@ uint32_t NextSpanId() {
                  : id;
 }
 
-TraceContext CurrentTrace() { return t_current_trace; }
-
 ScopedTrace::ScopedTrace(const TraceContext& ctx) : prev_(t_current_trace) {
   t_current_trace = ctx;
 }

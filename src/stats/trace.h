@@ -35,15 +35,12 @@ struct TraceContext {
 // Process-wide span-id source (never returns 0).
 uint32_t NextSpanId();
 
-// The ambient trace for the calling thread: what a server handler installs
-// before diving into the engine so that nested spans and outbound
-// SocketTransport hops can tag themselves without threading a context
-// parameter through every KV signature. Zero-valued when no trace is active.
-TraceContext CurrentTrace();
-
-// RAII installer for the thread-local ambient trace; restores the previous
-// context on destruction, so nested scopes (a server handler that itself
-// issues traced calls) unwind correctly.
+// RAII installer for the calling thread's ambient trace: what a server
+// handler installs before diving into the engine so that nested spans can
+// tag themselves (see Span::trace_id) without threading a context parameter
+// through every KV signature. Restores the previous context on destruction,
+// so nested scopes (a server handler that itself issues traced calls)
+// unwind correctly.
 class ScopedTrace {
  public:
   explicit ScopedTrace(const TraceContext& ctx);

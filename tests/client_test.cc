@@ -1,12 +1,16 @@
 // Tests for the smart client: routing, CAS workflow, durability options,
-// locks, JSON helpers, and transparent re-routing across topology changes.
+// locks, JSON helpers, and transparent re-routing across topology changes;
+// plus the routing/retry loop both SmartClient and WireClient share.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <set>
 #include <thread>
+#include <type_traits>
 
 #include "client/smart_client.h"
+#include "client/wire_client.h"
+#include "stats/registry.h"
 
 namespace couchkv::client {
 namespace {
@@ -253,21 +257,8 @@ TEST_F(SmartClientTest, VBucketForIsStable) {
 
 // --- Retry backoff policy ---
 
-TEST(SmartClientBackoffTest, DoublingWithoutJitterIsExactAndCapped) {
-  RetryPolicy p;
-  p.jitter = false;
-  p.initial_backoff_us = 50;
-  p.max_backoff_us = 300;
-  Rng rng(42);
-  EXPECT_EQ(NextBackoffUs(p, 50, rng), 100u);
-  EXPECT_EQ(NextBackoffUs(p, 100, rng), 200u);
-  EXPECT_EQ(NextBackoffUs(p, 200, rng), 300u);  // capped
-  EXPECT_EQ(NextBackoffUs(p, 300, rng), 300u);
-}
-
 TEST(SmartClientBackoffTest, DecorrelatedJitterStaysInBoundsAndVaries) {
-  RetryPolicy p;  // jitter defaults to on
-  ASSERT_TRUE(p.jitter);
+  RetryPolicy p;
   p.initial_backoff_us = 50;
   p.max_backoff_us = 2000;
   Rng rng(42);
@@ -286,9 +277,49 @@ TEST(SmartClientBackoffTest, DecorrelatedJitterStaysInBoundsAndVaries) {
   EXPECT_GT(seen.size(), 10u);
 }
 
-// --- Fail-fast when a vBucket has no active copy ---
+// --- Routing shared by both clients (client/router.h) ---
+//
+// The same cases run against SmartClient (in-process calls) and WireClient
+// (binary protocol over TCP): both delegate to one routing/retry loop, so
+// both must produce the same client.* counter deltas.
 
-TEST(SmartClientNoActiveTest, OpsOnLostVBucketFailFastWithoutRetryBurn) {
+// With this policy a full retry burn would sleep ~63 * 5ms = 315ms.
+RetryPolicy SlowFixedBackoff() {
+  RetryPolicy p;
+  p.max_attempts = 64;
+  p.initial_backoff_us = 5000;
+  p.max_backoff_us = 5000;
+  return p;
+}
+
+template <typename C>
+std::unique_ptr<C> MakeClient(cluster::Cluster* cluster,
+                              const std::string& bucket, RetryPolicy retry) {
+  if constexpr (std::is_same_v<C, SmartClient>) {
+    return std::make_unique<SmartClient>(cluster, bucket, retry);
+  } else {
+    std::vector<uint16_t> ports;
+    for (cluster::NodeId id : cluster->node_ids()) {
+      ports.push_back(cluster->wire_port(id));
+    }
+    return std::make_unique<WireClient>(ports, bucket, retry);
+  }
+}
+
+// client.<name> counter delta since `before`.
+uint64_t ClientDelta(const stats::Snapshot& before, const std::string& name) {
+  stats::Snapshot d =
+      stats::Delta(before, stats::Registry::Global().Collect("client"));
+  auto it = d.find("client." + name);
+  return it == d.end() ? 0 : it->second.counter;
+}
+
+template <typename C>
+class ClientRoutingTest : public ::testing::Test {};
+using Clients = ::testing::Types<SmartClient, WireClient>;
+TYPED_TEST_SUITE(ClientRoutingTest, Clients);
+
+TYPED_TEST(ClientRoutingTest, OpsOnLostVBucketFailFastWithoutRetryBurn) {
   cluster::Cluster cluster;
   cluster.AddNode();
   cluster.AddNode();
@@ -296,6 +327,7 @@ TEST(SmartClientNoActiveTest, OpsOnLostVBucketFailFastWithoutRetryBurn) {
   cfg.name = "b";
   cfg.num_replicas = 0;
   ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
+  ASSERT_TRUE(cluster.StartWireServers("b").ok());
   // Manual failover of a node with zero replicas orphans its vBuckets.
   ASSERT_TRUE(cluster.Failover(0, cluster::FailoverMode::kManual).ok());
 
@@ -312,14 +344,14 @@ TEST(SmartClientNoActiveTest, OpsOnLostVBucketFailFastWithoutRetryBurn) {
   ASSERT_FALSE(lost.empty());
   ASSERT_FALSE(alive.empty());
 
-  // With this policy a full retry burn would sleep ~63 * 5ms ≈ 315ms.
-  RetryPolicy slow;
-  slow.max_attempts = 64;
-  slow.initial_backoff_us = 5000;
-  slow.max_backoff_us = 5000;
-  SmartClient client(&cluster, "b", slow, /*client_id=*/700);
+  auto client = MakeClient<TypeParam>(&cluster, "b", SlowFixedBackoff());
+  // Keys whose vBucket still has an active are unaffected.
+  ASSERT_TRUE(client->Upsert(alive, "v").ok());
+  EXPECT_EQ(client->Get(alive)->value, "v");
+
+  stats::Snapshot before = stats::Registry::Global().Collect("client");
   auto t0 = std::chrono::steady_clock::now();
-  auto r = client.Get(lost);
+  auto r = client->Get(lost);
   auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -327,9 +359,60 @@ TEST(SmartClientNoActiveTest, OpsOnLostVBucketFailFastWithoutRetryBurn) {
   EXPECT_NE(r.status().message().find("no active"), std::string::npos)
       << r.status().ToString();
   EXPECT_LT(elapsed_ms, 100);
-  // Keys whose vBucket still has an active are unaffected.
-  ASSERT_TRUE(client.Upsert(alive, "v").ok());
-  EXPECT_EQ(client.Get(alive)->value, "v");
+  EXPECT_EQ(ClientDelta(before, "no_active_fail_fast"), 1u);
+  EXPECT_EQ(ClientDelta(before, "retries"), 0u);
+  EXPECT_EQ(ClientDelta(before, "map_refreshes"), 1u);
+}
+
+TYPED_TEST(ClientRoutingTest, RebalanceRedirectRefreshesAndRetries) {
+  cluster::Cluster cluster;
+  for (int i = 0; i < 3; ++i) cluster.AddNode();
+  cluster::BucketConfig cfg;
+  cfg.name = "default";
+  cfg.num_replicas = 1;
+  ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
+  cluster.AddNode();  // joins at the rebalance below
+  ASSERT_TRUE(cluster.StartWireServers("default").ok());
+
+  auto client = MakeClient<TypeParam>(&cluster, "default", RetryPolicy{});
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(client->Upsert("key" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(cluster.Rebalance().ok());
+
+  // The cached map is stale: the first op aimed at a moved vBucket gets
+  // NotMyVBucket, refreshes the map and retries on the new active.
+  stats::Snapshot before = stats::Registry::Global().Collect("client");
+  for (int i = 0; i < 100; ++i) {
+    auto r = client->Get("key" + std::to_string(i));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->value, "v");
+  }
+  EXPECT_GE(ClientDelta(before, "retries"), 1u);
+  EXPECT_GE(ClientDelta(before, "map_refreshes"), 1u);
+  EXPECT_EQ(ClientDelta(before, "no_active_fail_fast"), 0u);
+  EXPECT_EQ(ClientDelta(before, "op_errors"), 0u);
+}
+
+// An unknown bucket is a permanent map error: returned at once, not retried
+// through the whole backoff budget.
+TEST(WireClientRoutingTest, UnknownBucketFailsWithoutRetryBurn) {
+  cluster::Cluster cluster;
+  cluster.AddNode();
+  cluster::BucketConfig cfg;
+  cfg.name = "default";
+  ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
+  ASSERT_TRUE(cluster.StartWireServers("default").ok());
+
+  WireClient client({cluster.wire_port(0)}, "no-such-bucket",
+                    SlowFixedBackoff());
+  auto t0 = std::chrono::steady_clock::now();
+  auto r = client.Get("k");
+  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
+  EXPECT_LT(elapsed_ms, 100);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <thread>
 
+#include "client/wire_client.h"
 #include "common/random.h"
 #include "cluster/bucket.h"
 #include "cluster/node.h"
@@ -42,18 +43,32 @@ TortureDriver::TortureDriver(cluster::Cluster* cluster, std::string bucket,
 }
 
 void TortureDriver::Run() {
+  std::vector<uint16_t> ports;
+  for (cluster::NodeId id : cluster_->node_ids()) {
+    ports.push_back(cluster_->wire_port(id));
+  }
+  const bool wire = !ports.empty() &&
+                    std::find(ports.begin(), ports.end(), 0) == ports.end();
   std::vector<std::thread> workers;
   workers.reserve(opts_.num_clients);
   for (int c = 0; c < opts_.num_clients; ++c) {
-    workers.emplace_back([this, c] { RunClient(c); });
+    workers.emplace_back([this, c, wire, &ports] {
+      if (wire) {
+        client::WireClient client(ports, bucket_, opts_.retry);
+        RunClient(client, c);
+      } else {
+        client::SmartClient client(
+            cluster_, bucket_, opts_.retry,
+            opts_.base_client_id + static_cast<uint32_t>(c));
+        RunClient(client, c);
+      }
+    });
   }
   for (auto& w : workers) w.join();
 }
 
-void TortureDriver::RunClient(int client_index) {
-  client::SmartClient client(cluster_, bucket_, opts_.retry,
-                             opts_.base_client_id +
-                                 static_cast<uint32_t>(client_index));
+template <typename Client>
+void TortureDriver::RunClient(Client& client, int client_index) {
   Rng rng(opts_.seed * 0x9e3779b97f4a7c15ULL + client_index + 1);
   int writes = 0;
   for (int op = 0; op < opts_.ops_per_client; ++op) {

@@ -11,6 +11,10 @@
 //   * CheckAllKeysReachable    — every key that must exist is readable
 //     through a client (NotMyVBucket retries converge; no orphaned keys).
 //
+// The workers are SmartClients, or WireClients speaking the binary protocol
+// over TCP when every node has a wire listener at Run(); the checks always
+// read through a SmartClient.
+//
 // Each worker client owns a disjoint key range and writes versioned values,
 // so a key's history is a single client's sequential writes — which is what
 // makes the invariants checkable without a global ordering oracle.
@@ -32,7 +36,7 @@ namespace couchkv::harness {
 
 struct TortureOptions {
   uint64_t seed = 1;
-  int num_clients = 4;        // worker threads, one SmartClient each
+  int num_clients = 4;        // worker threads, one client each
   int ops_per_client = 200;
   int keys_per_client = 32;   // clients use disjoint key ranges
   double write_fraction = 0.8;
@@ -66,6 +70,7 @@ class TortureDriver {
 
   // Runs the full workload (num_clients threads) to completion. May be
   // called while the test crashes nodes / injects faults concurrently.
+  // Workers use WireClient when every node has a wire port at the call.
   void Run();
 
   // Tells the harness a node crash happened during the workload, weakening
@@ -97,7 +102,8 @@ class TortureDriver {
   }
 
  private:
-  void RunClient(int client_index);
+  template <typename Client>
+  void RunClient(Client& client, int client_index);
   // Index of the newest write that is guaranteed to have survived, or -1.
   int AnchorIndex(const std::vector<WriteRecord>& h) const;
   std::unique_ptr<client::SmartClient> MakeCheckClient();

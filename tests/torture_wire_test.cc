@@ -1,11 +1,14 @@
 // Socket-level torture: the crash / partition / failover scenarios from the
-// existing torture suites, replayed with every admitted transport leg
-// crossing a real TCP connection (net::SocketTransport against each node's
-// wire listener). The durability and convergence invariants must hold over
-// actual sockets — reconnects, kernel buffering, ephemeral-port reassignment
-// after a restart and all — and each test proves traffic really crossed the
-// wire via the transport's round-trip counter. Seeds are reduced relative
-// to the in-process suites: every leg costs a kernel round-trip.
+// existing torture suites, replayed with every node listening on the wire,
+// so the TortureDriver's workers are WireClients: each KV payload and
+// durability requirement is a binary-protocol frame over a real TCP
+// connection to the active node's listener. The durability and convergence
+// invariants must hold over actual sockets — reconnects, kernel buffering,
+// ephemeral-port reassignment after a restart and all — and each test
+// proves the writes really crossed the wire via the server's wire.ops.SET
+// counter. Node-to-node links (DCP replication) stay in-process, under the
+// cluster transport. Seeds are reduced relative to the in-process suites:
+// every op costs a kernel round-trip.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,17 +18,24 @@
 #include "cluster/cluster.h"
 #include "harness/torture.h"
 #include "net/faulty_transport.h"
-#include "net/socket_transport.h"
+#include "stats/registry.h"
 
 namespace couchkv {
 namespace {
 
 class TortureWireTest : public ::testing::TestWithParam<uint64_t> {};
 
+// SET frames served by every listener in the process so far.
+uint64_t WireSets() {
+  stats::Snapshot s = stats::Registry::Global().Collect("wire");
+  auto it = s.find("wire.ops.SET");
+  return it == s.end() ? 0 : it->second.counter;
+}
+
 // The crash-torture scenario over sockets: kill a node mid-workload (its
 // listener dies with it), restart it onto a FRESH ephemeral port, and
-// require every persist-acked write back. The port resolver is queried per
-// hop, so recovery hinges on re-resolution actually working.
+// require every persist-acked write back. Workers re-learn ports from the
+// cluster map, so recovery hinges on re-resolution actually working.
 TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   const uint64_t seed = GetParam();
   cluster::Cluster cluster;
@@ -36,8 +46,7 @@ TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
   ASSERT_TRUE(cluster.StartWireServers("default").ok());
 
-  net::SocketTransport transport(cluster.WirePortResolver());
-  cluster.set_transport(&transport);
+  const uint64_t sets_before = WireSets();
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -56,7 +65,7 @@ TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   driver.Run();
   crasher.join();
 
-  // While down, the node's resolver entry is 0 ("no listener"): ops to it
+  // While down, the node's map entry has port 0 ("no listener"): ops to it
   // failed at connect, exactly like a dead process on a real network.
   ASSERT_TRUE(cluster.RestartNode(0).ok());
   EXPECT_NE(cluster.wire_port(0), 0);
@@ -66,14 +75,12 @@ TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
   // Proof the workload crossed the kernel, not an in-process shortcut.
-  EXPECT_GT(transport.round_trips(), 0u);
-  cluster.set_transport(nullptr);
+  EXPECT_GT(WireSets(), sets_before);
 }
 
-// The partition scenario over sockets, with FaultyTransport composed as the
-// admission filter: its seeded schedule decides each leg's fate first, and
-// only admitted legs touch a socket — the deterministic fault model and the
-// real wire coexist.
+// The partition scenario over sockets: client ops travel over TCP while
+// FaultyTransport's seeded schedule governs the node-to-node links — the
+// deterministic fault model and the real wire coexist.
 TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   const uint64_t seed = GetParam();
   cluster::Cluster cluster;
@@ -89,8 +96,8 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   lossy.drop = 0.02;
   lossy.max_latency_us = 30;
   faults.SetDefaultFaults(lossy);
-  net::SocketTransport transport(cluster.WirePortResolver(), &faults);
-  cluster.set_transport(&transport);
+  cluster.set_transport(&faults);
+  const uint64_t sets_before = WireSets();
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -100,9 +107,8 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   opts.persist_every = 0;
   harness::TortureDriver driver(&cluster, "default", opts);
 
-  // Cut node 2 off from node-to-node traffic only: clients still reach it
-  // over their sockets, but replication in and out of it stalls until the
-  // heal.
+  // Cut node 2 off from node-to-node traffic: clients still reach it over
+  // their sockets, but replication in and out of it stalls until the heal.
   faults.Block(net::Endpoint::Node(0), net::Endpoint::Node(2));
   faults.Block(net::Endpoint::Node(1), net::Endpoint::Node(2));
   faults.Block(net::Endpoint::Node(2), net::Endpoint::Node(0));
@@ -117,14 +123,14 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   EXPECT_TRUE(driver.CheckAckedWritesDurable());
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
-  EXPECT_GT(transport.round_trips(), 0u);
+  EXPECT_GT(WireSets(), sets_before);
   cluster.set_transport(nullptr);
 }
 
 // Crash + manual failover + delta recovery, all over sockets: the failed
 // node leaves the map, is rebooted and reintegrated by RecoverNode — which
 // must also bring its wire listener back (on a fresh port) or the recovered
-// actives would be unreachable for every later leg.
+// actives would be unreachable over the wire.
 TEST_P(TortureWireTest, FailoverThenRecoverNodeConvergesOverSockets) {
   const uint64_t seed = GetParam();
   cluster::Cluster cluster;
@@ -135,8 +141,7 @@ TEST_P(TortureWireTest, FailoverThenRecoverNodeConvergesOverSockets) {
   ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
   ASSERT_TRUE(cluster.StartWireServers("default").ok());
 
-  net::SocketTransport transport(cluster.WirePortResolver());
-  cluster.set_transport(&transport);
+  const uint64_t sets_before = WireSets();
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -170,8 +175,7 @@ TEST_P(TortureWireTest, FailoverThenRecoverNodeConvergesOverSockets) {
   EXPECT_TRUE(driver.CheckAckedWritesDurable());
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
-  EXPECT_GT(transport.round_trips(), 0u);
-  cluster.set_transport(nullptr);
+  EXPECT_GT(WireSets(), sets_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TortureWireTest,
