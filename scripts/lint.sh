@@ -4,13 +4,19 @@
 # 1. Lock-discipline source check: src/ must use the annotated types from
 #    common/synchronization.h (couchkv::Mutex, LockGuard, CondVar, ...)
 #    instead of the naked std primitives, so Clang Thread Safety Analysis
-#    sees every acquisition. synchronization.h itself is the one allowed
-#    wrapper over the std types.
-# 2. Swallowed-error check: [[nodiscard]] + -Werror=unused-result make
-#    dropping a Status/StatusOr a compile error; the one sanctioned escape
-#    hatch is `(void)call(...)` with an adjacent `// justified:` comment.
-#    Any unjustified (void)-discarded call in src/ fails the lint.
-# 3. Optional clang-format check (runs only when clang-format is installed).
+#    and lockdep see every acquisition.
+# 2. NO_THREAD_SAFETY_ANALYSIS needs a justifying comment.
+# 3. Swallowed-error check: an unjustified `(void)call(...)` in src/ fails;
+#    the escape hatch needs an adjacent `// justified:` comment.
+# 4. Every wire opcode registers its stats counter.
+# 5. clang-format (runs only when clang-format is installed).
+# 6. Determinism: no ambient randomness or wall-clock in src/.
+# 7. Spawn sites: every thread spawn in src/ and tools/ adopts its
+#    execution domain with a lockdep::ScopedDomain.
+#
+# The rest of the lock discipline is enforced by the compiler (named
+# mutexes, typed domains) and by the checked build (-DCOUCHKV_LOCKDEP=ON,
+# with scripts/lockdep_check.py over its dumps) — see DESIGN.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -21,14 +27,13 @@ banned='std::mutex|std::shared_mutex|std::recursive_mutex|std::timed_mutex'
 banned+='|std::lock_guard|std::unique_lock|std::shared_lock|std::scoped_lock'
 banned+='|std::condition_variable'
 
-# lockdep.cc and affinity.cc are also exempt: the detectors cannot use the
-# instrumented wrappers for their own internal locks (the hooks would
-# recurse into themselves).
+# lockdep.cc is also exempt: the detector cannot use the instrumented
+# wrappers for its own internal locks (the hooks would recurse into
+# themselves).
 matches=$(grep -rnE "$banned" src/ \
     --include='*.h' --include='*.cc' \
     | grep -v 'src/common/synchronization.h' \
-    | grep -v 'src/common/lockdep.cc' \
-    | grep -v 'src/common/affinity.cc' || true)
+    | grep -v 'src/common/lockdep.cc' || true)
 if [[ -n "$matches" ]]; then
   echo "error: naked std synchronization primitives in src/ — use the" >&2
   echo "annotated types from common/synchronization.h instead:" >&2
@@ -142,38 +147,21 @@ while IFS=: read -r file line _; do
 done < <(grep -rnE "$nondet" src/ \
     --include='*.h' --include='*.cc' || true)
 
-# --- 7. Static lock-order analysis ------------------------------------------
-# scripts/analysis/lock_order.py rebuilds the declared lock hierarchy from
-# the lock-class names, COUCHKV_LOCK_ORDER decls, and TSA attributes, and
-# fails on cycles, unnamed mutexes, or a subsystem missing from the
-# hierarchy. --self-test first proves the analyzer still catches its
-# seeded fixtures (a blind analyzer passes everything).
-if command -v python3 >/dev/null 2>&1; then
-  if ! python3 scripts/analysis/lock_order.py --self-test >/dev/null; then
-    echo "error: lock_order.py --self-test failed (analyzer is broken)" >&2
-    fail=1
-  elif ! python3 scripts/analysis/lock_order.py --root src; then
-    fail=1
-  fi
-else
-  echo "note: python3 not installed; skipping lock-order analysis"
-fi
-
-# --- 8. Static execution-domain (thread-affinity) analysis -------------------
-# scripts/analysis/thread_affinity.py enforces spawn-site discipline (every
-# std::thread in src/ and tools/ declares its execution domain via a
-# ScopedDomain inside the spawn statement) and validates COUCHKV_AFFINE_TO
-# declarations. Same self-test-first pattern as the lock-order gate.
-if command -v python3 >/dev/null 2>&1; then
-  if ! python3 scripts/analysis/thread_affinity.py --self-test >/dev/null; then
-    echo "error: thread_affinity.py --self-test failed (analyzer is broken)" >&2
-    fail=1
-  elif ! python3 scripts/analysis/thread_affinity.py; then
+# --- 7. Every thread spawn adopts an execution domain -----------------------
+# A thread that never constructs a lockdep::ScopedDomain runs as "client",
+# so the checked build's COUCHKV_AFFINE_TO asserts cannot tell it apart
+# from a caller. The three spawn forms in use — `std::thread([`, a member
+# initializer `thread_([`, and `.emplace_back([` into a thread vector —
+# must name a ScopedDomain on the spawn line or the line after it.
+spawn='std::thread\(\[|\bthread_\(\[|\.emplace_back\(\['
+while IFS=: read -r file line _; do
+  if ! sed -n "${line},$((line + 1))p" "$file" | grep -q 'ScopedDomain'; then
+    echo "error: $file:$line spawns a thread without a lockdep::ScopedDomain" >&2
+    echo "as the first statement of its thread function" >&2
     fail=1
   fi
-else
-  echo "note: python3 not installed; skipping thread-affinity analysis"
-fi
+done < <(grep -rnE "$spawn" src/ tools/ \
+    --include='*.h' --include='*.cc' --include='*.cpp' || true)
 
 if [[ $fail -eq 0 ]]; then
   echo "lint OK"

@@ -57,7 +57,6 @@ class ShadowDataset {
   static constexpr size_t kShards = 16;
   struct Shard {
     mutable SharedMutex mu{"analytics.dataset"};
-    COUCHKV_LOCK_ORDER("dcp.stream_delivery", "analytics.dataset");
     std::map<std::string, json::Value> docs GUARDED_BY(mu);
   };
   Shard& ShardFor(const std::string& key) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 
 #include "common/logging.h"
 
@@ -49,7 +49,7 @@ Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
       &dcp_counters_);
   dispatcher_->AddProducer(producer_);
   flusher_ = std::thread([this] {
-    affinity::ScopedDomain domain("storage.flusher");
+    lockdep::ScopedDomain domain(lockdep::Domain::kStorageFlusher);
     FlusherLoop();
   });
 }

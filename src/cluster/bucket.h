@@ -18,8 +18,8 @@
 #include "cluster/types.h"
 #include "cluster/vbucket.h"
 #include "common/clock.h"
+#include "common/lockdep.h"
 #include "common/status.h"
-#include "common/affinity.h"
 #include "common/synchronization.h"
 #include "dcp/dcp.h"
 #include "stats/registry.h"
@@ -181,7 +181,8 @@ class Bucket {
   Mutex storage_mu_{"cluster.bucket.storage"};  // serializes lazy CouchFile creation
   // The flusher loop body (batch collection, SaveDocs, commit bookkeeping)
   // runs only on this bucket's flusher thread.
-  COUCHKV_AFFINE_TO("cluster.bucket.flusher_loop", "storage.flusher");
+  COUCHKV_AFFINE_TO("cluster.bucket.flusher_loop",
+                    lockdep::Domain::kStorageFlusher);
   std::thread flusher_;
 };
 

@@ -206,8 +206,6 @@ class Cluster {
   std::atomic<net::Transport*> transport_{&direct_transport_};
 
   mutable Mutex mu_{"cluster.topology"};
-  COUCHKV_LOCK_ORDER("cluster.topology", "cluster.node");
-  COUCHKV_LOCK_ORDER("cluster.topology", "cluster.vbucket.op");
   std::map<NodeId, std::unique_ptr<Node>> nodes_ GUARDED_BY(mu_);
   NodeId next_node_id_ GUARDED_BY(mu_) = 0;
   std::map<std::string, BucketConfig> bucket_configs_ GUARDED_BY(mu_);

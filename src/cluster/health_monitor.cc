@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 #include "common/logging.h"
 #include "net/transport.h"
 
@@ -41,7 +41,7 @@ void HealthMonitor::Start() {
   stop_ = false;
   running_ = true;
   thread_ = std::thread([this] {
-    affinity::ScopedDomain domain("cluster.health");
+    lockdep::ScopedDomain domain(lockdep::Domain::kClusterHealth);
     ThreadMain();
   });
 }

@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/affinity.h"
+#include "common/lockdep.h"
 #include "common/synchronization.h"
 #include "stats/registry.h"
 
@@ -141,7 +141,8 @@ class HealthMonitor {
   // ThreadMain (probe rounds + orchestration) runs only on the monitor's
   // ticker thread; TickOnce alone is also driven directly by tests, so the
   // assert guards the loop, not the tick.
-  COUCHKV_AFFINE_TO("cluster.health.ticker", "cluster.health");
+  COUCHKV_AFFINE_TO("cluster.health.ticker",
+                    lockdep::Domain::kClusterHealth);
   Mutex thread_mu_{"cluster.health.thread"};
   CondVar thread_cv_;
   bool stop_ GUARDED_BY(thread_mu_) = false;

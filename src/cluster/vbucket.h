@@ -150,8 +150,6 @@ class VBucket {
   // accessor-sized critical sections above, so file() stays callable from
   // code running inside WithOpLock (DCP backfill during rebalance).
   mutable Mutex file_mu_ ACQUIRED_AFTER(op_mu_){"cluster.vbucket.file"};
-  COUCHKV_LOCK_ORDER("cluster.vbucket.op", "cluster.vbucket.file");
-  COUCHKV_LOCK_ORDER("cluster.node", "cluster.vbucket.op");
   std::atomic<VBucketState> state_;
   // Bucket-owned disk-failure flag (null = no throttle); read-only here.
   const std::atomic<bool>* backpressure_ = nullptr;

@@ -1,34 +1,39 @@
-// Runtime lock-order discipline ("lockdep"), the dynamic complement to the
-// Clang Thread Safety Analysis annotations in common/synchronization.h: TSA
+// The checked build ("lockdep"): the runtime complement to the Clang
+// Thread Safety Analysis annotations in common/synchronization.h. TSA
 // proves WHICH lock guards each field; lockdep proves the ORDER locks are
-// taken in can never deadlock.
+// taken in can never deadlock, and WHO — which execution domain — may run
+// the code that owns single-threaded state.
 //
-// Model (after the Linux kernel's lockdep): every Mutex/SharedMutex belongs
-// to a named lock CLASS, registered at its declaration site
+// Lock order (after the Linux kernel's lockdep): every Mutex/SharedMutex
+// belongs to a named lock CLASS, registered at its declaration site
 // (`Mutex mu_{"cluster.node"};`). Each thread keeps a stack of held locks,
 // and a process-global directed graph over lock classes gains an edge
 // A -> B the first time any thread acquires a B-class lock while holding an
-// A-class lock. A new edge that closes a cycle is a POTENTIAL deadlock —
-// two code paths disagree about the order — and is reported with both
-// acquisition stacks and aborts the process immediately, even though the
-// deadly interleaving itself never executed. Every test run under
-// -DCOUCHKV_LOCKDEP=ON is therefore a deadlock detector that does not need
-// to get lucky with thread timing.
+// A-class lock. The graph starts out holding the declared hierarchy (the
+// order table in lockdep.cc), so an acquisition against a declared edge is
+// caught as well as one against an observed edge. A new edge that closes a
+// cycle is a POTENTIAL deadlock — two code paths disagree about the order —
+// and is reported with both acquisition stacks and aborts the process
+// immediately, even though the deadly interleaving itself never executed.
+//
+// Execution domains (after Linux lockdep's irq/softirq context tracking):
+// every spawned thread adopts a Domain at birth with a ScopedDomain inside
+// its spawn statement (scripts/lint.sh checks that), and threads that never
+// adopt run in Domain::kClient. State owned by one domain declares
+// COUCHKV_AFFINE_TO("what", Domain::kX) and asserts it on entry; an access
+// from any other domain aborts, naming both domains.
 //
 // Also reported (as WARN + counter, not fatal, queryable for tests):
 //   * condvar waits entered while holding any lock besides the waited one
 //     (the held lock blocks for an unbounded time);
-//   * ScopedBlockingCall sites (disk I/O, socket round-trips) reached while
-//     a lock class flagged kHotPath is held — the inventory the
-//     thread-per-core hot-path rework needs.
+//   * ScopedBlockingCall sites (disk I/O) reached while a lock class
+//     flagged kHotPath is held.
 //
 // Everything here is compiled out to zero-cost no-ops unless the build sets
-// -DCOUCHKV_LOCKDEP (CMake: -DCOUCHKV_LOCKDEP=ON).
-//
-// The graph can be dumped as JSON for the static cross-checker
-// (scripts/analysis/lock_order.py): pass --dump-lock-graph=FILE on any test
-// binary's command line, or set COUCHKV_LOCKDEP_DUMP=FILE or
-// COUCHKV_LOCKDEP_DUMP_DIR=DIR (one file per process) in the environment.
+// -DCOUCHKV_LOCKDEP (CMake: -DCOUCHKV_LOCKDEP=ON). With
+// COUCHKV_LOCKDEP_DUMP_DIR=DIR in the environment, every process writes its
+// graph to DIR/lock_graph.<pid>.json at exit; scripts/lockdep_check.py
+// merges the dumps of a whole test run and checks them together.
 #ifndef COUCHKV_COMMON_LOCKDEP_H_
 #define COUCHKV_COMMON_LOCKDEP_H_
 
@@ -53,15 +58,28 @@ inline constexpr bool kEnabled = true;
 inline constexpr bool kEnabled = false;
 #endif
 
-// Statically declares the acquisition order `before` -> `after` between two
-// lock classes. Expands to nothing at runtime: the declaration is consumed
-// by scripts/analysis/lock_order.py, which builds the declared hierarchy
-// DAG, fails the lint on cycles, and cross-checks each declared edge
-// against the runtime-observed graph dump (a declared edge no test ever
-// exercises is flagged as a coverage gap). Place these next to the mutex
-// declarations they order.
-#define COUCHKV_LOCK_ORDER(before, after) \
-  static_assert(sizeof(before) > 1 && sizeof(after) > 1, "lock-order decl")
+// The execution domains. A thread adopts one at birth (ScopedDomain);
+// threads that never adopt — tests, SDK callers, YCSB/loadgen workers — run
+// in kClient.
+enum class Domain : uint8_t {
+  kClient,            // implicit: tests, SDK callers, YCSB/loadgen workers
+  kMain,              // tool entry points (couchkv_server, loadgen)
+  kThreadPoolWorker,  // common::ThreadPool workers
+  kNetAccept,         // net::TcpServer accept loop
+  kNetConn,           // net::TcpServer per-connection loops
+  kStorageFlusher,    // cluster::Bucket disk-write flusher
+  kDcpProducer,       // dcp::Dispatcher pump
+  kClusterHealth,     // cluster::HealthMonitor ticker
+};
+inline constexpr int kNumDomains = 8;
+
+constexpr const char* DomainName(Domain d) {
+  constexpr const char* kNames[kNumDomains] = {
+      "client",          "main",          "thread_pool.worker",
+      "net.accept",      "net.conn",      "storage.flusher",
+      "dcp.producer",    "cluster.health"};
+  return kNames[static_cast<int>(d)];
+}
 
 #if defined(COUCHKV_LOCKDEP)
 
@@ -72,11 +90,12 @@ uint32_t RegisterInstance(const char* name, unsigned flags);
 
 // Acquisition hooks, called by the synchronization.h wrappers.
 // OnAcquire runs BEFORE the underlying lock() blocks, so a cycle is
-// reported even when the deadlock would actually hang. `trylock`
+// reported even when the deadlock would actually hang. Try-lock
 // acquisitions cannot block and therefore add no incoming edges (but the
-// lock still joins the held stack and seeds outgoing edges).
-void OnAcquire(const void* instance, uint32_t class_id, bool shared);
-void OnTryAcquired(const void* instance, uint32_t class_id, bool shared);
+// lock still joins the held stack and seeds outgoing edges). Shared
+// acquisitions are tracked like exclusive ones.
+void OnAcquire(const void* instance, uint32_t class_id);
+void OnTryAcquired(const void* instance, uint32_t class_id);
 void OnRelease(const void* instance);
 
 // CondVar::Wait entry: reports (WARN + counter) when the thread holds any
@@ -87,7 +106,19 @@ void OnCondVarWait(const void* waited_instance);
 // class carries kHotPath.
 void OnBlockingCall(const char* what);
 
+// Registers the affinity checker `what` as owned by `domain`. Aborts when
+// the same `what` was already registered with a different domain.
+void RegisterAffine(const char* what, Domain domain);
+// Aborts (naming `what`, its domain and the caller's) unless the calling
+// thread runs in `domain`.
+void AssertAffineImpl(const char* what, Domain domain);
+
 // --- Introspection (tests, tools) ---
+
+// The calling thread's current domain.
+Domain CurrentDomain();
+// How many times any thread adopted `domain` (ScopedDomain constructions).
+uint64_t DomainAdoptions(Domain domain);
 
 // Process-lifetime counters for the non-fatal report kinds.
 uint64_t CondVarHoldReports();
@@ -95,22 +126,29 @@ uint64_t BlockingWhileHotReports();
 // Last non-fatal report line (empty when none yet).
 std::string LastReport();
 
-// Current class/edge graph as JSON:
-//   {"classes":[{"name":...,"flags":...}],
-//    "edges":[{"from":...,"to":...}]}
+// Current class/edge graph as JSON (the per-process dump):
+//   {"classes":[{"name":...,"flags":...,"instances":N}],
+//    "edges":[{"from":...,"to":...,"declared":true|false}]}
+// `instances` counts the mutexes registered under the class (0 for a
+// class only the order table names); `declared` marks table edges.
 std::string DumpGraphJson();
 
-// Number of distinct class->class edges observed so far.
+// Number of distinct class->class edges observed so far (table edges not
+// counted).
 uint64_t EdgeCount();
 
 #else  // !COUCHKV_LOCKDEP — every hook is a no-op the optimizer deletes.
 
 inline uint32_t RegisterInstance(const char*, unsigned) { return 0; }
-inline void OnAcquire(const void*, uint32_t, bool) {}
-inline void OnTryAcquired(const void*, uint32_t, bool) {}
+inline void OnAcquire(const void*, uint32_t) {}
+inline void OnTryAcquired(const void*, uint32_t) {}
 inline void OnRelease(const void*) {}
 inline void OnCondVarWait(const void*) {}
 inline void OnBlockingCall(const char*) {}
+inline void RegisterAffine(const char*, Domain) {}
+inline void AssertAffineImpl(const char*, Domain) {}
+inline Domain CurrentDomain() { return Domain::kClient; }
+inline uint64_t DomainAdoptions(Domain) { return 0; }
 inline uint64_t CondVarHoldReports() { return 0; }
 inline uint64_t BlockingWhileHotReports() { return 0; }
 inline std::string LastReport() { return {}; }
@@ -130,6 +168,61 @@ class ScopedBlockingCall {
   ScopedBlockingCall(const ScopedBlockingCall&) = delete;
   ScopedBlockingCall& operator=(const ScopedBlockingCall&) = delete;
 };
+
+// Sets the calling thread's execution domain for the lifetime of the scope
+// (the previous domain is restored on destruction, so nested adoption — a
+// tool's main thread temporarily acting as a client — works). Every thread
+// spawn in src/ and tools/ constructs one as the first statement of its
+// thread function.
+class ScopedDomain {
+ public:
+#if defined(COUCHKV_LOCKDEP)
+  explicit ScopedDomain(Domain domain);
+  ~ScopedDomain();
+#else
+  explicit ScopedDomain(Domain) {}
+#endif
+  ScopedDomain(const ScopedDomain&) = delete;
+  ScopedDomain& operator=(const ScopedDomain&) = delete;
+
+#if defined(COUCHKV_LOCKDEP)
+ private:
+  Domain prev_;
+#endif
+};
+
+// Member object behind COUCHKV_AFFINE_TO; AssertAffine() is the access-site
+// check.
+class Affine {
+ public:
+#if defined(COUCHKV_LOCKDEP)
+  Affine(const char* what, Domain domain) : what_(what), domain_(domain) {
+    RegisterAffine(what, domain);
+  }
+  void AssertAffine() const { AssertAffineImpl(what_, domain_); }
+#else
+  Affine(const char*, Domain) {}
+  void AssertAffine() const {}
+#endif
+  Affine(const Affine&) = delete;
+  Affine& operator=(const Affine&) = delete;
+
+#if defined(COUCHKV_LOCKDEP)
+ private:
+  const char* what_;
+  Domain domain_;
+#endif
+};
+
+// Declares state affine to one execution domain: the state named `what`
+// (dotted, lock-class-style) may only be touched from `domain`, a Domain
+// value. Expands to a checker member; accessors call
+// COUCHKV_ASSERT_AFFINE().
+#define COUCHKV_AFFINE_TO(what, domain) \
+  ::couchkv::lockdep::Affine affine_checker_ { what, domain }
+
+// Access-site check for the enclosing class's COUCHKV_AFFINE_TO member.
+#define COUCHKV_ASSERT_AFFINE() affine_checker_.AssertAffine()
 
 }  // namespace couchkv::lockdep
 

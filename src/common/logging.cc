@@ -11,8 +11,6 @@ std::atomic<LogLevel> g_level{LogLevel::kWarn};
 // Serializes the fprintf so concurrent log lines do not interleave; stderr
 // itself is the guarded resource, so there is no GUARDED_BY field.
 Mutex g_mu{"logging.stderr"};
-COUCHKV_LOCK_ORDER("cluster.health", "logging.stderr");
-COUCHKV_LOCK_ORDER("client.wire_client", "logging.stderr");
 
 const char* LevelName(LogLevel level) {
   switch (level) {

@@ -22,15 +22,7 @@
 #include <mutex>
 #include <shared_mutex>
 
-#include "common/affinity.h"
 #include "common/lockdep.h"
-
-// Either diagnostic layer (lock-order detection, execution-domain
-// observation) needs the wrappers to carry per-instance class ids; both
-// compile out of normal builds.
-#if defined(COUCHKV_LOCKDEP) || defined(COUCHKV_AFFINITY)
-#define COUCHKV_SYNC_INSTRUMENTED 1
-#endif
 
 // --- Attribute macros (the canonical set from the Clang TSA docs) ---
 
@@ -81,22 +73,17 @@ class CondVar;
 
 // Exclusive mutex. Prefer LockGuard/UniqueLock over manual Lock/Unlock.
 //
-// Every mutex in src/ declares its lockdep lock CLASS at the declaration
-// site: `Mutex mu_{"cluster.node"};` (naming rules in DESIGN.md "Lock
-// hierarchy"). Under -DCOUCHKV_LOCKDEP=ON the class feeds the runtime
+// Every mutex declares its lockdep lock CLASS at the declaration site:
+// `Mutex mu_{"cluster.node"};` (naming rules in DESIGN.md "Lock
+// hierarchy"). There is no nameless constructor, so an unnamed mutex does
+// not compile. Under -DCOUCHKV_LOCKDEP=ON the class feeds the runtime
 // lock-order detector (common/lockdep.h); in normal builds the name
-// argument costs nothing. The nameless constructor exists for tests and
-// scratch code only — scripts/analysis/lock_order.py rejects unnamed
-// mutexes in src/.
+// argument costs nothing.
 class CAPABILITY("mutex") Mutex {
  public:
-  Mutex() : Mutex("unnamed") {}
   explicit Mutex(const char* lock_class, unsigned lockdep_flags = 0) {
 #if defined(COUCHKV_LOCKDEP)
     class_id_ = lockdep::RegisterInstance(lock_class, lockdep_flags);
-#endif
-#if defined(COUCHKV_AFFINITY)
-    aff_id_ = affinity::RegisterLockClass(lock_class);
 #endif
     (void)lock_class;
     (void)lockdep_flags;
@@ -105,9 +92,8 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockdep::OnAcquire(this, class_id(), /*shared=*/false);
+    lockdep::OnAcquire(this, class_id());
     mu_.lock();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/false);
   }
   void Unlock() RELEASE() {
     mu_.unlock();
@@ -115,10 +101,7 @@ class CAPABILITY("mutex") Mutex {
   }
   bool TryLock() TRY_ACQUIRE(true) {
     bool ok = mu_.try_lock();
-    if (ok) {
-      lockdep::OnTryAcquired(this, class_id(), /*shared=*/false);
-      affinity::OnLockAcquired(aff_id(), /*shared=*/false);
-    }
+    if (ok) lockdep::OnTryAcquired(this, class_id());
     return ok;
   }
 
@@ -128,19 +111,12 @@ class CAPABILITY("mutex") Mutex {
   void AssertHeld() ASSERT_CAPABILITY(this) {}
 
  private:
-  friend class CondVar;
   friend class UniqueLock;
 #if defined(COUCHKV_LOCKDEP)
   uint32_t class_id() const { return class_id_; }
   uint32_t class_id_;
 #else
   static constexpr uint32_t class_id() { return 0; }
-#endif
-#if defined(COUCHKV_AFFINITY)
-  uint32_t aff_id() const { return aff_id_; }
-  uint32_t aff_id_;
-#else
-  static constexpr uint32_t aff_id() { return 0; }
 #endif
   std::mutex mu_;
 };
@@ -150,13 +126,9 @@ class CAPABILITY("mutex") Mutex {
 // queued writer, so reader edges are tracked conservatively.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
-  SharedMutex() : SharedMutex("unnamed") {}
   explicit SharedMutex(const char* lock_class, unsigned lockdep_flags = 0) {
 #if defined(COUCHKV_LOCKDEP)
     class_id_ = lockdep::RegisterInstance(lock_class, lockdep_flags);
-#endif
-#if defined(COUCHKV_AFFINITY)
-    aff_id_ = affinity::RegisterLockClass(lock_class);
 #endif
     (void)lock_class;
     (void)lockdep_flags;
@@ -165,18 +137,16 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockdep::OnAcquire(this, class_id(), /*shared=*/false);
+    lockdep::OnAcquire(this, class_id());
     mu_.lock();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/false);
   }
   void Unlock() RELEASE() {
     mu_.unlock();
     lockdep::OnRelease(this);
   }
   void LockShared() ACQUIRE_SHARED() {
-    lockdep::OnAcquire(this, class_id(), /*shared=*/true);
+    lockdep::OnAcquire(this, class_id());
     mu_.lock_shared();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/true);
   }
   void UnlockShared() RELEASE_SHARED() {
     mu_.unlock_shared();
@@ -192,12 +162,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
   uint32_t class_id_;
 #else
   static constexpr uint32_t class_id() { return 0; }
-#endif
-#if defined(COUCHKV_AFFINITY)
-  uint32_t aff_id() const { return aff_id_; }
-  uint32_t aff_id_;
-#else
-  static constexpr uint32_t aff_id() { return 0; }
 #endif
   std::shared_mutex mu_;
 };
@@ -252,22 +216,19 @@ class SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mu) ACQUIRE(mu)
       : lock_(mu.mu_, std::defer_lock)
-#if defined(COUCHKV_SYNC_INSTRUMENTED)
+#if defined(COUCHKV_LOCKDEP)
         ,
         mu_(&mu)
 #endif
   {
-    lockdep::OnAcquire(&mu, mu.class_id(), /*shared=*/false);
+    lockdep::OnAcquire(lockdep_instance(), lockdep_class());
     lock_.lock();
-    affinity::OnLockAcquired(mu.aff_id(), /*shared=*/false);
   }
   // Releases iff still held (std::unique_lock semantics).
   ~UniqueLock() RELEASE() {
     if (lock_.owns_lock()) {
       lock_.unlock();
-#if defined(COUCHKV_LOCKDEP)
-      lockdep::OnRelease(mu_);
-#endif
+      lockdep::OnRelease(lockdep_instance());
     }
   }
 
@@ -275,33 +236,26 @@ class SCOPED_CAPABILITY UniqueLock {
   UniqueLock& operator=(const UniqueLock&) = delete;
 
   void Lock() ACQUIRE() {
-#if defined(COUCHKV_LOCKDEP)
-    lockdep::OnAcquire(mu_, mu_->class_id(), /*shared=*/false);
-#endif
+    lockdep::OnAcquire(lockdep_instance(), lockdep_class());
     lock_.lock();
-#if defined(COUCHKV_AFFINITY)
-    affinity::OnLockAcquired(mu_->aff_id(), /*shared=*/false);
-#endif
   }
   void Unlock() RELEASE() {
     lock_.unlock();
-#if defined(COUCHKV_LOCKDEP)
-    lockdep::OnRelease(mu_);
-#endif
+    lockdep::OnRelease(lockdep_instance());
   }
 
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-#if defined(COUCHKV_SYNC_INSTRUMENTED)
-  // The wrapped mutex, for release/condvar-hold/affinity hooks; compiled
-  // out of normal builds so the wrapper stays the size of std::unique_lock.
-  Mutex* mu_;
-#endif
 #if defined(COUCHKV_LOCKDEP)
+  // The wrapped mutex, for the lockdep hooks; compiled out of normal
+  // builds so the wrapper stays the size of std::unique_lock.
+  Mutex* mu_;
   const void* lockdep_instance() const { return mu_; }
+  uint32_t lockdep_class() const { return mu_->class_id(); }
 #else
   static constexpr const void* lockdep_instance() { return nullptr; }
+  static constexpr uint32_t lockdep_class() { return 0; }
 #endif
 };
 
@@ -342,6 +296,13 @@ class CondVar {
  private:
   std::condition_variable cv_;
 };
+
+#if !defined(COUCHKV_LOCKDEP)
+// Outside the checked build the wrappers are exactly the std types.
+static_assert(sizeof(Mutex) == sizeof(std::mutex));
+static_assert(sizeof(SharedMutex) == sizeof(std::shared_mutex));
+static_assert(sizeof(UniqueLock) == sizeof(std::unique_lock<std::mutex>));
+#endif
 
 }  // namespace couchkv
 

@@ -1,6 +1,6 @@
 #include "common/thread_pool.h"
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 
 namespace couchkv {
 
@@ -9,7 +9,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] {
-      affinity::ScopedDomain domain("thread_pool.worker");
+      lockdep::ScopedDomain domain(lockdep::Domain::kThreadPoolWorker);
       WorkerLoop();
     });
   }

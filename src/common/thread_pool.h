@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 #include "common/synchronization.h"
 
 namespace couchkv {
@@ -36,7 +36,8 @@ class ThreadPool {
 
   // WorkerLoop bodies run only on pool workers; the queue itself is
   // multi-domain by design (any domain may Submit).
-  COUCHKV_AFFINE_TO("thread_pool.worker_loop", "thread_pool.worker");
+  COUCHKV_AFFINE_TO("thread_pool.worker_loop",
+                    lockdep::Domain::kThreadPoolWorker);
   Mutex mu_{"thread_pool.pool"};
   CondVar cv_;       // wakes workers
   CondVar idle_cv_;  // wakes Wait()

@@ -2,7 +2,7 @@
 
 #include <thread>
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 #include "common/logging.h"
 
 namespace couchkv::dcp {
@@ -270,7 +270,7 @@ uint64_t Producer::TotalBacklog() const {
 
 Dispatcher::Dispatcher()
     : thread_([this] {
-        affinity::ScopedDomain domain("dcp.producer");
+        lockdep::ScopedDomain domain(lockdep::Domain::kDcpProducer);
         Loop();
       }) {}
 

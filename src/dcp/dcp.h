@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
+#include "common/lockdep.h"
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "kv/doc.h"
@@ -166,9 +166,6 @@ class Producer {
   std::vector<std::unique_ptr<ChangeLog>> logs_;
 
   mutable Mutex mu_{"dcp.producer_streams"};  // guards streams_ map (not delivery)
-  COUCHKV_LOCK_ORDER("dcp.producer_streams", "dcp.changelog");
-  COUCHKV_LOCK_ORDER("dcp.stream_delivery", "dcp.changelog");
-  COUCHKV_LOCK_ORDER("cluster.vbucket.op", "dcp.changelog");
   std::map<uint64_t, std::shared_ptr<Stream>> streams_ GUARDED_BY(mu_);
   uint64_t next_stream_id_ GUARDED_BY(mu_) = 1;
 };
@@ -195,7 +192,7 @@ class Dispatcher {
 
   // Loop runs only on the dispatcher's pump thread. Quiesce deliberately
   // pumps producers from the calling thread, so only the loop asserts.
-  COUCHKV_AFFINE_TO("dcp.dispatcher.pump", "dcp.producer");
+  COUCHKV_AFFINE_TO("dcp.dispatcher.pump", lockdep::Domain::kDcpProducer);
   Mutex mu_{"dcp.dispatcher"};
   CondVar cv_;
   std::vector<std::shared_ptr<Producer>> producers_ GUARDED_BY(mu_);

@@ -81,7 +81,6 @@ class InvertedIndex {
 
   FtsIndexDefinition def_;
   mutable SharedMutex mu_{"fts.index"};
-  COUCHKV_LOCK_ORDER("dcp.stream_delivery", "fts.index");
   // term -> doc_id -> posting. std::map for ordered prefix expansion.
   std::map<std::string, std::unordered_map<std::string, Posting>> terms_
       GUARDED_BY(mu_);

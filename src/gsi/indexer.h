@@ -89,8 +89,6 @@ class IndexPartition {
   std::atomic<uint64_t> sync_failures_{0};
 
   mutable SharedMutex mu_{"gsi.indexer"};
-  COUCHKV_LOCK_ORDER("gsi.index_service", "gsi.indexer");
-  COUCHKV_LOCK_ORDER("gsi.indexer", "storage.mem_file");
   std::map<TreeKey, uint16_t> tree_ GUARDED_BY(mu_);  // value: owning vbucket
   // Back-index: doc_id -> keys currently indexed here (for removal).
   std::unordered_map<std::string, std::vector<json::Value>> back_

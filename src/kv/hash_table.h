@@ -212,7 +212,6 @@ class HashTable {
   CacheCounters c_;
 
   mutable Mutex mu_{"kv.hash_table", lockdep::kHotPath};
-  COUCHKV_LOCK_ORDER("cluster.vbucket.op", "kv.hash_table");
   Map map_ GUARDED_BY(mu_);
 
   std::atomic<uint64_t> high_seqno_{0};

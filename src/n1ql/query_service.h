@@ -114,9 +114,6 @@ class QueryService {
   Histogram* fetch_ns_ = nullptr;
 
   Mutex mu_{"n1ql.query_service"};
-  COUCHKV_LOCK_ORDER("n1ql.query_service", "views.engine");
-  COUCHKV_LOCK_ORDER("n1ql.query_service", "dcp.stream_delivery");
-  COUCHKV_LOCK_ORDER("n1ql.query_service", "thread_pool.pool");
   std::map<std::string, std::unique_ptr<client::SmartClient>> clients_
       GUARDED_BY(mu_);
   // Indexes created USING VIEW (paper §3.3.1), tracked for DROP INDEX.

@@ -118,7 +118,6 @@ class FaultyTransport : public Transport {
   const uint64_t seed_;
 
   mutable Mutex mu_{"net.faulty_transport"};
-  COUCHKV_LOCK_ORDER("net.faulty_transport", "net.transport_metrics");
   LinkFaults default_faults_ GUARDED_BY(mu_);
   LinkFaults client_faults_ GUARDED_BY(mu_);
   bool have_client_faults_ GUARDED_BY(mu_) = false;

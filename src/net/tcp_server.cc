@@ -96,7 +96,7 @@ Status TcpServer::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] {
-    affinity::ScopedDomain domain("net.accept");
+    lockdep::ScopedDomain domain(lockdep::Domain::kNetAccept);
     AcceptLoop();
   });
   return Status::OK();
@@ -164,7 +164,7 @@ void TcpServer::AcceptLoop() {
       conns_.push_back(std::move(conn));
     }
     raw->thread = std::thread([this, raw] {
-      affinity::ScopedDomain domain("net.conn");
+      lockdep::ScopedDomain domain(lockdep::Domain::kNetConn);
       ConnLoop(raw);
     });
   }

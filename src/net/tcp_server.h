@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/lockdep.h"
 #include "common/status.h"
-#include "common/affinity.h"
 #include "common/synchronization.h"
 #include "net/wire/wire.h"
 #include "stats/registry.h"
@@ -105,8 +105,10 @@ class TcpServer {
   // The accept loop runs only on the listener thread; each ConnLoop runs
   // only on its connection's thread (one checker per loop — the macro form
   // owns the class's affine_checker_ slot, the second is a named member).
-  COUCHKV_AFFINE_TO("net.tcp_server.accept_loop", "net.accept");
-  affinity::Affine conn_affine_{"net.tcp_server.conn_loop", "net.conn"};
+  COUCHKV_AFFINE_TO("net.tcp_server.accept_loop",
+                    lockdep::Domain::kNetAccept);
+  lockdep::Affine conn_affine_{"net.tcp_server.conn_loop",
+                               lockdep::Domain::kNetConn};
 
   Handler handler_;
   Options opts_;

@@ -49,7 +49,6 @@ class TransportMetrics {
   // Serializes slot publication only; slots_ itself is atomic so readers
   // stay lock-free (the CAS-publish pattern documented above).
   Mutex publish_mu_{"net.transport_metrics"};
-  COUCHKV_LOCK_ORDER("net.transport_metrics", "stats.scope");
   std::atomic<NodeCounters*> slots_[kMaxNodes] = {};
 };
 

@@ -123,7 +123,6 @@ class Registry {
 
  private:
   mutable Mutex mu_{"stats.registry"};
-  COUCHKV_LOCK_ORDER("cluster.topology", "stats.registry");
   std::map<std::string, std::shared_ptr<Scope>> scopes_ GUARDED_BY(mu_);
 };
 

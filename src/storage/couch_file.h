@@ -142,9 +142,6 @@ class CouchFile {
   StorageCounters counters_;  // null members = reporting disabled
 
   mutable Mutex mu_{"storage.couch_file"};
-  COUCHKV_LOCK_ORDER("storage.couch_file", "storage.posix_file");
-  COUCHKV_LOCK_ORDER("storage.couch_file", "storage.mem_file");
-  COUCHKV_LOCK_ORDER("cluster.bucket.storage", "storage.couch_file");
   // Readers pin the current file under mu_ and read outside it; Compact()
   // swaps in the rewritten file under mu_, and the pin keeps the old
   // (immutable, already-indexed) contents alive for in-flight readers.

@@ -90,8 +90,6 @@ class ViewEngine : public cluster::ClusterService,
   Histogram* query_ns_ = nullptr;
 
   mutable Mutex mu_{"views.engine"};
-  COUCHKV_LOCK_ORDER("views.engine", "dcp.stream_delivery");
-  COUCHKV_LOCK_ORDER("dcp.stream_delivery", "views.index");
   // bucket -> view name -> state
   std::map<std::string, std::map<std::string, ViewState>> views_
       GUARDED_BY(mu_);

@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <thread>
 
-#include "common/affinity.h"
 #include "common/clock.h"
+#include "common/lockdep.h"
 
 namespace couchkv::ycsb {
 
@@ -173,7 +173,7 @@ void Run(const WorkloadConfig& config, size_t threads,
   uint64_t start = Clock::Real()->NowNanos();
   for (size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      affinity::ScopedDomain domain("client");
+      lockdep::ScopedDomain domain(lockdep::Domain::kClient);
       Workload workload(config, seed + t * 7919, &insert_counter);
       for (uint64_t i = 0; i < ops_per_thread; ++i) {
         Op op = workload.Next();

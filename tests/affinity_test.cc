@@ -1,24 +1,24 @@
-// Affinity (common/affinity.h) behavioral suite. Meaningful only under
-// -DCOUCHKV_AFFINITY=ON — in normal builds every case GTEST_SKIPs, and the
-// inert-hooks case (which runs ONLY when affinity is off) proves the hooks
-// really compile out rather than silently half-working.
+// Execution-domain half of the checked build (common/lockdep.h). Meaningful
+// only under -DCOUCHKV_LOCKDEP=ON — in normal builds every case
+// GTEST_SKIPs, and the inert-hooks case (which runs ONLY when lockdep is
+// off) proves the hooks really compile out rather than silently
+// half-working.
 //
-// The tracker is process-global state, so each case uses uniquely named
-// domains/checkers, and the fatal case runs inside EXPECT_DEATH: the child
-// inherits the parent's registry but its new records die with it.
-#include "common/affinity.h"
-
+// The registry is process-global state, so each case uses its own checker
+// names, and the fatal cases run inside EXPECT_DEATH: the child inherits
+// the parent's registry but its new records die with it.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "cluster/health_monitor.h"
+#include "common/lockdep.h"
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
 #include "dcp/dcp.h"
@@ -27,160 +27,133 @@
 namespace couchkv {
 namespace {
 
-#define SKIP_UNLESS_AFFINITY()                                        \
-  do {                                                                \
-    if (!affinity::kEnabled) {                                        \
-      GTEST_SKIP() << "built without COUCHKV_AFFINITY; hooks are "    \
-                      "no-ops";                                       \
-    }                                                                 \
+using lockdep::Domain;
+
+#define SKIP_UNLESS_LOCKDEP()                                        \
+  do {                                                               \
+    if (!lockdep::kEnabled) {                                        \
+      GTEST_SKIP() << "built without COUCHKV_LOCKDEP; hooks are "    \
+                      "no-ops";                                      \
+    }                                                                \
   } while (0)
 
-// In a non-affinity build the whole API must be inert: every thread reads
-// as "client", nothing is recorded, and the checkers never fire. This case
-// runs ONLY when affinity is off.
+// In a non-lockdep build the whole API must be inert: every thread reads
+// as kClient, nothing is counted, and the checkers never fire. This case
+// runs ONLY when lockdep is off.
 TEST(AffinityTest, DisabledBuildHooksAreInert) {
-  if (affinity::kEnabled) {
-    GTEST_SKIP() << "built with COUCHKV_AFFINITY; inertness n/a";
+  if (lockdep::kEnabled) {
+    GTEST_SKIP() << "built with COUCHKV_LOCKDEP; inertness n/a";
   }
-  EXPECT_STREQ(affinity::CurrentDomainName(), "client");
-  affinity::ScopedDomain domain("affinity_test.never_registered");
-  EXPECT_STREQ(affinity::CurrentDomainName(), "client");
-  affinity::Affine checker{"affinity_test.inert", "affinity_test.other"};
+  EXPECT_EQ(lockdep::CurrentDomain(), Domain::kClient);
+  lockdep::ScopedDomain domain(Domain::kNetConn);
+  EXPECT_EQ(lockdep::CurrentDomain(), Domain::kClient);
+  EXPECT_EQ(lockdep::DomainAdoptions(Domain::kNetConn), 0u);
+  lockdep::Affine checker{"affinity_test.inert", Domain::kStorageFlusher};
   checker.AssertAffine();  // wrong domain, but a no-op build never aborts
-  EXPECT_EQ(affinity::ViolationReports(), 0u);
-  EXPECT_EQ(affinity::DumpJson(), "{}");
+  lockdep::Affine conflicting{"affinity_test.inert", Domain::kDcpProducer};
+  conflicting.AssertAffine();
 }
 
-// A thread that never constructs a ScopedDomain runs in the implicit
-// "client" domain; adoption is scoped and restores the previous domain.
+// A thread that never constructs a ScopedDomain runs in kClient; adoption
+// is scoped and restores the previous domain.
 TEST(AffinityTest, ScopedAdoptionNestsAndRestores) {
-  SKIP_UNLESS_AFFINITY();
-  EXPECT_STREQ(affinity::CurrentDomainName(), "client");
+  SKIP_UNLESS_LOCKDEP();
+  EXPECT_EQ(lockdep::CurrentDomain(), Domain::kClient);
   {
-    affinity::ScopedDomain outer("affinity_test.outer");
-    EXPECT_STREQ(affinity::CurrentDomainName(), "affinity_test.outer");
+    lockdep::ScopedDomain outer(Domain::kMain);
+    EXPECT_EQ(lockdep::CurrentDomain(), Domain::kMain);
     {
-      affinity::ScopedDomain inner("affinity_test.inner");
-      EXPECT_STREQ(affinity::CurrentDomainName(), "affinity_test.inner");
+      lockdep::ScopedDomain inner(Domain::kClient);
+      EXPECT_EQ(lockdep::CurrentDomain(), Domain::kClient);
     }
-    EXPECT_STREQ(affinity::CurrentDomainName(), "affinity_test.outer");
+    EXPECT_EQ(lockdep::CurrentDomain(), Domain::kMain);
   }
-  EXPECT_STREQ(affinity::CurrentDomainName(), "client");
+  EXPECT_EQ(lockdep::CurrentDomain(), Domain::kClient);
 }
 
 // Silent negative control: accessing AFFINE_TO state from its declared
-// domain must record nothing — the suite reaching the end of this test
-// with zero violation reports is the assertion.
+// domain must not abort, however often it is asserted.
 TEST(AffinityTest, DeclaredDomainAccessIsSilent) {
-  SKIP_UNLESS_AFFINITY();
-  const uint64_t before = affinity::ViolationReports();
-  affinity::Affine checker{"affinity_test.silent", "affinity_test.owner_s"};
-  affinity::ScopedDomain domain("affinity_test.owner_s");
+  SKIP_UNLESS_LOCKDEP();
+  lockdep::Affine checker{"affinity_test.silent", Domain::kStorageFlusher};
+  lockdep::ScopedDomain domain(Domain::kStorageFlusher);
   for (int i = 0; i < 100; ++i) checker.AssertAffine();
-  EXPECT_EQ(affinity::ViolationReports(), before);
+  // Registering the same state again with the same domain (a second
+  // instance of the owning class) is not a conflict.
+  lockdep::Affine again{"affinity_test.silent", Domain::kStorageFlusher};
+  again.AssertAffine();
+  SUCCEED();
 }
 
 // Accessing AFFINE_TO state from the wrong domain aborts, and the report
 // names BOTH the declared and the offending domain.
 TEST(AffinityDeathTest, WrongDomainAccessAbortsNamingBothDomains) {
-  SKIP_UNLESS_AFFINITY();
+  SKIP_UNLESS_LOCKDEP();
   // A lambda keeps the braced declarations (and their commas) out of the
   // EXPECT_DEATH macro argument list.
   auto access_from_wrong_domain = [] {
-    affinity::Affine checker("affinity_test.dstate", "affinity_test.downer");
-    affinity::ScopedDomain domain("affinity_test.dintruder");
+    lockdep::Affine checker("affinity_test.dstate", Domain::kStorageFlusher);
+    lockdep::ScopedDomain domain(Domain::kNetConn);
     checker.AssertAffine();
   };
-  EXPECT_DEATH(
-      access_from_wrong_domain(),
-      "\"affinity_test\\.dstate\" is declared affine to execution domain "
-      "\"affinity_test\\.downer\"(.|\n)*\"affinity_test\\.dintruder\"");
+  EXPECT_DEATH(access_from_wrong_domain(),
+               "\"affinity_test\\.dstate\" is declared affine to execution "
+               "domain \"storage\\.flusher\"(.|\n)*\"net\\.conn\"");
 }
 
-// Observe mode downgrades the abort to a recorded violation with a
-// readable last-report line, so a whole run can map true access domains.
-TEST(AffinityTest, ObserveModeRecordsInsteadOfAborting) {
-  SKIP_UNLESS_AFFINITY();
-  const uint64_t before = affinity::ViolationReports();
-  affinity::SetObserveMode(true);
-  {
-    affinity::Affine checker{"affinity_test.observed",
-                             "affinity_test.owner_o"};
-    affinity::ScopedDomain domain("affinity_test.intruder_o");
-    checker.AssertAffine();  // would abort outside observe mode
-  }
-  affinity::SetObserveMode(false);
-  EXPECT_EQ(affinity::ViolationReports(), before + 1);
-  const std::string report = affinity::LastReport();
-  EXPECT_NE(report.find("affinity_test.observed"), std::string::npos);
-  EXPECT_NE(report.find("affinity_test.owner_o"), std::string::npos);
-  EXPECT_NE(report.find("affinity_test.intruder_o"), std::string::npos);
+// One state name declared affine to two different domains is a
+// contradiction in the annotations themselves: registration aborts.
+TEST(AffinityDeathTest, ConflictingAffineToAborts) {
+  SKIP_UNLESS_LOCKDEP();
+  struct Owner {
+    COUCHKV_AFFINE_TO("affinity_test.conflict", Domain::kDcpProducer);
+  };
+  struct Intruder {
+    COUCHKV_AFFINE_TO("affinity_test.conflict", Domain::kClusterHealth);
+  };
+  auto register_both = [] {
+    Owner owner;
+    Intruder intruder;
+  };
+  EXPECT_DEATH(register_both(),
+               "CONFLICTING AFFINITY(.|\n)*\"affinity_test\\.conflict\" is "
+               "declared affine to execution domain \"dcp\\.producer\" and "
+               "to \"cluster\\.health\"");
 }
 
-// Every lock acquisition is attributed to the acquiring domain, exclusive
-// and shared separately — the raw material for the lock-removal inventory.
-TEST(AffinityTest, LockAcquisitionsMapToDomains) {
-  SKIP_UNLESS_AFFINITY();
-  Mutex m{"affinity_test.map_lock"};
-  SharedMutex sm{"affinity_test.map_shared"};
-  {
-    affinity::ScopedDomain domain("affinity_test.map_domain");
-    LockGuard lock(m);
-    ReaderLockGuard rlock(sm);
-  }
-  const std::string dump = affinity::DumpJson();
-  const size_t cls = dump.find("\"affinity_test.map_lock\"");
-  ASSERT_NE(cls, std::string::npos);
-  // The class's domain list must attribute the exclusive acquisition to
-  // the adopted domain (the entry follows the class name in the JSON).
-  const size_t dom = dump.find("\"affinity_test.map_domain\"", cls);
-  ASSERT_NE(dom, std::string::npos);
-  const size_t shared_cls = dump.find("\"affinity_test.map_shared\"");
-  ASSERT_NE(shared_cls, std::string::npos);
-  EXPECT_NE(dump.find("\"shared\": 1", shared_cls), std::string::npos);
-}
-
-// --- Spawn-site domain registration ---------------------------------------
+// --- Spawn-site domain adoption --------------------------------------------
 // Each subsystem's spawn site must adopt its documented domain (the
-// ScopedDomain at the top of the thread function). The dump's domain list
-// is the observable: a domain appears with threads > 0 only after a thread
-// actually adopted it.
-
-bool DumpHasDomain(const std::string& name) {
-  const std::string dump = affinity::DumpJson();
-  const size_t pos = dump.find("\"" + name + "\"");
-  if (pos == std::string::npos) return false;
-  // {"name": "<domain>", "threads": N} — reject N == 0.
-  const size_t threads = dump.find("\"threads\": ", pos);
-  if (threads == std::string::npos) return false;
-  return dump[threads + std::string("\"threads\": ").size()] != '0';
-}
+// ScopedDomain at the top of the thread function). The per-domain adoption
+// count is the observable: it rises only when a thread actually adopted.
 
 TEST(AffinitySpawnTest, ThreadPoolWorkersAdoptWorkerDomain) {
-  SKIP_UNLESS_AFFINITY();
+  SKIP_UNLESS_LOCKDEP();
   ThreadPool pool(2);
-  std::string seen;
+  Domain seen = Domain::kClient;
   Mutex mu{"affinity_test.spawn_pool"};
   pool.Submit([&] {
     LockGuard lock(mu);
-    seen = affinity::CurrentDomainName();
+    seen = lockdep::CurrentDomain();
   });
   pool.Wait();
-  EXPECT_EQ(seen, "thread_pool.worker");
-  EXPECT_TRUE(DumpHasDomain("thread_pool.worker"));
+  LockGuard lock(mu);
+  EXPECT_EQ(seen, Domain::kThreadPoolWorker);
 }
 
 TEST(AffinitySpawnTest, DcpDispatcherAdoptsProducerDomain) {
-  SKIP_UNLESS_AFFINITY();
+  SKIP_UNLESS_LOCKDEP();
+  const uint64_t before = lockdep::DomainAdoptions(Domain::kDcpProducer);
   {
     dcp::Dispatcher dispatcher;
     dispatcher.Stop();  // joins the pump thread: it ran and adopted
   }
-  EXPECT_TRUE(DumpHasDomain("dcp.producer"));
+  EXPECT_GT(lockdep::DomainAdoptions(Domain::kDcpProducer), before);
 }
 
 TEST(AffinitySpawnTest, TcpServerLoopsAdoptNetDomains) {
-  SKIP_UNLESS_AFFINITY();
+  SKIP_UNLESS_LOCKDEP();
+  const uint64_t accept_before = lockdep::DomainAdoptions(Domain::kNetAccept);
+  const uint64_t conn_before = lockdep::DomainAdoptions(Domain::kNetConn);
   net::TcpServer server(
       [](const net::wire::Message& req, const net::RequestContext&) {
         net::wire::Message resp;
@@ -190,7 +163,7 @@ TEST(AffinitySpawnTest, TcpServerLoopsAdoptNetDomains) {
       });
   ASSERT_TRUE(server.Start().ok());
   // One real connection, closed immediately: its ConnLoop thread spawns,
-  // sees EOF, and exits — enough to adopt (and count in) "net.conn".
+  // sees EOF, and exits — enough to adopt kNetConn.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -202,12 +175,13 @@ TEST(AffinitySpawnTest, TcpServerLoopsAdoptNetDomains) {
   ::close(fd);
   while (server.connections_accepted() == 0) std::this_thread::yield();
   server.Stop();  // joins accept + conn threads
-  EXPECT_TRUE(DumpHasDomain("net.accept"));
-  EXPECT_TRUE(DumpHasDomain("net.conn"));
+  EXPECT_GT(lockdep::DomainAdoptions(Domain::kNetAccept), accept_before);
+  EXPECT_GT(lockdep::DomainAdoptions(Domain::kNetConn), conn_before);
 }
 
 TEST(AffinitySpawnTest, BucketFlusherAdoptsStorageFlusherDomain) {
-  SKIP_UNLESS_AFFINITY();
+  SKIP_UNLESS_LOCKDEP();
+  const uint64_t before = lockdep::DomainAdoptions(Domain::kStorageFlusher);
   {
     cluster::Cluster cluster;
     cluster.AddNode(cluster::kAllServices);
@@ -216,7 +190,20 @@ TEST(AffinitySpawnTest, BucketFlusherAdoptsStorageFlusherDomain) {
     config.num_replicas = 0;
     ASSERT_TRUE(cluster.CreateBucket(config).ok());
   }  // teardown joins every flusher: they ran and adopted
-  EXPECT_TRUE(DumpHasDomain("storage.flusher"));
+  EXPECT_GT(lockdep::DomainAdoptions(Domain::kStorageFlusher), before);
+}
+
+TEST(AffinitySpawnTest, HealthMonitorAdoptsHealthDomain) {
+  SKIP_UNLESS_LOCKDEP();
+  const uint64_t before = lockdep::DomainAdoptions(Domain::kClusterHealth);
+  {
+    cluster::Cluster cluster;
+    cluster.AddNode(cluster::kAllServices);
+    cluster::HealthMonitor monitor(&cluster);
+    monitor.Start();
+    monitor.Stop();  // joins the ticker thread: it ran and adopted
+  }
+  EXPECT_GT(lockdep::DomainAdoptions(Domain::kClusterHealth), before);
 }
 
 }  // namespace

@@ -206,8 +206,9 @@ TEST(LockdepDeathTest, RecursiveSameInstanceAborts) {
       "recursive acquisition of the same instance");
 }
 
-// The JSON dump feeding scripts/analysis/lock_order.py must list the
-// classes and the observed class-level edges.
+// The JSON dump feeding scripts/lockdep_check.py must list the classes
+// with their instance counts, the observed class-level edges, and the
+// declared order table.
 TEST(LockdepTest, DumpGraphJsonContainsClassesAndEdges) {
   SKIP_UNLESS_LOCKDEP();
   Mutex a{"lockdep_test.dump_a"};
@@ -219,10 +220,37 @@ TEST(LockdepTest, DumpGraphJsonContainsClassesAndEdges) {
   const std::string json = lockdep::DumpGraphJson();
   EXPECT_NE(json.find("\"lockdep_test.dump_a\""), std::string::npos);
   EXPECT_NE(json.find("\"lockdep_test.dump_b\""), std::string::npos);
-  EXPECT_NE(json.find("{\"from\": \"lockdep_test.dump_a\", "
-                      "\"to\": \"lockdep_test.dump_b\"}"),
+  EXPECT_NE(json.find("{\"name\": \"lockdep_test.dump_a\", \"flags\": 0, "
+                      "\"instances\": 1}"),
             std::string::npos)
       << json;
+  EXPECT_NE(json.find("{\"from\": \"lockdep_test.dump_a\", "
+                      "\"to\": \"lockdep_test.dump_b\", "
+                      "\"declared\": false}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"from\": \"cluster.node\", "
+                      "\"to\": \"cluster.vbucket.op\", "
+                      "\"declared\": true}"),
+            std::string::npos)
+      << json;
+}
+
+// The declared order table is in the graph from the start: taking a table
+// pair in reverse aborts on the first try, with no prior forward
+// acquisition, and the report names the declared order it breaks.
+TEST(LockdepDeathTest, ReversedTableEdgeAbortsNamingDeclaredOrder) {
+  SKIP_UNLESS_LOCKDEP();
+  EXPECT_DEATH(
+      {
+        Mutex node{"cluster.node"};
+        Mutex op{"cluster.vbucket.op"};
+        LockGuard lop(op);
+        LockGuard lnode(node);  // table: cluster.node -> cluster.vbucket.op
+      },
+      "existing order: \"cluster\\.node\" -> \"cluster\\.vbucket\\.op\""
+      "(.|\n)*declared order \"cluster\\.node\" -> "
+      "\"cluster\\.vbucket\\.op\" \\(the order table");
 }
 
 // SharedMutex readers participate in ordering like writers: a reader-side

@@ -1,8 +1,10 @@
-// Positive control for the configure-time lockdep liveness proof
+// Positive control for the configure-time lockdep liveness proofs
 // (try_run in the top-level CMakeLists.txt): a consistent A-then-B
-// acquisition order MUST run to completion (exit 0) with exactly one
-// class-level edge recorded. If this fails, the proof harness itself is
-// broken — fix it before trusting the must-abort case.
+// acquisition order MUST run to completion with exactly one class-level
+// edge recorded, and state asserted from its declared execution domain
+// MUST pass, with nested adoption restoring the previous domain. If this
+// fails, the proof harness itself is broken — fix it before trusting the
+// must-abort cases.
 //
 // Single-TU harness: try_run cannot link project libraries at configure
 // time, so the detector is compiled into this program directly.
@@ -20,5 +22,17 @@ int main() {
     LockGuard la(a);
     LockGuard lb(b);
   }
-  return lockdep::EdgeCount() == 1 ? 0 : 1;
+  if (lockdep::EdgeCount() != 1) return 1;
+
+  lockdep::Affine checker{"proof.state", lockdep::Domain::kStorageFlusher};
+  {
+    lockdep::ScopedDomain domain(lockdep::Domain::kStorageFlusher);
+    checker.AssertAffine();  // declared domain: must pass silently
+    {
+      lockdep::ScopedDomain nested(lockdep::Domain::kNetConn);
+      if (lockdep::CurrentDomain() != lockdep::Domain::kNetConn) return 2;
+    }
+    checker.AssertAffine();
+  }
+  return lockdep::CurrentDomain() == lockdep::Domain::kClient ? 0 : 3;
 }

@@ -20,7 +20,7 @@ class Account {
  private:
   int BalanceLocked() const REQUIRES(mu_) { return balance_; }
 
-  mutable couchkv::Mutex mu_;
+  mutable couchkv::Mutex mu_{"proof.account"};
   int balance_ GUARDED_BY(mu_) = 0;
 };
 

@@ -12,7 +12,7 @@ class Account {
   void Deposit(int amount) { balance_ += amount; }
 
  private:
-  couchkv::Mutex mu_;
+  couchkv::Mutex mu_{"proof.account"};
   int balance_ GUARDED_BY(mu_) = 0;
 };
 

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "cluster/cluster.h"
-#include "common/affinity.h"
+#include "common/lockdep.h"
 
 namespace {
 
@@ -29,7 +29,8 @@ void Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  couchkv::affinity::ScopedDomain main_domain("main");
+  couchkv::lockdep::ScopedDomain main_domain(
+      couchkv::lockdep::Domain::kMain);
   int nodes = 3;
   std::string bucket = "default";
   uint32_t replicas = 1;

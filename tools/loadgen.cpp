@@ -31,8 +31,8 @@
 #include "bench/bench_util.h"
 #include "client/wire_client.h"
 #include "cluster/cluster.h"
-#include "common/affinity.h"
 #include "common/clock.h"
+#include "common/lockdep.h"
 #include "common/random.h"
 
 namespace {
@@ -146,7 +146,8 @@ std::string KeyFor(uint64_t i) { return "user" + std::to_string(i); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  couchkv::affinity::ScopedDomain main_domain("main");
+  couchkv::lockdep::ScopedDomain main_domain(
+      couchkv::lockdep::Domain::kMain);
   Config cfg = ParseArgs(argc, argv);
 
   // Spawn mode: the cluster lives in this process, but its KV service is
@@ -178,7 +179,8 @@ int main(int argc, char** argv) {
     int nloaders = cfg.threads < 8 ? cfg.threads : 8;
     for (int t = 0; t < nloaders; ++t) {
       loaders.emplace_back([&] {
-        couchkv::affinity::ScopedDomain domain("client");
+        couchkv::lockdep::ScopedDomain domain(
+            couchkv::lockdep::Domain::kClient);
         couchkv::client::WireClient client(ports, cfg.bucket);
         for (;;) {
           uint64_t i = next.fetch_add(1);
@@ -222,7 +224,8 @@ int main(int argc, char** argv) {
   std::vector<std::thread> workers;
   for (int t = 0; t < cfg.threads; ++t) {
     workers.emplace_back([&, t] {
-      couchkv::affinity::ScopedDomain domain("client");
+      couchkv::lockdep::ScopedDomain domain(
+          couchkv::lockdep::Domain::kClient);
       couchkv::client::WireClient client(ports, cfg.bucket);
       Rng rng(cfg.seed * 1000003 + static_cast<uint64_t>(t));
       ZipfianGenerator zipf(cfg.keys);
