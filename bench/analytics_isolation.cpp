@@ -41,7 +41,6 @@ int main() {
   LoadRecords(bed.cluster.get(), "bucket", records, 6, 64);
   auto analytics =
       std::make_shared<analytics::AnalyticsService>(bed.cluster.get());
-  analytics->Attach();
   if (!analytics->ConnectBucket("bucket").ok()) return 1;
   MustOk(analytics->WaitCaughtUp("bucket", 300000), "analytics catch-up");
   auto st = bed.queries->Execute("CREATE PRIMARY INDEX ON `bucket` USING GSI");

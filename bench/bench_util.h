@@ -77,9 +77,7 @@ struct TestBed {
       std::abort();
     }
     gsi = std::make_shared<gsi::IndexService>(cluster.get());
-    gsi->Attach();
     views = std::make_shared<views::ViewEngine>(cluster.get());
-    views->Attach();
     queries =
         std::make_unique<n1ql::QueryService>(cluster.get(), gsi, views);
   }

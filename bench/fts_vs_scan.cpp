@@ -39,7 +39,6 @@ int main() {
     }
   }
   auto fts = std::make_shared<fts::SearchService>(bed.cluster.get());
-  fts->Attach();
   fts::FtsIndexDefinition def;
   def.name = "text_idx";
   def.bucket = "bucket";

@@ -35,9 +35,7 @@ int main() {
   if (!cluster.CreateBucket(config).ok()) return 1;
 
   auto gsi = std::make_shared<gsi::IndexService>(&cluster);
-  gsi->Attach();
   auto views = std::make_shared<views::ViewEngine>(&cluster);
-  views->Attach();
   n1ql::QueryService q(&cluster, gsi, views);
   client::SmartClient client(&cluster, "catalog");
 

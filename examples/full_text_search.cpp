@@ -47,7 +47,6 @@ int main() {
          "upsert rev::4");
 
   auto fts = std::make_shared<fts::SearchService>(&cluster);
-  fts->Attach();
   fts::FtsIndexDefinition def;
   def.name = "review_text";
   def.bucket = "reviews";

@@ -21,11 +21,9 @@ int main() {
   config.num_replicas = 1;
   if (!cluster.CreateBucket(config).ok()) return 1;
 
-  // 2. Attach the index / view / query services.
+  // 2. Create the index / view / query services.
   auto gsi = std::make_shared<gsi::IndexService>(&cluster);
-  gsi->Attach();
   auto views = std::make_shared<views::ViewEngine>(&cluster);
-  views->Attach();
   n1ql::QueryService queries(&cluster, gsi, views);
 
   // 3. Key-value access path: the smart client hashes each key to its

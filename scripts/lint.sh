@@ -13,6 +13,9 @@
 # 6. Determinism: no ambient randomness or wall-clock in src/.
 # 7. Spawn sites: every thread spawn in src/ and tools/ adopts its
 #    execution domain with a lockdep::ScopedDomain.
+# 8. One DCP consumer path: streams are opened and removed only by the DCP
+#    module, cluster::Feed (every derived consumer) and the cluster itself
+#    (replica streams and rebalance movers).
 #
 # The rest of the lock discipline is enforced by the compiler (named
 # mutexes, typed domains) and by the checked build (-DCOUCHKV_LOCKDEP=ON,
@@ -162,6 +165,21 @@ while IFS=: read -r file line _; do
   fi
 done < <(grep -rnE "$spawn" src/ tools/ \
     --include='*.h' --include='*.cc' --include='*.cpp' || true)
+
+# --- 8. One DCP consumer path ----------------------------------------------
+# GSI, views, FTS, analytics and XDCR attach through cluster::Feed, which
+# owns the per-vBucket wiring, the re-wire on map changes and the close
+# barrier. A consumer calling the producer directly would fork that again.
+matches=$(grep -rnE 'AddStream\(|RemoveStreamsNamed\(' src/ \
+    --include='*.h' --include='*.cc' \
+    | grep -vE '^src/dcp/|^src/cluster/feed\.cc:|^src/cluster/cluster\.cc:' \
+    || true)
+if [[ -n "$matches" ]]; then
+  echo "error: DCP streams opened or removed outside cluster::Feed — attach" >&2
+  echo "the consumer through cluster/feed.h instead:" >&2
+  echo "$matches" >&2
+  fail=1
+fi
 
 if [[ $fail -eq 0 ]]; then
   echo "lint OK"

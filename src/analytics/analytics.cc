@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 #include <unordered_map>
 
 #include "common/clock.h"
-#include "common/logging.h"
 #include "n1ql/exec_util.h"
 #include "n1ql/parser.h"
 #include "n1ql/planner.h"
@@ -71,107 +69,51 @@ Status AnalyticsService::ConnectBucket(const std::string& bucket) {
   if (cluster_->map(bucket) == nullptr) {
     return Status::NotFound("no such bucket: " + bucket);
   }
-  auto ds = std::make_shared<ShadowDataset>(bucket);
-  {
-    LockGuard lock(mu_);
-    if (datasets_.count(bucket)) {
-      return Status::KeyExists("bucket already connected: " + bucket);
-    }
-    datasets_[bucket] = ds;
+  auto ds = std::make_shared<ShadowDataset>();
+  LockGuard lock(mu_);
+  if (datasets_.count(bucket)) {
+    return Status::KeyExists("bucket already connected: " + bucket);
   }
-  WireDataset(bucket, ds);
+  auto feed = cluster::Feed::Open(
+      cluster_, bucket, "analytics:" + bucket,
+      [ds](cluster::NodeId, const cluster::ClusterMap&) -> dcp::MutationFn {
+        return [ds](const kv::Mutation& m) {
+          ds->ApplyMutation(m);
+          return Status::OK();
+        };
+      },
+      [ds](cluster::NodeId, uint16_t vb) { return ds->processed_seqno(vb); });
+  datasets_[bucket] = Entry{std::move(ds), std::move(feed)};
   return Status::OK();
 }
 
 Status AnalyticsService::DisconnectBucket(const std::string& bucket) {
-  {
-    LockGuard lock(mu_);
-    if (datasets_.erase(bucket) == 0) {
-      return Status::NotFound("bucket not connected");
-    }
-  }
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    std::shared_ptr<cluster::Bucket> b = n ? n->bucket(bucket) : nullptr;
-    if (b != nullptr) b->producer()->RemoveStreamsNamed(StreamName(bucket));
-  }
+  LockGuard lock(mu_);
+  auto it = datasets_.find(bucket);
+  if (it == datasets_.end()) return Status::NotFound("bucket not connected");
+  // Closed under mu_, so a reconnect cannot interleave.
+  it->second.feed->Close();
+  datasets_.erase(it);
   return Status::OK();
 }
 
-void AnalyticsService::WireDataset(const std::string& bucket,
-                                   std::shared_ptr<ShadowDataset> ds) {
-  auto map = cluster_->map(bucket);
-  if (!map) return;
-  const std::string stream = StreamName(bucket);
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    if (n == nullptr || !n->HasService(cluster::kDataService)) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    b->producer()->RemoveStreamsNamed(stream);
-    if (!n->healthy()) continue;
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      if (map->ActiveFor(vb) != id) continue;
-      std::shared_ptr<ShadowDataset> shadow = ds;
-      auto st = b->producer()->AddStream(
-          stream, vb, ds->processed_seqno(vb),
-          [shadow](const kv::Mutation& m) {
-            shadow->ApplyMutation(m);
-            return Status::OK();
-          });
-      if (!st.ok()) {
-        LOG_WARN << "analytics stream failed: " << st.status().ToString();
-      }
-    }
-    n->dispatcher()->Notify();
-  }
-}
-
-void AnalyticsService::OnTopologyChange(const std::string& bucket) {
-  std::shared_ptr<ShadowDataset> ds;
-  {
-    LockGuard lock(mu_);
-    auto it = datasets_.find(bucket);
-    if (it == datasets_.end()) return;
-    ds = it->second;
-  }
-  WireDataset(bucket, ds);
+AnalyticsService::Entry AnalyticsService::Find(
+    const std::string& bucket) const {
+  LockGuard lock(mu_);
+  auto it = datasets_.find(bucket);
+  return it == datasets_.end() ? Entry{} : it->second;
 }
 
 Status AnalyticsService::WaitCaughtUp(const std::string& bucket,
                                       uint64_t timeout_ms) {
-  std::shared_ptr<ShadowDataset> ds;
-  {
-    LockGuard lock(mu_);
-    auto it = datasets_.find(bucket);
-    if (it == datasets_.end()) return Status::NotFound("not connected");
-    ds = it->second;
-  }
-  auto map = cluster_->map(bucket);
-  if (!map) return Status::NotFound("no map");
-  uint64_t deadline = cluster_->clock()->NowMillis() + timeout_ms;
-  for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-    cluster::Node* n = cluster_->node(map->ActiveFor(vb));
-    if (n == nullptr || !n->healthy()) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    uint64_t high = b->vbucket(vb)->high_seqno();
-    while (ds->processed_seqno(vb) < high) {
-      n->dispatcher()->Notify();
-      if (cluster_->clock()->NowMillis() > deadline) {
-        return Status::Timeout("analytics ingestion lag");
-      }
-      std::this_thread::yield();
-    }
-  }
-  return Status::OK();
+  Entry entry = Find(bucket);
+  if (entry.feed == nullptr) return Status::NotFound("not connected");
+  return entry.feed->WaitCaughtUp(timeout_ms);
 }
 
 const ShadowDataset* AnalyticsService::dataset(
     const std::string& bucket) const {
-  LockGuard lock(mu_);
-  auto it = datasets_.find(bucket);
-  return it == datasets_.end() ? nullptr : it->second.get();
+  return Find(bucket).state.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -232,12 +174,11 @@ StatusOr<AnalyticsResult> AnalyticsService::Query(
 
   auto find_dataset =
       [&](const std::string& name) -> StatusOr<std::shared_ptr<ShadowDataset>> {
-    LockGuard lock(mu_);
-    auto it = datasets_.find(name);
-    if (it == datasets_.end()) {
+    std::shared_ptr<ShadowDataset> ds = Find(name).state;
+    if (ds == nullptr) {
       return Status::NotFound("bucket not connected to analytics: " + name);
     }
-    return it->second;
+    return ds;
   };
 
   // Base rows: full scan of the shadow dataset (no index machinery — this

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/feed.h"
 #include "common/synchronization.h"
 #include "json/value.h"
 #include "n1ql/expr_eval.h"
@@ -37,10 +38,6 @@ struct AnalyticsResult {
 // A shadow copy of one bucket, kept up to date through DCP.
 class ShadowDataset {
  public:
-  explicit ShadowDataset(std::string bucket) : bucket_(std::move(bucket)) {}
-
-  const std::string& bucket() const { return bucket_; }
-
   void ApplyMutation(const kv::Mutation& m);
 
   // Runs `fn` over every document (id, parsed value). The shard layout
@@ -63,17 +60,13 @@ class ShadowDataset {
     return shards_[std::hash<std::string>{}(key) % kShards];
   }
 
-  std::string bucket_;
   std::array<Shard, kShards> shards_;
   std::array<std::atomic<uint64_t>, cluster::kNumVBuckets> processed_{};
 };
 
-class AnalyticsService : public cluster::ClusterService,
-                         public std::enable_shared_from_this<AnalyticsService> {
+class AnalyticsService {
  public:
   explicit AnalyticsService(cluster::Cluster* cluster) : cluster_(cluster) {}
-
-  void Attach() { cluster_->RegisterService("analytics", shared_from_this()); }
 
   // Connects a bucket: creates the shadow dataset and starts ingesting its
   // change stream (initial load backfills via DCP from storage).
@@ -90,21 +83,16 @@ class AnalyticsService : public cluster::ClusterService,
   // (test determinism; production analytics is eventually consistent).
   Status WaitCaughtUp(const std::string& bucket, uint64_t timeout_ms = 30000);
 
-  void OnTopologyChange(const std::string& bucket) override;
-
   const ShadowDataset* dataset(const std::string& bucket) const;
 
  private:
-  void WireDataset(const std::string& bucket,
-                   std::shared_ptr<ShadowDataset> ds);
-  std::string StreamName(const std::string& bucket) const {
-    return "analytics:" + bucket;
-  }
+  using Entry = cluster::Consumer<ShadowDataset>;
+  // The bucket's dataset; both members null when it is not connected.
+  Entry Find(const std::string& bucket) const;
 
   cluster::Cluster* cluster_;
   mutable Mutex mu_{"analytics.service"};
-  std::map<std::string, std::shared_ptr<ShadowDataset>> datasets_
-      GUARDED_BY(mu_);
+  std::map<std::string, Entry> datasets_ GUARDED_BY(mu_);
 };
 
 }  // namespace couchkv::analytics

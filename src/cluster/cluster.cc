@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "cluster/feed.h"
 #include "cluster/wire_service.h"
 #include "common/logging.h"
 
@@ -38,6 +39,11 @@ Cluster::~Cluster() {
   // threads call back into node()/map(), which lock mu_ — stopping them
   // while holding it would deadlock the join.
   StopWireServers();
+  // Feeds that outlive the cluster are closed while their nodes still
+  // exist, so their own destructors later have nothing left to remove.
+  for (const std::shared_ptr<Feed>& feed : LiveFeeds()) {
+    if (feed != nullptr) feed->Close();
+  }
   LockGuard lock(mu_);
   // Stop every node's DCP pump before destroying any node: replication
   // callbacks registered on node A deliver into node B's vBuckets, so no
@@ -257,13 +263,25 @@ void Cluster::SetupReplication(const std::string& bucket,
   }
 }
 
-void Cluster::NotifyServices(const std::string& bucket) {
-  std::vector<std::shared_ptr<ClusterService>> services;
-  {
-    LockGuard lock(mu_);
-    for (auto& [name, s] : services_) services.push_back(s);
+void Cluster::AddFeed(std::weak_ptr<Feed> feed) {
+  LockGuard lock(mu_);
+  std::erase_if(feeds_, [](const std::weak_ptr<Feed>& f) {
+    return f.expired();
+  });
+  feeds_.push_back(std::move(feed));
+}
+
+std::vector<std::shared_ptr<Feed>> Cluster::LiveFeeds() {
+  LockGuard lock(mu_);
+  std::vector<std::shared_ptr<Feed>> feeds;
+  for (const std::weak_ptr<Feed>& f : feeds_) feeds.push_back(f.lock());
+  return feeds;
+}
+
+void Cluster::RewireFeeds(const std::string& bucket) {
+  for (const std::shared_ptr<Feed>& feed : LiveFeeds()) {
+    if (feed != nullptr && feed->bucket() == bucket) feed->Wire();
   }
-  for (auto& s : services) s->OnTopologyChange(bucket);
 }
 
 Status Cluster::MoveVBucket(const std::string& bucket, uint16_t vb,
@@ -378,7 +396,7 @@ Status Cluster::Rebalance() {
     auto final_map = std::make_shared<ClusterMap>(target);
     ApplyMap(bucket, final_map);
     PublishMap(bucket, final_map);
-    NotifyServices(bucket);
+    RewireFeeds(bucket);
   }
   return Status::OK();
 }
@@ -492,7 +510,7 @@ Status Cluster::Failover(NodeId id, FailoverMode mode) {
     auto next_ptr = std::make_shared<ClusterMap>(next);
     ApplyMap(bucket, next_ptr);
     PublishMap(bucket, next_ptr);
-    NotifyServices(bucket);
+    RewireFeeds(bucket);
   }
   {
     LockGuard lock(mu_);
@@ -604,7 +622,7 @@ Status Cluster::RecoverNode(NodeId id) {
   for (const auto& [name, interim] : interim_maps) {
     ApplyMap(name, interim);
     PublishMap(name, interim);
-    NotifyServices(name);
+    RewireFeeds(name);
   }
   recovery_delta_->Add();
   recovery_rollback_vbs_->Add(rollbacks);
@@ -706,7 +724,7 @@ Status Cluster::RestartNode(NodeId id) {
   for (const auto& [name, config] : configs) {
     std::shared_ptr<const ClusterMap> m = map(name);
     if (m) ApplyMap(name, m);
-    NotifyServices(name);
+    RewireFeeds(name);
   }
   return Status::OK();
 }
@@ -804,18 +822,6 @@ Status Cluster::WaitForDurability(const std::string& bucket, uint16_t vb,
     }
     std::this_thread::yield();
   }
-}
-
-void Cluster::RegisterService(const std::string& name,
-                              std::shared_ptr<ClusterService> service) {
-  LockGuard lock(mu_);
-  services_[name] = std::move(service);
-}
-
-ClusterService* Cluster::FindService(const std::string& name) const {
-  LockGuard lock(mu_);
-  auto it = services_.find(name);
-  return it == services_.end() ? nullptr : it->second.get();
 }
 
 void Cluster::Quiesce() {

@@ -25,13 +25,7 @@
 
 namespace couchkv::cluster {
 
-// Higher-level services (views, GSI, XDCR) register with the cluster so
-// they can re-attach their DCP streams when the topology changes.
-class ClusterService {
- public:
-  virtual ~ClusterService() = default;
-  virtual void OnTopologyChange(const std::string& bucket) = 0;
-};
+class Feed;
 
 struct ClusterOptions {
   Clock* clock = Clock::Real();
@@ -159,11 +153,6 @@ class Cluster {
   Status WaitForDurability(const std::string& bucket, uint16_t vb,
                            uint64_t seqno, const Durability& dur);
 
-  // --- Service registry ---
-  void RegisterService(const std::string& name,
-                       std::shared_ptr<ClusterService> service);
-  ClusterService* FindService(const std::string& name) const;
-
   // Drains all async machinery (DCP + flushers) — deterministic tests.
   void Quiesce();
 
@@ -196,7 +185,14 @@ class Cluster {
   void SetupReplication(const std::string& bucket, const ClusterMap& map);
   void PublishMap(const std::string& bucket,
                   std::shared_ptr<const ClusterMap> map);
-  void NotifyServices(const std::string& bucket);
+  // DCP consumers (cluster/feed.h) register here and are re-wired on every
+  // map change of their bucket.
+  friend class Feed;
+  void AddFeed(std::weak_ptr<Feed> feed);
+  // The live feeds. Strong refs are taken under mu_ and dropped by the
+  // caller after releasing it: a Feed's destructor locks mu_.
+  std::vector<std::shared_ptr<Feed>> LiveFeeds();
+  void RewireFeeds(const std::string& bucket);
   Status MoveVBucket(const std::string& bucket, uint16_t vb, NodeId from,
                      NodeId to);
 
@@ -211,8 +207,7 @@ class Cluster {
   std::map<std::string, BucketConfig> bucket_configs_ GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<const ClusterMap>> maps_
       GUARDED_BY(mu_);
-  std::map<std::string, std::shared_ptr<ClusterService>> services_
-      GUARDED_BY(mu_);
+  std::vector<std::weak_ptr<Feed>> feeds_ GUARDED_BY(mu_);
   std::map<NodeId, FailoverRecord> failed_over_ GUARDED_BY(mu_);
   // Atomic so total_vbucket_moves() stays a lock-free accessor.
   std::atomic<uint64_t> total_moves_{0};

@@ -65,7 +65,17 @@ constexpr OrderEdge kDeclaredOrder[] = {
     {"dcp.stream_delivery", "views.index"},
     {"dcp.stream_delivery", "fts.index"},
     {"dcp.stream_delivery", "analytics.dataset"},
-    {"views.engine", "dcp.stream_delivery"},
+    // A consumer's feed is created and closed under its service's lock, and
+    // holds its own lock across a whole wire or close, which reads the
+    // topology, opens and removes streams, and runs the bind step.
+    {"gsi.index_service", "cluster.feed"},
+    {"views.engine", "cluster.feed"},
+    {"fts.service", "cluster.feed"},
+    {"analytics.service", "cluster.feed"},
+    {"cluster.feed", "cluster.topology"},
+    {"cluster.feed", "dcp.producer_streams"},
+    {"cluster.feed", "dcp.stream_delivery"},
+    {"cluster.feed", "views.view"},
     {"n1ql.query_service", "views.engine"},
     {"n1ql.query_service", "dcp.stream_delivery"},
     // Submission to the pool happens after the query service drops its

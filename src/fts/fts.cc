@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <thread>
-
-#include "common/logging.h"
 
 namespace couchkv::fts {
 
@@ -209,127 +206,55 @@ Status SearchService::CreateIndex(FtsIndexDefinition def) {
     return Status::NotFound("no such bucket: " + def.bucket);
   }
   auto index = std::make_shared<InvertedIndex>(def);
-  {
-    LockGuard lock(mu_);
-    auto& per_bucket = indexes_[def.bucket];
-    if (per_bucket.count(def.name)) {
-      return Status::KeyExists("fts index exists: " + def.name);
-    }
-    per_bucket[def.name] = index;
+  LockGuard lock(mu_);
+  auto& per_bucket = indexes_[def.bucket];
+  if (per_bucket.count(def.name)) {
+    return Status::KeyExists("fts index exists: " + def.name);
   }
-  WireIndex(def.bucket, index);
+  auto feed = cluster::Feed::Open(
+      cluster_, def.bucket, "fts:" + def.bucket + ":" + def.name,
+      [index](cluster::NodeId, const cluster::ClusterMap&) -> dcp::MutationFn {
+        return [index](const kv::Mutation& m) {
+          index->ApplyMutation(m);
+          return Status::OK();
+        };
+      },
+      [index](cluster::NodeId, uint16_t vb) {
+        return index->processed_seqno(vb);
+      });
+  per_bucket[def.name] = Entry{std::move(index), std::move(feed)};
   return Status::OK();
 }
 
 Status SearchService::DropIndex(const std::string& bucket,
                                 const std::string& name) {
-  std::shared_ptr<InvertedIndex> index;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return Status::NotFound("no such fts index");
-    auto it = bit->second.find(name);
-    if (it == bit->second.end()) return Status::NotFound("no such fts index");
-    index = it->second;
-    bit->second.erase(it);
-  }
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    std::shared_ptr<cluster::Bucket> b = n ? n->bucket(bucket) : nullptr;
-    if (b != nullptr) {
-      b->producer()->RemoveStreamsNamed(StreamName(index->definition()));
-    }
-  }
-  return Status::OK();
-}
-
-void SearchService::WireIndex(const std::string& bucket,
-                              std::shared_ptr<InvertedIndex> index) {
-  auto map = cluster_->map(bucket);
-  if (!map) return;
-  const std::string stream = StreamName(index->definition());
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    if (n == nullptr || !n->HasService(cluster::kDataService)) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    b->producer()->RemoveStreamsNamed(stream);
-    if (!n->healthy()) continue;
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      if (map->ActiveFor(vb) != id) continue;
-      std::shared_ptr<InvertedIndex> idx = index;
-      auto st = b->producer()->AddStream(
-          stream, vb, index->processed_seqno(vb),
-          [idx](const kv::Mutation& m) {
-            idx->ApplyMutation(m);
-            return Status::OK();
-          });
-      if (!st.ok()) {
-        LOG_WARN << "fts stream failed: " << st.status().ToString();
-      }
-    }
-    n->dispatcher()->Notify();
-  }
-}
-
-void SearchService::OnTopologyChange(const std::string& bucket) {
-  std::vector<std::shared_ptr<InvertedIndex>> affected;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return;
-    for (auto& [name, idx] : bit->second) affected.push_back(idx);
-  }
-  for (auto& idx : affected) WireIndex(bucket, idx);
-}
-
-Status SearchService::WaitCaughtUp(const std::string& bucket,
-                                   InvertedIndex* index, uint64_t timeout_ms) {
-  auto map = cluster_->map(bucket);
-  if (!map) return Status::NotFound("no map");
-  uint64_t deadline = cluster_->clock()->NowMillis() + timeout_ms;
-  for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-    cluster::Node* n = cluster_->node(map->ActiveFor(vb));
-    if (n == nullptr || !n->healthy()) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    uint64_t high = b->vbucket(vb)->high_seqno();
-    while (index->processed_seqno(vb) < high) {
-      n->dispatcher()->Notify();
-      if (cluster_->clock()->NowMillis() > deadline) {
-        return Status::Timeout("fts consistency wait");
-      }
-      std::this_thread::yield();
-    }
-  }
+  LockGuard lock(mu_);
+  auto bit = indexes_.find(bucket);
+  if (bit == indexes_.end()) return Status::NotFound("no such fts index");
+  auto it = bit->second.find(name);
+  if (it == bit->second.end()) return Status::NotFound("no such fts index");
+  // Closed under mu_, so a re-create of the name cannot interleave.
+  it->second.feed->Close();
+  bit->second.erase(it);
   return Status::OK();
 }
 
 StatusOr<std::vector<SearchHit>> SearchService::Search(
     const std::string& bucket, const std::string& name,
     const std::string& query, QueryMode mode, size_t limit, bool consistent) {
-  std::shared_ptr<InvertedIndex> index;
+  Entry entry;
   {
     LockGuard lock(mu_);
     auto bit = indexes_.find(bucket);
     if (bit == indexes_.end()) return Status::NotFound("no such fts index");
     auto it = bit->second.find(name);
     if (it == bit->second.end()) return Status::NotFound("no such fts index");
-    index = it->second;
+    entry = it->second;
   }
   if (consistent) {
-    COUCHKV_RETURN_IF_ERROR(WaitCaughtUp(bucket, index.get(), 30000));
+    COUCHKV_RETURN_IF_ERROR(entry.feed->WaitCaughtUp(30000));
   }
-  return index->Search(query, mode, limit);
-}
-
-const InvertedIndex* SearchService::index(const std::string& bucket,
-                                          const std::string& name) const {
-  LockGuard lock(mu_);
-  auto bit = indexes_.find(bucket);
-  if (bit == indexes_.end()) return nullptr;
-  auto it = bit->second.find(name);
-  return it == bit->second.end() ? nullptr : it->second.get();
+  return entry.state->Search(query, mode, limit);
 }
 
 }  // namespace couchkv::fts

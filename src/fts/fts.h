@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/feed.h"
 #include "common/synchronization.h"
 #include "json/value.h"
 
@@ -54,8 +55,6 @@ class InvertedIndex {
  public:
   explicit InvertedIndex(FtsIndexDefinition def) : def_(std::move(def)) {}
 
-  const FtsIndexDefinition& definition() const { return def_; }
-
   void ApplyMutation(const kv::Mutation& m);
 
   // Searches for `query`. A trailing '*' on a term makes it a prefix match.
@@ -89,14 +88,11 @@ class InvertedIndex {
   std::array<std::atomic<uint64_t>, cluster::kNumVBuckets> processed_{};
 };
 
-// The search service: manages FTS indexes, wires DCP streams, re-wires on
-// topology changes — the same lifecycle as the view and GSI services.
-class SearchService : public cluster::ClusterService,
-                      public std::enable_shared_from_this<SearchService> {
+// The search service: manages FTS indexes, each fed by its own
+// cluster::Feed — the same lifecycle as the view and GSI services.
+class SearchService {
  public:
   explicit SearchService(cluster::Cluster* cluster) : cluster_(cluster) {}
-
-  void Attach() { cluster_->RegisterService("fts", shared_from_this()); }
 
   Status CreateIndex(FtsIndexDefinition def);
   Status DropIndex(const std::string& bucket, const std::string& name);
@@ -110,25 +106,13 @@ class SearchService : public cluster::ClusterService,
                                           size_t limit = 10,
                                           bool consistent = false);
 
-  void OnTopologyChange(const std::string& bucket) override;
-
-  // Introspection for tests.
-  const InvertedIndex* index(const std::string& bucket,
-                             const std::string& name) const;
-
  private:
-  void WireIndex(const std::string& bucket,
-                 std::shared_ptr<InvertedIndex> index);
-  Status WaitCaughtUp(const std::string& bucket, InvertedIndex* index,
-                      uint64_t timeout_ms);
-  std::string StreamName(const FtsIndexDefinition& def) const {
-    return "fts:" + def.bucket + ":" + def.name;
-  }
+  using Entry = cluster::Consumer<InvertedIndex>;
 
   cluster::Cluster* cluster_;
   mutable Mutex mu_{"fts.service"};
-  std::map<std::string, std::map<std::string, std::shared_ptr<InvertedIndex>>>
-      indexes_ GUARDED_BY(mu_);
+  std::map<std::string, std::map<std::string, Entry>> indexes_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace couchkv::fts

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/logging.h"
 #include "stats/trace.h"
 
 namespace couchkv::gsi {
@@ -84,36 +83,50 @@ Status IndexService::CreateIndex(IndexDefinition def) {
     state->placement.push_back(host);
   }
 
-  {
-    LockGuard lock(mu_);
-    auto& per_bucket = indexes_[def.bucket];
-    if (per_bucket.count(def.name)) {
-      return Status::KeyExists("index exists: " + def.name);
-    }
-    per_bucket[def.name] = state;
+  LockGuard lock(mu_);
+  auto& per_bucket = indexes_[def.bucket];
+  if (per_bucket.count(def.name)) {
+    return Status::KeyExists("index exists: " + def.name);
   }
-  WireIndex(def.bucket, state);
+  auto feed = cluster::Feed::Open(
+      cluster_, def.bucket, "gsi:" + def.bucket + ":" + def.name,
+      [state, cluster = cluster_, projected = keys_projected_,
+       routed = routed_keys_](cluster::NodeId node,
+                              const cluster::ClusterMap&) {
+        return Projector(state, cluster, node, projected, routed);
+      },
+      [state](cluster::NodeId, uint16_t vb) {
+        // Min processed seqno across partitions.
+        uint64_t min_seqno = UINT64_MAX;
+        for (const auto& p : state->partitions) {
+          min_seqno = std::min(min_seqno, p->processed_seqno(vb));
+        }
+        return min_seqno;
+      });
+  per_bucket[def.name] = Entry{std::move(state), std::move(feed)};
   return Status::OK();
 }
 
 Status IndexService::DropIndex(const std::string& bucket,
                                const std::string& name) {
-  std::shared_ptr<IndexState> state;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return Status::NotFound("no such index");
-    auto it = bit->second.find(name);
-    if (it == bit->second.end()) return Status::NotFound("no such index");
-    state = it->second;
-    bit->second.erase(it);
-  }
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    std::shared_ptr<cluster::Bucket> b = n ? n->bucket(bucket) : nullptr;
-    if (b != nullptr) b->producer()->RemoveStreamsNamed(StreamName(state->def));
-  }
+  LockGuard lock(mu_);
+  auto bit = indexes_.find(bucket);
+  if (bit == indexes_.end()) return Status::NotFound("no such index");
+  auto it = bit->second.find(name);
+  if (it == bit->second.end()) return Status::NotFound("no such index");
+  // Closed under mu_, so a re-create of the name cannot interleave.
+  it->second.feed->Close();
+  bit->second.erase(it);
   return Status::OK();
+}
+
+IndexService::Entry IndexService::Find(const std::string& bucket,
+                                       const std::string& name) const {
+  LockGuard lock(mu_);
+  auto bit = indexes_.find(bucket);
+  if (bit == indexes_.end()) return {};
+  auto it = bit->second.find(name);
+  return it == bit->second.end() ? Entry{} : it->second;
 }
 
 std::vector<IndexDefinition> IndexService::ListIndexes(
@@ -122,168 +135,68 @@ std::vector<IndexDefinition> IndexService::ListIndexes(
   std::vector<IndexDefinition> out;
   auto bit = indexes_.find(bucket);
   if (bit == indexes_.end()) return out;
-  for (const auto& [name, state] : bit->second) out.push_back(state->def);
+  for (const auto& [name, entry] : bit->second) {
+    out.push_back(entry.state->def);
+  }
   return out;
 }
 
-StatusOr<IndexDefinition> IndexService::GetIndex(
-    const std::string& bucket, const std::string& name) const {
-  LockGuard lock(mu_);
-  auto bit = indexes_.find(bucket);
-  if (bit != indexes_.end()) {
-    auto it = bit->second.find(name);
-    if (it != bit->second.end()) return it->second->def;
-  }
-  return Status::NotFound("no such index: " + name);
-}
-
-Status IndexService::Route(net::Transport* t, cluster::NodeId src_node,
-                           IndexState* state, const KeyVersion& kv) {
-  // The router decides which indexer receives the key version. With a
-  // broadcast scheme, an insert lands on the partition owning the new key
-  // while deletes land wherever old entries live (paper §4.3.4: "An insert
-  // message may be sent to one indexer with a delete message being sent to
-  // another ... if the partition key itself has changed").
-  for (size_t i = 0; i < state->partitions.size(); ++i) {
-    IndexPartition* p = state->partitions[i].get();
-    Status st =
-        net::Call(t, net::Endpoint::Node(src_node),
-                  net::Endpoint::Node(state->placement[i]), [&] {
-                    p->Apply(kv);
-                    return Status::OK();
-                  });
-    // Partial broadcast is fine: the re-delivery re-applies to every
-    // partition, and Apply replaces a document's entries wholesale, so
-    // applying the same key version twice is a no-op.
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-void IndexService::WireIndex(const std::string& bucket,
-                             std::shared_ptr<IndexState> state) {
-  auto map = cluster_->map(bucket);
-  if (!map) return;
-  const std::string stream = StreamName(state->def);
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    if (n == nullptr || !n->HasService(cluster::kDataService)) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    b->producer()->RemoveStreamsNamed(stream);
-    if (!n->healthy()) continue;
-    IndexDefinition def = state->def;
-    cluster::Cluster* cluster = cluster_;
-    stats::Counter* projected = keys_projected_;
-    stats::Counter* routed = routed_keys_;
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      if (map->ActiveFor(vb) != id) continue;
-      uint64_t from = ProcessedSeqno(*state, vb);
-      std::shared_ptr<IndexState> sp = state;
-      auto st = b->producer()->AddStream(
-          stream, vb, from,
-          [sp, def, cluster, id, projected, routed](const kv::Mutation& m) {
-            // Projector: evaluate the secondary keys for this mutation.
-            KeyVersion kv;
-            kv.index_name = def.name;
-            kv.doc_id = m.doc.key;
-            kv.vbucket = m.vbucket;
-            kv.seqno = m.doc.meta.seqno;
-            if (!m.doc.meta.deleted) {
-              auto parsed = json::Parse(m.doc.value);
-              if (parsed.ok()) {
-                kv.keys = ProjectKeys(def, m.doc.key, &parsed.value());
-              }
-            }
-            projected->Add(kv.keys.size());
-            Status routed_st = Route(cluster->transport(), id, sp.get(), kv);
-            if (routed_st.ok()) routed->Add();
-            return routed_st;
-          });
-      if (!st.ok()) {
-        LOG_WARN << "gsi stream failed: " << st.status().ToString();
+dcp::MutationFn IndexService::Projector(std::shared_ptr<IndexState> state,
+                                        cluster::Cluster* cluster,
+                                        cluster::NodeId node,
+                                        stats::Counter* projected,
+                                        stats::Counter* routed) {
+  return [state, cluster, node, projected, routed](const kv::Mutation& m) {
+    // Projector: evaluate the secondary keys for this mutation.
+    const IndexDefinition& def = state->def;
+    KeyVersion kv;
+    kv.index_name = def.name;
+    kv.doc_id = m.doc.key;
+    kv.vbucket = m.vbucket;
+    kv.seqno = m.doc.meta.seqno;
+    if (!m.doc.meta.deleted) {
+      auto parsed = json::Parse(m.doc.value);
+      if (parsed.ok()) {
+        kv.keys = ProjectKeys(def, m.doc.key, &parsed.value());
       }
     }
-    n->dispatcher()->Notify();
-  }
-}
-
-void IndexService::OnTopologyChange(const std::string& bucket) {
-  std::vector<std::shared_ptr<IndexState>> states;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return;
-    for (auto& [name, st] : bit->second) states.push_back(st);
-  }
-  for (auto& st : states) WireIndex(bucket, st);
-}
-
-uint64_t IndexService::ProcessedSeqno(const IndexState& state, uint16_t vb) {
-  uint64_t min_seqno = UINT64_MAX;
-  for (const auto& p : state.partitions) {
-    min_seqno = std::min(min_seqno, p->processed_seqno(vb));
-  }
-  return min_seqno == UINT64_MAX ? 0 : min_seqno;
+    projected->Add(kv.keys.size());
+    // Router: with a broadcast scheme, an insert lands on the partition
+    // owning the new key while deletes land wherever old entries live
+    // (paper §4.3.4: "An insert message may be sent to one indexer with a
+    // delete message being sent to another ... if the partition key itself
+    // has changed").
+    net::Transport* t = cluster->transport();
+    for (size_t i = 0; i < state->partitions.size(); ++i) {
+      IndexPartition* p = state->partitions[i].get();
+      Status st = net::Call(t, net::Endpoint::Node(node),
+                            net::Endpoint::Node(state->placement[i]), [&] {
+                              p->Apply(kv);
+                              return Status::OK();
+                            });
+      // Partial broadcast is fine: the re-delivery re-applies to every
+      // partition, and Apply replaces a document's entries wholesale.
+      if (!st.ok()) return st;
+    }
+    routed->Add();
+    return Status::OK();
+  };
 }
 
 Status IndexService::WaitUntilCaughtUp(const std::string& bucket,
                                        const std::string& name,
                                        uint64_t timeout_ms) {
-  std::shared_ptr<IndexState> state;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return Status::NotFound("no such index");
-    auto it = bit->second.find(name);
-    if (it == bit->second.end()) return Status::NotFound("no such index");
-    state = it->second;
-  }
-  auto map = cluster_->map(bucket);
-  if (!map) return Status::NotFound("no map");
-
-  // Capture the per-vBucket high seqnos at request time (this is exactly
-  // the request_plus barrier of §3.2.3 / §4.2).
-  struct Target {
-    uint16_t vb;
-    uint64_t seqno;
-    cluster::Node* node;
-  };
-  std::vector<Target> targets;
-  for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-    cluster::NodeId active = map->ActiveFor(vb);
-    cluster::Node* n = cluster_->node(active);
-    if (n == nullptr || !n->healthy()) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    uint64_t high = b->vbucket(vb)->high_seqno();
-    if (high > ProcessedSeqno(*state, vb)) targets.push_back({vb, high, n});
-  }
-  uint64_t deadline = cluster_->clock()->NowMillis() + timeout_ms;
-  for (const Target& t : targets) {
-    while (ProcessedSeqno(*state, t.vb) < t.seqno) {
-      t.node->dispatcher()->Notify();
-      if (cluster_->clock()->NowMillis() > deadline) {
-        return Status::Timeout("request_plus wait exceeded timeout");
-      }
-      std::this_thread::yield();
-    }
-  }
-  return Status::OK();
+  Entry entry = Find(bucket, name);
+  if (entry.feed == nullptr) return Status::NotFound("no such index");
+  // The request_plus barrier of §3.2.3 / §4.2.
+  return entry.feed->WaitCaughtUp(timeout_ms);
 }
 
 StatusOr<std::vector<IndexEntry>> IndexService::Scan(
     const std::string& bucket, const std::string& name, const ScanRange& range,
     size_t limit, ScanConsistency consistency) {
-  std::shared_ptr<IndexState> state;
-  {
-    LockGuard lock(mu_);
-    auto bit = indexes_.find(bucket);
-    if (bit == indexes_.end()) return Status::NotFound("no such index");
-    auto it = bit->second.find(name);
-    if (it == bit->second.end()) return Status::NotFound("no such index");
-    state = it->second;
-  }
+  std::shared_ptr<IndexState> state = Find(bucket, name).state;
+  if (state == nullptr) return Status::NotFound("no such index");
   scans_->Add();
   trace::Span span("gsi.scan", scan_ns_);
   if (consistency == ScanConsistency::kRequestPlus) {
@@ -331,14 +244,11 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
 IndexStats IndexService::Stats(const std::string& bucket,
                                const std::string& name) const {
   IndexStats stats;
-  LockGuard lock(mu_);
-  auto bit = indexes_.find(bucket);
-  if (bit == indexes_.end()) return stats;
-  auto it = bit->second.find(name);
-  if (it == bit->second.end()) return stats;
+  std::shared_ptr<IndexState> state = Find(bucket, name).state;
+  if (state == nullptr) return stats;
   stats.name = name;
-  stats.num_partitions = it->second->def.num_partitions;
-  for (const auto& p : it->second->partitions) {
+  stats.num_partitions = state->def.num_partitions;
+  for (const auto& p : state->partitions) {
     stats.num_entries += p->num_entries();
     stats.disk_bytes_written += p->disk_bytes_written();
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/feed.h"
 #include "common/synchronization.h"
 #include "gsi/index_defs.h"
 #include "gsi/indexer.h"
@@ -32,8 +33,7 @@ struct IndexStats {
   uint64_t disk_bytes_written = 0;
 };
 
-class IndexService : public cluster::ClusterService,
-                     public std::enable_shared_from_this<IndexService> {
+class IndexService {
  public:
   explicit IndexService(cluster::Cluster* cluster) : cluster_(cluster) {
     stats_scope_ = stats::Registry::Global().GetScope("gsi");
@@ -44,15 +44,14 @@ class IndexService : public cluster::ClusterService,
     scan_ns_ = stats_scope_->GetHistogram("scan_ns");
   }
 
-  void Attach() { cluster_->RegisterService("gsi", shared_from_this()); }
+  // No-op: each index's feed follows topology changes by itself. Kept
+  // while ledgerbench/main.cc still calls it.
+  void Attach() {}
 
   // --- Index Manager: DDL ---
   Status CreateIndex(IndexDefinition def);
   Status DropIndex(const std::string& bucket, const std::string& name);
   std::vector<IndexDefinition> ListIndexes(const std::string& bucket) const;
-  // Returns the definition, or error if the index does not exist.
-  StatusOr<IndexDefinition> GetIndex(const std::string& bucket,
-                                     const std::string& name) const;
 
   // --- Scans ---
   // Range scan with the requested consistency. The result merges all
@@ -68,9 +67,6 @@ class IndexService : public cluster::ClusterService,
 
   IndexStats Stats(const std::string& bucket, const std::string& name) const;
 
-  // ClusterService: re-wire projector streams after topology changes.
-  void OnTopologyChange(const std::string& bucket) override;
-
  private:
   struct IndexState {
     IndexDefinition def;
@@ -78,22 +74,21 @@ class IndexService : public cluster::ClusterService,
     // Index nodes hosting each partition (for MDS bookkeeping).
     std::vector<cluster::NodeId> placement;
   };
+  using Entry = cluster::Consumer<IndexState>;  // the feed runs the projector
 
-  void WireIndex(const std::string& bucket,
-                 std::shared_ptr<IndexState> state);
-  // The router: broadcast a key version to every partition (each partition
-  // keeps only the keys it owns; see IndexPartition::Apply). Each forward
-  // is a message from the projector's data node to the partition's index
-  // node through `t`; a lost forward returns non-OK, stalling the DCP
-  // stream so the key version is re-delivered (Apply is idempotent).
-  static Status Route(net::Transport* t, cluster::NodeId src_node,
-                      IndexState* state, const KeyVersion& kv);
-  // Min processed seqno across partitions for one vBucket.
-  static uint64_t ProcessedSeqno(const IndexState& state, uint16_t vb);
-
-  std::string StreamName(const IndexDefinition& def) const {
-    return "gsi:" + def.bucket + ":" + def.name;
-  }
+  // The named index; both members null when there is none.
+  Entry Find(const std::string& bucket, const std::string& name) const;
+  // The projector on data node `node`: evaluates the secondary keys of
+  // each mutation, and the router then broadcasts the key version to every
+  // partition (each keeps only the keys it owns; see IndexPartition::Apply).
+  // Each forward is a message from `node` to the partition's index node; a
+  // lost forward returns non-OK, stalling the DCP stream so the key version
+  // is re-delivered (Apply is idempotent).
+  static dcp::MutationFn Projector(std::shared_ptr<IndexState> state,
+                                   cluster::Cluster* cluster,
+                                   cluster::NodeId node,
+                                   stats::Counter* projected,
+                                   stats::Counter* routed);
 
   cluster::Cluster* cluster_;
 
@@ -107,10 +102,10 @@ class IndexService : public cluster::ClusterService,
   Histogram* scan_ns_ = nullptr;
 
   mutable Mutex mu_{"gsi.index_service"};
-  // bucket -> index name -> state. Values are shared_ptr so scans can run
+  // bucket -> index name -> entry. The state is shared so scans can run
   // without holding mu_.
-  std::map<std::string, std::map<std::string, std::shared_ptr<IndexState>>>
-      indexes_ GUARDED_BY(mu_);
+  std::map<std::string, std::map<std::string, Entry>> indexes_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace couchkv::gsi

@@ -2,32 +2,39 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "stats/trace.h"
 
 namespace couchkv::views {
 
 Status ViewEngine::CreateView(const std::string& bucket, ViewDefinition def) {
-  auto map = cluster_->map(bucket);
-  if (!map) return Status::NotFound("no such bucket: " + bucket);
-  ViewState* state = nullptr;
-  {
-    LockGuard lock(mu_);
-    auto& per_bucket = views_[bucket];
-    if (per_bucket.count(def.name)) {
-      return Status::KeyExists("view exists: " + def.name);
-    }
-    ViewState st;
-    st.def = def;
-    for (cluster::NodeId id : cluster_->node_ids()) {
-      cluster::Node* n = cluster_->node(id);
-      if (n != nullptr && n->HasService(cluster::kDataService)) {
-        st.indexes[id] = std::make_shared<ViewIndex>(def);
-      }
-    }
-    state = &(per_bucket[def.name] = std::move(st));
+  if (!cluster_->map(bucket)) {
+    return Status::NotFound("no such bucket: " + bucket);
   }
-  WireView(bucket, state);
+  auto state = std::make_shared<ViewState>();
+  state->def = def;
+  LockGuard lock(mu_);
+  auto& per_bucket = views_[bucket];
+  if (per_bucket.count(def.name)) {
+    return Status::KeyExists("view exists: " + def.name);
+  }
+  auto feed = cluster::Feed::Open(
+      cluster_, bucket, "view:" + bucket + ":" + def.name,
+      [state](cluster::NodeId node,
+              const cluster::ClusterMap& map) -> dcp::MutationFn {
+        std::shared_ptr<ViewIndex> index = state->IndexOn(node);
+        for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
+          index->SetVBucketActive(vb, map.ActiveFor(vb) == node);
+        }
+        return [index](const kv::Mutation& m) {
+          // Views are maintained node-locally (no network hop).
+          index->ApplyMutation(m);
+          return Status::OK();
+        };
+      },
+      [state](cluster::NodeId node, uint16_t vb) {
+        return state->IndexOn(node)->processed_seqno(vb);
+      });
+  per_bucket[def.name] = Entry{std::move(state), std::move(feed)};
   return Status::OK();
 }
 
@@ -35,117 +42,23 @@ Status ViewEngine::DropView(const std::string& bucket,
                             const std::string& view) {
   LockGuard lock(mu_);
   auto bit = views_.find(bucket);
-  if (bit == views_.end() || !bit->second.count(view)) {
-    return Status::NotFound("no such view");
-  }
-  for (cluster::NodeId id : cluster_->node_ids()) {
-    cluster::Node* n = cluster_->node(id);
-    std::shared_ptr<cluster::Bucket> b = n ? n->bucket(bucket) : nullptr;
-    if (b != nullptr) {
-      b->producer()->RemoveStreamsNamed(StreamName(bucket, view));
-    }
-  }
-  bit->second.erase(view);
+  if (bit == views_.end()) return Status::NotFound("no such view");
+  auto it = bit->second.find(view);
+  if (it == bit->second.end()) return Status::NotFound("no such view");
+  // Closed under mu_, so a re-create of the name cannot interleave.
+  it->second.feed->Close();
+  bit->second.erase(it);
   return Status::OK();
 }
 
-void ViewEngine::WireView(const std::string& bucket, ViewState* state) {
-  auto map = cluster_->map(bucket);
-  if (!map) return;
-  // Nodes added after the view was defined (rebalance-in) need their own
-  // local index: views are co-located with the data (paper §3.3.1).
-  std::map<cluster::NodeId, std::shared_ptr<ViewIndex>> indexes;
-  {
-    LockGuard lock(mu_);
-    for (cluster::NodeId id : cluster_->node_ids()) {
-      cluster::Node* n = cluster_->node(id);
-      if (n != nullptr && n->HasService(cluster::kDataService) &&
-          !state->indexes.count(id)) {
-        state->indexes[id] = std::make_shared<ViewIndex>(state->def);
-      }
-    }
-    indexes = state->indexes;
-  }
-  const std::string stream = StreamName(bucket, state->def.name);
-  for (auto& [node_id, index] : indexes) {
-    cluster::Node* n = cluster_->node(node_id);
-    if (n == nullptr) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    // Tear down and re-add streams for the vBuckets this node now owns.
-    b->producer()->RemoveStreamsNamed(stream);
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      bool owns = map->ActiveFor(vb) == node_id && n->healthy();
-      index->SetVBucketActive(vb, owns);
-      if (!owns) continue;
-      std::shared_ptr<ViewIndex> idx = index;
-      auto st = b->producer()->AddStream(
-          stream, vb, index->processed_seqno(vb),
-          [idx](const kv::Mutation& m) {
-            // Views are maintained node-locally (no network hop).
-            idx->ApplyMutation(m);
-            return Status::OK();
-          });
-      if (!st.ok()) {
-        LOG_WARN << "view stream failed: " << st.status().ToString();
-      }
-    }
-    n->dispatcher()->Notify();
-  }
-}
-
-void ViewEngine::OnTopologyChange(const std::string& bucket) {
-  std::vector<ViewState*> states;
-  {
-    LockGuard lock(mu_);
-    auto bit = views_.find(bucket);
-    if (bit == views_.end()) return;
-    for (auto& [name, st] : bit->second) states.push_back(&st);
-  }
-  for (ViewState* st : states) WireView(bucket, st);
-}
-
-Status ViewEngine::WaitForIndexer(const std::string& bucket, ViewState* state,
-                                  uint64_t timeout_ms) {
-  // Snapshot "now": the high seqno of each active vBucket per node.
-  auto map = cluster_->map(bucket);
-  if (!map) return Status::NotFound("no map");
-  struct Target {
-    std::shared_ptr<ViewIndex> index;
-    uint16_t vb;
-    uint64_t seqno;
-    cluster::Node* node;
-  };
-  std::map<cluster::NodeId, std::shared_ptr<ViewIndex>> indexes;
-  {
-    LockGuard lock(mu_);
-    indexes = state->indexes;
-  }
-  std::vector<Target> targets;
-  for (auto& [node_id, index] : indexes) {
-    cluster::Node* n = cluster_->node(node_id);
-    if (n == nullptr || !n->healthy()) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(bucket);
-    if (b == nullptr) continue;
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      if (map->ActiveFor(vb) != node_id) continue;
-      uint64_t high = b->vbucket(vb)->high_seqno();
-      if (high > index->processed_seqno(vb)) {
-        targets.push_back({index, vb, high, n});
-      }
-    }
-  }
-  uint64_t deadline = cluster_->clock()->NowMillis() + timeout_ms;
-  for (const Target& t : targets) {
-    while (t.index->processed_seqno(t.vb) < t.seqno) {
-      t.node->dispatcher()->Notify();
-      if (cluster_->clock()->NowMillis() > deadline) {
-        return Status::Timeout("stale=false wait exceeded timeout");
-      }
-      std::this_thread::yield();
-    }
-  }
-  return Status::OK();
+std::shared_ptr<ViewIndex> ViewEngine::ViewState::IndexOn(
+    cluster::NodeId node) {
+  // Views are co-located with the data (paper §3.3.1), so a node added
+  // after the view was defined (rebalance-in) gets its own local index.
+  LockGuard lock(mu);
+  std::shared_ptr<ViewIndex>& index = indexes[node];
+  if (index == nullptr) index = std::make_shared<ViewIndex>(def);
+  return index;
 }
 
 StatusOr<ViewResult> ViewEngine::Query(const std::string& bucket,
@@ -154,24 +67,25 @@ StatusOr<ViewResult> ViewEngine::Query(const std::string& bucket,
                                        Staleness stale) {
   queries_->Add();
   trace::Span span("views.query", query_ns_);
-  ViewState* state = nullptr;
+  Entry entry;
   {
     LockGuard lock(mu_);
     auto bit = views_.find(bucket);
     if (bit == views_.end()) return Status::NotFound("no such bucket");
     auto vit = bit->second.find(view);
     if (vit == bit->second.end()) return Status::NotFound("no such view");
-    state = &vit->second;
+    entry = vit->second;
   }
+  const ViewState* state = entry.state.get();
 
   if (stale == Staleness::kFalse) {
-    COUCHKV_RETURN_IF_ERROR(WaitForIndexer(bucket, state, /*timeout_ms=*/30000));
+    COUCHKV_RETURN_IF_ERROR(entry.feed->WaitCaughtUp(/*timeout_ms=*/30000));
   }
 
   // Scatter: scan each node's local index. Gather: merge in collation order.
   std::map<cluster::NodeId, std::shared_ptr<ViewIndex>> indexes;
   {
-    LockGuard lock(mu_);
+    LockGuard lock(state->mu);
     indexes = state->indexes;
   }
   std::vector<ViewRow> merged;
@@ -244,20 +158,6 @@ StatusOr<ViewResult> ViewEngine::Query(const std::string& bucket,
     }
   }
   return result;
-}
-
-size_t ViewEngine::TotalRows(const std::string& bucket,
-                             const std::string& view) const {
-  LockGuard lock(mu_);
-  auto bit = views_.find(bucket);
-  if (bit == views_.end()) return 0;
-  auto vit = bit->second.find(view);
-  if (vit == bit->second.end()) return 0;
-  size_t total = 0;
-  for (const auto& [id, index] : vit->second.indexes) {
-    total += index->row_count();
-  }
-  return total;
 }
 
 }  // namespace couchkv::views

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/feed.h"
 #include "common/synchronization.h"
 #include "stats/registry.h"
 #include "views/view_index.h"
@@ -30,8 +31,7 @@ struct ViewResult {
   std::vector<ViewRow> rows;
 };
 
-class ViewEngine : public cluster::ClusterService,
-                   public std::enable_shared_from_this<ViewEngine> {
+class ViewEngine {
  public:
   explicit ViewEngine(cluster::Cluster* cluster) : cluster_(cluster) {
     stats_scope_ = stats::Registry::Global().GetScope("views");
@@ -39,9 +39,9 @@ class ViewEngine : public cluster::ClusterService,
     query_ns_ = stats_scope_->GetHistogram("query_ns");
   }
 
-  // Registers this engine with the cluster (topology notifications). Call
-  // once after construction.
-  void Attach() { cluster_->RegisterService("views", shared_from_this()); }
+  // No-op: each view's feed follows topology changes by itself. Kept
+  // while ledgerbench/main.cc still calls it.
+  void Attach() {}
 
   // Defines a view on `bucket`; materialization begins immediately on every
   // data node via DCP (initial build backfills from storage).
@@ -56,31 +56,19 @@ class ViewEngine : public cluster::ClusterService,
                              const ViewQueryOptions& opts,
                              Staleness stale = Staleness::kUpdateAfter);
 
-  // ClusterService: re-register DCP streams after rebalance/failover.
-  void OnTopologyChange(const std::string& bucket) override;
-
-  // Total rows across a view's per-node indexes (introspection).
-  size_t TotalRows(const std::string& bucket, const std::string& view) const;
-
  private:
   struct ViewState {
     ViewDefinition def;
-    // One local index per data node.
-    std::map<cluster::NodeId, std::shared_ptr<ViewIndex>> indexes;
+    mutable Mutex mu{"views.view"};
+    // One local index per data node, created by the feed's bind step.
+    std::map<cluster::NodeId, std::shared_ptr<ViewIndex>> indexes
+        GUARDED_BY(mu);
+
+    // The node's local index, created on first use.
+    std::shared_ptr<ViewIndex> IndexOn(cluster::NodeId node) EXCLUDES(mu);
   };
-
-  // (Re)wires the DCP streams + active-vBucket sets for one view according
-  // to the current cluster map.
-  void WireView(const std::string& bucket, ViewState* state) EXCLUDES(mu_);
-
-  // Blocks until every index covers the data high-seqnos captured at entry.
-  Status WaitForIndexer(const std::string& bucket, ViewState* state,
-                        uint64_t timeout_ms);
-
-  std::string StreamName(const std::string& bucket,
-                         const std::string& view) const {
-    return "view:" + bucket + ":" + view;
-  }
+  // Shared, so a query keeps the state it found across a DropView.
+  using Entry = cluster::Consumer<ViewState>;
 
   cluster::Cluster* cluster_;
 
@@ -90,9 +78,8 @@ class ViewEngine : public cluster::ClusterService,
   Histogram* query_ns_ = nullptr;
 
   mutable Mutex mu_{"views.engine"};
-  // bucket -> view name -> state
-  std::map<std::string, std::map<std::string, ViewState>> views_
-      GUARDED_BY(mu_);
+  // bucket -> view name -> entry
+  std::map<std::string, std::map<std::string, Entry>> views_ GUARDED_BY(mu_);
 };
 
 }  // namespace couchkv::views

@@ -30,11 +30,6 @@ void ViewIndex::SetVBucketActive(uint16_t vb, bool active) {
   active_vbs_[vb] = active;
 }
 
-bool ViewIndex::IsVBucketActive(uint16_t vb) const {
-  ReaderLockGuard lock(mu_);
-  return active_vbs_[vb];
-}
-
 size_t ViewIndex::row_count() const {
   ReaderLockGuard lock(mu_);
   return rows_.size();

@@ -49,7 +49,6 @@ class ViewIndex {
   // Activates / deactivates a vBucket's rows (rebalance support). Inactive
   // rows stay in the tree but are invisible to queries.
   void SetVBucketActive(uint16_t vb, bool active);
-  bool IsVBucketActive(uint16_t vb) const;
 
   // Highest seqno processed per vBucket — drives stale=false waits.
   uint64_t processed_seqno(uint16_t vb) const {

@@ -22,7 +22,7 @@ Status XdcrLink::Start(const std::string& service_name) {
   if (target_->map(spec_.target_bucket) == nullptr) {
     return Status::NotFound("target bucket missing: " + spec_.target_bucket);
   }
-  stream_name_ = "xdcr:" + service_name;
+  if (feed_ != nullptr) return Status::InvalidArgument("already started");
   stats_scope_ =
       stats::Registry::Global().GetScope("xdcr." + service_name);
   docs_sent_ = stats_scope_->GetCounter("docs_sent");
@@ -30,39 +30,15 @@ Status XdcrLink::Start(const std::string& service_name) {
   docs_rejected_ = stats_scope_->GetCounter("docs_rejected");
   docs_retried_ = stats_scope_->GetCounter("docs_retried");
   backlog_ = stats_scope_->GetGauge("backlog");
-  source_->RegisterService(service_name, shared_from_this());
-  Wire();
-  return Status::OK();
-}
-
-void XdcrLink::OnTopologyChange(const std::string& bucket) {
-  if (bucket == spec_.source_bucket) Wire();
-}
-
-void XdcrLink::Wire() {
-  auto map = source_->map(spec_.source_bucket);
-  if (!map) return;
-  for (cluster::NodeId id : source_->node_ids()) {
-    cluster::Node* n = source_->node(id);
-    if (n == nullptr || !n->HasService(cluster::kDataService)) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(spec_.source_bucket);
-    if (b == nullptr) continue;
-    b->producer()->RemoveStreamsNamed(stream_name_);
-    if (!n->healthy()) continue;
-    auto self = shared_from_this();
-    for (uint16_t vb = 0; vb < cluster::kNumVBuckets; ++vb) {
-      if (map->ActiveFor(vb) != id) continue;
-      // XDCR streams resume from 0 on (re)wire; conflict resolution makes
+  feed_ = cluster::Feed::Open(
+      source_, spec_.source_bucket, "xdcr:" + service_name,
+      [this](cluster::NodeId, const cluster::ClusterMap&) -> dcp::MutationFn {
+        return [this](const kv::Mutation& m) { return ShipMutation(m); };
+      },
+      // Streams resume from 0 on every (re)wire; conflict resolution makes
       // re-delivery idempotent (equal metadata never overwrites).
-      auto st = b->producer()->AddStream(
-          stream_name_, vb, 0,
-          [self](const kv::Mutation& m) { return self->ShipMutation(m); });
-      if (!st.ok()) {
-        LOG_WARN << "xdcr stream failed: " << st.status().ToString();
-      }
-    }
-    n->dispatcher()->Notify();
-  }
+      [](cluster::NodeId, uint16_t) -> uint64_t { return 0; });
+  return Status::OK();
 }
 
 Status XdcrLink::ShipMutation(const kv::Mutation& m) {
@@ -116,24 +92,6 @@ Status XdcrLink::ShipMutation(const kv::Mutation& m) {
   return last;
 }
 
-uint64_t XdcrLink::ComputeBacklog() const {
-  uint64_t backlog = 0;
-  for (cluster::NodeId id : source_->node_ids()) {
-    cluster::Node* n = source_->node(id);
-    if (n == nullptr || !n->healthy()) continue;
-    std::shared_ptr<cluster::Bucket> b = n->bucket(spec_.source_bucket);
-    if (b == nullptr) continue;
-    dcp::Producer* p = b->producer();
-    for (uint16_t vb = 0; vb < p->num_vbuckets(); ++vb) {
-      uint64_t acked = p->StreamSeqno(stream_name_, vb);
-      if (acked == UINT64_MAX) continue;  // no stream here
-      uint64_t high = p->high_seqno(vb);
-      if (high > acked) backlog += high - acked;
-    }
-  }
-  return backlog;
-}
-
 XdcrStats XdcrLink::stats() const {
   XdcrStats s;
   if (docs_sent_ == nullptr) return s;  // Start() not called yet
@@ -141,7 +99,7 @@ XdcrStats XdcrLink::stats() const {
   s.docs_filtered = docs_filtered_->Value();
   s.docs_rejected = docs_rejected_->Value();
   s.docs_retried = docs_retried_->Value();
-  s.backlog = ComputeBacklog();
+  s.backlog = feed_->Backlog();
   backlog_->Set(static_cast<int64_t>(s.backlog));
   return s;
 }

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "cluster/cluster.h"
+#include "cluster/feed.h"
 #include "stats/registry.h"
 
 namespace couchkv::xdcr {
@@ -37,43 +38,37 @@ struct XdcrStats {
 
 // One directional replication link. For bidirectional XDCR create two links
 // (one per direction); conflict resolution keeps them convergent.
-class XdcrLink : public cluster::ClusterService,
-                 public std::enable_shared_from_this<XdcrLink> {
+class XdcrLink {
  public:
   XdcrLink(cluster::Cluster* source, cluster::Cluster* target, XdcrSpec spec);
+  ~XdcrLink() {
+    if (feed_ != nullptr) feed_->Close();  // before the members it uses go
+  }
 
-  // Registers DCP streams on the source and topology notifications.
-  // `service_name` must be unique per link when registering several.
+  // Opens the link's DCP feed on the source, which follows source topology
+  // changes until the link is destroyed. `service_name` names the feed and
+  // the stats scope, so it must be unique per link. Once per link.
   Status Start(const std::string& service_name);
-
-  // ClusterService: source topology changed → re-wire streams.
-  void OnTopologyChange(const std::string& bucket) override;
 
   XdcrStats stats() const;
 
  private:
-  void Wire();
   // Ships one mutation to the target cluster through its transport.
   // Returns non-OK (stalling the source DCP stream for retry) when the
   // target is unreachable; re-delivery is idempotent thanks to conflict
   // resolution.
   Status ShipMutation(const kv::Mutation& m);
 
-  // Replication lag: source mutations DCP has not yet shipped, summed over
-  // the vBuckets this link streams. Scraped into the "xdcr.backlog" gauge.
-  uint64_t ComputeBacklog() const;
-
   cluster::Cluster* source_;
   cluster::Cluster* target_;
   XdcrSpec spec_;
   std::unique_ptr<std::regex> filter_;
-  std::string stream_name_;
 
   // Registry-backed link counters, resolved by Start() into the scope
   // "xdcr.<service_name>" — null (reporting disabled) before Start().
   // The link owns no mutex: these pointers are written by Start() strictly
-  // before Wire() registers the DCP streams whose callbacks read them (the
-  // producer's stream-map lock publishes the writes), and the counters
+  // before Feed::Open registers the DCP streams whose callbacks read them
+  // (the producer's stream-map lock publishes the writes), and the counters
   // themselves are internally atomic.
   std::shared_ptr<stats::Scope> stats_scope_;
   stats::Counter* docs_sent_ = nullptr;
@@ -81,6 +76,7 @@ class XdcrLink : public cluster::ClusterService,
   stats::Counter* docs_rejected_ = nullptr;
   stats::Counter* docs_retried_ = nullptr;
   stats::Gauge* backlog_ = nullptr;
+  std::shared_ptr<cluster::Feed> feed_;
 };
 
 }  // namespace couchkv::xdcr

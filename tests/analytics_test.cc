@@ -23,7 +23,6 @@ class AnalyticsTest : public ::testing::Test {
     cfg.name = "customers";
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     service_ = std::make_shared<AnalyticsService>(&cluster_);
-    service_->Attach();
     orders_ = std::make_unique<client::SmartClient>(&cluster_, "orders");
     customers_ = std::make_unique<client::SmartClient>(&cluster_, "customers");
   }
@@ -152,9 +151,7 @@ TEST_F(AnalyticsTest, GroupByAggregation) {
 TEST_F(AnalyticsTest, SameQueryRejectedByN1ql) {
   LoadSampleData();
   auto gsi = std::make_shared<gsi::IndexService>(&cluster_);
-  gsi->Attach();
   auto views = std::make_shared<views::ViewEngine>(&cluster_);
-  views->Attach();
   n1ql::QueryService qs(&cluster_, gsi, views);
   auto r = qs.Execute(
       "SELECT c.name FROM orders o JOIN customers c ON o.cust = META(c).id");

@@ -131,7 +131,6 @@ class SearchServiceTest : public ::testing::Test {
     cfg.num_replicas = 1;
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     service_ = std::make_shared<SearchService>(&cluster_);
-    service_->Attach();
     client_ = std::make_unique<client::SmartClient>(&cluster_, "default");
   }
 

@@ -211,7 +211,6 @@ class IndexServiceTest : public ::testing::Test {
     cfg.num_replicas = 1;
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     service_ = std::make_shared<IndexService>(&cluster_);
-    service_->Attach();
     client_ = std::make_unique<client::SmartClient>(&cluster_, "default");
   }
 
@@ -405,7 +404,6 @@ TEST_F(IndexServiceTest, MdsRequiresIndexNode) {
   cfg.num_replicas = 0;
   ASSERT_TRUE(c.CreateBucket(cfg).ok());
   auto svc = std::make_shared<IndexService>(&c);
-  svc->Attach();
   IndexDefinition def;
   def.name = "i";
   def.bucket = "b";

@@ -23,9 +23,7 @@ class IntegrationTest : public ::testing::Test {
     cfg.num_replicas = 1;
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     gsi_ = std::make_shared<gsi::IndexService>(&cluster_);
-    gsi_->Attach();
     views_ = std::make_shared<views::ViewEngine>(&cluster_);
-    views_->Attach();
     queries_ = std::make_unique<n1ql::QueryService>(&cluster_, gsi_, views_);
     client_ = std::make_unique<client::SmartClient>(&cluster_, "default");
   }
@@ -222,9 +220,7 @@ TEST_F(IntegrationTest, MdsTopologyDataIndexQuerySeparated) {
   cfg.num_replicas = 1;
   ASSERT_TRUE(mds.CreateBucket(cfg).ok());
   auto g = std::make_shared<gsi::IndexService>(&mds);
-  g->Attach();
   auto v = std::make_shared<views::ViewEngine>(&mds);
-  v->Attach();
   n1ql::QueryService qs(&mds, g, v);
   client::SmartClient c(&mds, "b");
   for (int i = 0; i < 20; ++i) {

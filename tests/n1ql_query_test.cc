@@ -21,9 +21,7 @@ class N1qlTest : public ::testing::Test {
     cfg.num_replicas = 1;
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     gsi_ = std::make_shared<gsi::IndexService>(&cluster_);
-    gsi_->Attach();
     views_ = std::make_shared<views::ViewEngine>(&cluster_);
-    views_->Attach();
     service_ = std::make_unique<QueryService>(&cluster_, gsi_, views_);
     client_ = std::make_unique<client::SmartClient>(&cluster_, "profiles");
   }
@@ -457,9 +455,7 @@ TEST_F(N1qlTest, MdsNoQueryNodeRefusesQueries) {
   cfg.num_replicas = 0;
   ASSERT_TRUE(c.CreateBucket(cfg).ok());
   auto g = std::make_shared<gsi::IndexService>(&c);
-  g->Attach();
   auto v = std::make_shared<views::ViewEngine>(&c);
-  v->Attach();
   QueryService qs(&c, g, v);
   auto r = qs.Execute("SELECT 1");
   EXPECT_FALSE(r.ok());

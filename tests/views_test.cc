@@ -2,6 +2,9 @@
 // stale= consistency options, scatter/gather queries, rebalance filtering.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "client/smart_client.h"
 #include "views/view_engine.h"
 
@@ -175,7 +178,6 @@ class ViewEngineTest : public ::testing::Test {
     cfg.num_replicas = 1;
     ASSERT_TRUE(cluster_.CreateBucket(cfg).ok());
     engine_ = std::make_shared<ViewEngine>(&cluster_);
-    engine_->Attach();
     client_ = std::make_unique<client::SmartClient>(&cluster_, "default");
   }
 
@@ -318,6 +320,40 @@ TEST_F(ViewEngineTest, DropViewRemovesIt) {
   ASSERT_TRUE(engine_->DropView("default", "profile").ok());
   ViewQueryOptions opts;
   EXPECT_FALSE(engine_->Query("default", "profile", opts).ok());
+}
+
+// A stale=false query holds the view it looked up while DropView erases it
+// and CreateView replaces it under the same name. The query must fail or
+// answer from the view it found, never read freed state.
+TEST_F(ViewEngineTest, QueryRacesDropAndRecreate) {
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("u" + std::to_string(i),
+                             R"({"name":"n)" + std::to_string(i) +
+                                 R"(","email":"e"})")
+                    .ok());
+  }
+  ASSERT_TRUE(engine_->CreateView("default", ProfileView()).ok());
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto r = engine_->Query("default", "profile", ViewQueryOptions{},
+                              Staleness::kFalse);
+      if (r.ok()) {
+        EXPECT_LE(r->rows.size(), 20u);
+      }
+    }
+  });
+  for (int round = 0; round < 30; ++round) {
+    EXPECT_TRUE(engine_->DropView("default", "profile").ok());
+    EXPECT_TRUE(engine_->CreateView("default", ProfileView()).ok());
+  }
+  stop = true;
+  reader.join();
+  auto result = engine_->Query("default", "profile", ViewQueryOptions{},
+                               Staleness::kFalse);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows.size(), 20u);
 }
 
 TEST_F(ViewEngineTest, MultiKeyLookup) {

@@ -1,5 +1,6 @@
 // Tests for cross-datacenter replication: basic replication, filtering,
-// conflict resolution, bidirectional convergence, target topology awareness.
+// conflict resolution, bidirectional convergence, topology awareness on both
+// the target and the source side.
 #include <gtest/gtest.h>
 
 #include "client/smart_client.h"
@@ -146,6 +147,30 @@ TEST_F(XdcrTest, TargetTopologyAwareness) {
     EXPECT_TRUE(west_client_->Get("post" + std::to_string(i)).ok())
         << "post" << i;
   }
+}
+
+TEST_F(XdcrTest, SourceFailoverAndRebalance) {
+  auto link = Link(&east_, &west_, "east-west");
+  auto write = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(east_client_->Upsert("k" + std::to_string(i), "{}").ok());
+    }
+  };
+  write(0, 20);
+  east_.Quiesce();  // the replicas promoted below hold every write
+  // Source cluster failover: the link's streams move to the promoted
+  // actives, and every later topology change re-wires them again.
+  ASSERT_TRUE(east_.Failover(1).ok());
+  write(20, 40);
+  ASSERT_TRUE(east_.RecoverNode(1).ok());
+  east_.AddNode();
+  ASSERT_TRUE(east_.Rebalance().ok());
+  write(40, 60);
+  QuiesceBoth();
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_TRUE(west_client_->Get("k" + std::to_string(i)).ok()) << "k" << i;
+  }
+  EXPECT_EQ(link->stats().backlog, 0u);
 }
 
 }  // namespace
