@@ -81,7 +81,7 @@ void BM_CouchFileAppend(benchmark::State& state) {
   auto env = storage::Env::NewMemEnv();
   auto file = storage::CouchFile::Open(env.get(), "bench.couch").value();
   kv::Document doc;
-  doc.value.assign(static_cast<size_t>(state.range(0)), 'x');
+  doc.value = std::string(static_cast<size_t>(state.range(0)), 'x');
   uint64_t seqno = 0;
   for (auto _ : state) {
     doc.key = "key" + std::to_string(seqno % 1000);
@@ -108,7 +108,7 @@ void BM_DcpPumpThroughput(benchmark::State& state) {
   }
   uint64_t seqno = 0;
   kv::Document doc;
-  doc.value.assign(128, 'x');
+  doc.value = std::string(128, 'x');
   for (auto _ : state) {
     doc.key = "k";
     doc.meta.seqno = ++seqno;

@@ -67,7 +67,7 @@ StatusOr<GetReply> ToGetReply(std::string_view key,
   if (!r.ok()) return r.status();
   GetReply reply;
   reply.key = std::string(key);
-  reply.value = std::move(r->doc.value);
+  reply.value = r->doc.value.view();
   reply.cas = r->doc.meta.cas;
   reply.flags = r->doc.meta.flags;
   return reply;

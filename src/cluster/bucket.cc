@@ -29,13 +29,22 @@ Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
 
   vbuckets_.reserve(kNumVBuckets);
   for (uint16_t vb = 0; vb < kNumVBuckets; ++vb) {
-    vbuckets_.push_back(MakeVBucket(vb));
+    auto v = std::make_unique<VBucket>(vb, VBucketState::kDead, clock_,
+                                       config_.eviction, &op_inst_,
+                                       &cache_counters_);
+    v->set_backpressure_flag(&backpressure_);
+    v->set_sink([this, vb](const kv::Document& doc) {
+      producer_->OnMutation(vb, doc);
+      EnqueueForPersistence(vb, doc);
+      dispatcher_->Notify();
+    });
+    vbuckets_.push_back(std::move(v));
   }
   // DCP backfill reads from the vBucket's storage file.
   producer_ = std::make_shared<dcp::Producer>(
       kNumVBuckets,
       [this](uint16_t vb, uint64_t since, const dcp::MutationFn& fn) {
-        storage::CouchFile* file = vbuckets_[vb]->file();
+        std::shared_ptr<storage::CouchFile> file = vbuckets_[vb]->file();
         if (file == nullptr) return Status::OK();
         return file->ChangesSince(since, [&](const kv::Document& doc) {
           kv::Mutation m;
@@ -62,19 +71,6 @@ Bucket::~Bucket() {
   // Deregister from exposition; scope_ keeps the metric storage alive for
   // anything still holding pointers into it.
   stats::Registry::Global().DropScope(scope_->name());
-}
-
-std::unique_ptr<VBucket> Bucket::MakeVBucket(uint16_t vb) {
-  auto v = std::make_unique<VBucket>(vb, VBucketState::kDead, clock_,
-                                     config_.eviction, &op_inst_,
-                                     &cache_counters_);
-  v->set_backpressure_flag(&backpressure_);
-  v->set_sink([this, vb](const kv::Document& doc) {
-    producer_->OnMutation(vb, doc);
-    EnqueueForPersistence(vb, doc);
-    dispatcher_->Notify();
-  });
-  return v;
 }
 
 std::string Bucket::VBucketFilePath(uint16_t vb) const {
@@ -200,10 +196,9 @@ void Bucket::FlusherLoop() {
         return;  // crash between per-vBucket batches
       }
       VBucket* v = vbuckets_[vb].get();
-      // One locked pointer read per vBucket; the cached raw pointer stays
-      // valid for the SaveDocs/Commit sequence (file_ only ever transitions
-      // null -> non-null).
-      storage::CouchFile* file = v->file();
+      // One locked pointer read per vBucket; the reference keeps the file
+      // alive for the SaveDocs/Commit sequence even if a rollback swaps it.
+      std::shared_ptr<storage::CouchFile> file = v->file();
       Status st = Status::OK();
       if (file == nullptr) {
         st = EnsureStorage(vb);
@@ -273,12 +268,14 @@ StatusOr<uint64_t> Bucket::Warmup() {
     if (!st.ok()) {
       // Corruption mid-scan: a partially-warmed partition would serve a
       // stale subset of its documents as if complete. Discard the
-      // half-loaded vBucket (state resets to dead) and propagate, so the
-      // caller aborts the node bring-up instead of half-serving.
-      {
-        LockGuard lock(storage_mu_);
-        vbuckets_[vb] = MakeVBucket(vb);
-      }
+      // half-loaded vBucket (state resets to dead, no file) and propagate,
+      // so the caller aborts the node bring-up instead of half-serving.
+      v->set_state(VBucketState::kDead);
+      COUCHKV_RETURN_IF_ERROR(
+          v->Reset([&]() -> StatusOr<std::shared_ptr<storage::CouchFile>> {
+            producer_->ResetLog(vb);
+            return std::shared_ptr<storage::CouchFile>();
+          }));
       return st;
     }
   }
@@ -302,40 +299,48 @@ void Bucket::Kill() {
   flush_cv_.NotifyAll();
 }
 
+void Bucket::PurgeQueued(uint16_t vb) {
+  QueueShard& shard = shards_[vb % kQueueShards];
+  LockGuard lock(shard.mu);
+  size_t purged = 0;
+  for (auto it = shard.items.begin(); it != shard.items.end();) {
+    if (it->first.first == vb) {
+      it = shard.items.erase(it);
+      ++purged;
+    } else {
+      ++it;
+    }
+  }
+  if (purged > 0) queued_.fetch_sub(purged);
+}
+
 Status Bucket::RollbackVBucket(uint16_t vb) {
   if (vb >= kNumVBuckets) return Status::InvalidArgument("bad vbucket");
-  VBucketState prev_state = vbuckets_[vb]->state();
+  VBucket* v = vbuckets_[vb].get();
   // Purge queued-but-unflushed writes for this partition so the flusher
-  // cannot resurrect the discarded state into the fresh file.
-  {
-    QueueShard& shard = shards_[vb % kQueueShards];
-    LockGuard lock(shard.mu);
-    size_t purged = 0;
-    for (auto it = shard.items.begin(); it != shard.items.end();) {
-      if (it->first.first == vb) {
-        it = shard.items.erase(it);
-        ++purged;
-      } else {
-        ++it;
-      }
-    }
-    if (purged > 0) queued_.fetch_sub(purged);
-  }
-  // Let any in-flight flush batch (snapshotted before the purge) complete
-  // so no flusher reference to the old VBucket object survives.
+  // cannot resurrect the discarded state into the fresh file, and let any
+  // in-flight flush batch (snapshotted before the purge) land in the old
+  // file before it is replaced.
+  PurgeQueued(vb);
   {
     UniqueLock lock(queue_mu_);
     while (flushing_.load()) flush_cv_.Wait(lock);
   }
-  std::string path = VBucketFilePath(vb);
-  {
-    LockGuard lock(storage_mu_);
-    vbuckets_[vb] = MakeVBucket(vb);  // drops the hash table + file handle
-    if (env_->Exists(path)) {
-      COUCHKV_RETURN_IF_ERROR(env_->Remove(path));
+  return v->Reset([&]() -> StatusOr<std::shared_ptr<storage::CouchFile>> {
+    // Under the op lock: drop what slipped in before it, and the change
+    // log, whose seqnos the partition is about to reuse.
+    PurgeQueued(vb);
+    producer_->ResetLog(vb);
+    if (v->state() == VBucketState::kDead) {
+      return std::shared_ptr<storage::CouchFile>();
     }
-  }
-  return SetVBucketState(vb, prev_state);
+    std::string path = VBucketFilePath(vb);
+    LockGuard lock(storage_mu_);
+    if (env_->Exists(path)) COUCHKV_RETURN_IF_ERROR(env_->Remove(path));
+    auto file_or = storage::CouchFile::Open(env_, path, &storage_counters_);
+    if (!file_or.ok()) return file_or.status();
+    return std::shared_ptr<storage::CouchFile>(std::move(file_or).value());
+  });
 }
 
 Status Bucket::WaitForPersistence(uint16_t vb, uint64_t seqno,
@@ -355,7 +360,7 @@ Status Bucket::WaitForPersistence(uint16_t vb, uint64_t seqno,
 size_t Bucket::MaybeCompact() {
   size_t compacted = 0;
   for (auto& v : vbuckets_) {
-    storage::CouchFile* file = v->file();
+    std::shared_ptr<storage::CouchFile> file = v->file();
     if (file == nullptr || v->state() == VBucketState::kDead) continue;
     if (file->Fragmentation() > config_.compaction_threshold) {
       Status st = file->Compact();
@@ -390,6 +395,15 @@ uint64_t Bucket::mem_used() const {
 
 size_t Bucket::disk_queue_depth() const { return queued_.load(); }
 
+std::optional<kv::Document> Bucket::QueuedDoc(uint16_t vb,
+                                              const std::string& key) {
+  QueueShard& shard = shards_[vb % kQueueShards];
+  LockGuard lock(shard.mu);
+  auto it = shard.items.find({vb, key});
+  if (it == shard.items.end()) return std::nullopt;
+  return it->second;
+}
+
 void Bucket::UpdateScrapeGauges() {
   scope_->GetGauge("bucket.mem_used")->Set(static_cast<int64_t>(mem_used()));
   scope_->GetGauge("bucket.disk_queue_depth")
@@ -402,7 +416,7 @@ void Bucket::UpdateScrapeGauges() {
   uint64_t items = 0, non_resident = 0;
   for (const auto& v : vbuckets_) {
     if (v->state() == VBucketState::kDead) continue;
-    if (storage::CouchFile* file = v->file(); file != nullptr) {
+    if (auto file = v->file(); file != nullptr) {
       double f = file->Fragmentation();
       if (f > worst_frag) worst_frag = f;
     }

@@ -11,6 +11,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +51,8 @@ class Bucket {
   const BucketConfig& config() const { return config_; }
   NodeId node_id() const { return node_id_; }
 
+  // The vBucket objects live as long as the bucket (a rollback resets one
+  // in place), so callers may hold the pointer without a lock.
   VBucket* vbucket(uint16_t vb) { return vbuckets_[vb].get(); }
   dcp::Producer* producer() { return producer_.get(); }
   std::shared_ptr<dcp::Producer> producer_shared() { return producer_; }
@@ -79,11 +82,12 @@ class Bucket {
   // memory only is lost, exactly as in a process crash.
   void Kill();
 
-  // Discards a vBucket's in-memory and on-disk state and re-creates it in
-  // its current lifecycle state, so a DCP stream re-backfills it from
+  // Discards a vBucket's in-memory, change-log and on-disk state in place,
+  // keeping its lifecycle state, so a DCP stream re-backfills it from
   // scratch. Used to roll back a replica that ran ahead of a crashed-and-
-  // recovered active. Caller must ensure nothing is feeding this vBucket
-  // (its incoming stream died with the crashed active).
+  // recovered active. Ops and stream callbacks racing the rollback stay
+  // memory-safe; for the data to be exact, the caller re-creates the
+  // partition's incoming stream afterwards (ApplyMap does).
   Status RollbackVBucket(uint16_t vb);
 
   // Runs one compaction sweep: compacts any hosted vBucket file whose
@@ -107,6 +111,9 @@ class Bucket {
   // Test hook: the disk write queue depth.
   size_t disk_queue_depth() const;
 
+  // Test hook: the document queued (not yet being flushed) for `key`.
+  std::optional<kv::Document> QueuedDoc(uint16_t vb, const std::string& key);
+
   // True while front-end mutations are rejected with TempFail because the
   // flusher cannot drain the queue (see BucketConfig::
   // disk_failure_tempfail_queue_depth).
@@ -124,7 +131,8 @@ class Bucket {
   // Recomputes the TempFail backpressure flag from the disk-unhealthy state
   // and the current queue depth.
   void UpdateBackpressure();
-  std::unique_ptr<VBucket> MakeVBucket(uint16_t vb);
+  // Drops vBucket `vb`'s queued-but-unflushed writes.
+  void PurgeQueued(uint16_t vb);
   void EnqueueForPersistence(uint16_t vb, const kv::Document& doc);
   std::string VBucketFilePath(uint16_t vb) const;
   Status EnsureStorage(uint16_t vb);

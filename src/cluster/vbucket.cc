@@ -31,12 +31,12 @@ Status VBucket::CheckWritable() const {
   return Status::OK();
 }
 
-kv::Document VBucket::MakeDoc(std::string_view key, std::string_view value,
+kv::Document VBucket::MakeDoc(std::string_view key, kv::Blob value,
                               const kv::DocMeta& meta) const {
   kv::Document doc;
   doc.key = std::string(key);
   doc.meta = meta;
-  if (!meta.deleted) doc.value = std::string(value);
+  doc.value = std::move(value);
   return doc;
 }
 
@@ -52,7 +52,7 @@ StatusOr<kv::GetResult> VBucket::Get(std::string_view key) {
   if (!r->resident) {
     // Read-through: the value was evicted; fetch it from the append-only
     // store and restore it into the cache (paper §4.3.3).
-    storage::CouchFile* f = file();
+    std::shared_ptr<storage::CouchFile> f = file();
     if (f == nullptr) return Status::Internal("non-resident, no storage");
     auto doc_or = f->Get(key);
     if (!doc_or.ok()) return doc_or.status();
@@ -71,10 +71,11 @@ StatusOr<kv::DocMeta> VBucket::Set(std::string_view key,
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckWritable());
   if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  auto meta = ht_.Set(key, value, flags, expiry, cas);
+  kv::Blob buf(value);  // the one copy of the bytes on this node
+  auto meta = ht_.Set(key, buf, flags, expiry, cas);
   span.Phase("cache");
   if (meta.ok()) {
-    Emit(MakeDoc(key, value, meta.value()));
+    Emit(MakeDoc(key, std::move(buf), meta.value()));
     span.Phase("sink");
   }
   return meta;
@@ -88,10 +89,11 @@ StatusOr<kv::DocMeta> VBucket::Add(std::string_view key,
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckWritable());
   if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  auto meta = ht_.Add(key, value, flags, expiry);
+  kv::Blob buf(value);  // the one copy of the bytes on this node
+  auto meta = ht_.Add(key, buf, flags, expiry);
   span.Phase("cache");
   if (meta.ok()) {
-    Emit(MakeDoc(key, value, meta.value()));
+    Emit(MakeDoc(key, std::move(buf), meta.value()));
     span.Phase("sink");
   }
   return meta;
@@ -105,10 +107,11 @@ StatusOr<kv::DocMeta> VBucket::Replace(std::string_view key,
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckWritable());
   if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  auto meta = ht_.Replace(key, value, flags, expiry, cas);
+  kv::Blob buf(value);  // the one copy of the bytes on this node
+  auto meta = ht_.Replace(key, buf, flags, expiry, cas);
   span.Phase("cache");
   if (meta.ok()) {
-    Emit(MakeDoc(key, value, meta.value()));
+    Emit(MakeDoc(key, std::move(buf), meta.value()));
     span.Phase("sink");
   }
   return meta;
@@ -138,7 +141,7 @@ StatusOr<kv::GetResult> VBucket::GetAndLock(std::string_view key,
   auto r = ht_.GetAndLock(key, lock_ms);
   if (!r.ok()) return r;
   if (!r->resident) {
-    storage::CouchFile* f = file();
+    std::shared_ptr<storage::CouchFile> f = file();
     if (f != nullptr) {
       auto doc_or = f->Get(key);
       if (doc_or.ok()) {
@@ -171,21 +174,45 @@ StatusOr<kv::DocMeta> VBucket::Touch(std::string_view key, uint32_t expiry) {
   return meta;
 }
 
+namespace {
+
+// A document from another node: same key and metadata, but the value in a
+// buffer of this node's own.
+kv::Document LocalCopy(const kv::Document& doc) {
+  kv::Document local;
+  local.key = doc.key;
+  local.meta = doc.meta;
+  local.value = doc.value.view();
+  return local;
+}
+
+}  // namespace
+
 Status VBucket::ApplyXdcr(const kv::Document& doc) {
   LockGuard lock(op_mu_);
   COUCHKV_RETURN_IF_ERROR(CheckActive());
-  auto meta = ht_.SetWithMeta(doc);
+  kv::Document applied = LocalCopy(doc);
+  auto meta = ht_.SetWithMeta(applied);
   if (!meta.ok()) return meta.status();
-  kv::Document applied = doc;
   applied.meta = meta.value();
   Emit(applied);
   return Status::OK();
 }
 
 void VBucket::ApplyReplicated(const kv::Document& doc) {
+  kv::Document local = LocalCopy(doc);
   LockGuard lock(op_mu_);
-  ht_.ApplyRemote(doc);
-  Emit(doc);
+  ht_.ApplyRemote(local);
+  Emit(local);
+}
+
+Status VBucket::Reset(const FileFactory& fresh_file) {
+  LockGuard lock(op_mu_);
+  auto file_or = fresh_file();
+  if (!file_or.ok()) return file_or.status();
+  ht_.Clear();
+  set_file(std::move(file_or).value());
+  return Status::OK();
 }
 
 }  // namespace couchkv::cluster

@@ -74,15 +74,15 @@ class VBucket {
     LockGuard lock(file_mu_);
     file_ = std::move(file);
   }
-  // The pointer read is locked (the flusher races EnsureStorage here), but
-  // the returned file may be used lock-free: file_ only ever transitions
-  // null -> non-null and the CouchFile is internally synchronized. file_ sits
+  // The pointer read is locked (the flusher races EnsureStorage and Reset
+  // here); the returned reference keeps the file alive across a Reset that
+  // swaps it, and the CouchFile is internally synchronized. file_ sits
   // under its own leaf mutex — NOT op_mu_ — because DCP backfill reads it
   // while the rebalance switchover pumps the producer inside WithOpLock;
   // routing it through op_mu_ would self-deadlock that path.
-  storage::CouchFile* file() const EXCLUDES(file_mu_) {
+  std::shared_ptr<storage::CouchFile> file() const EXCLUDES(file_mu_) {
     LockGuard lock(file_mu_);
-    return file_.get();
+    return file_;
   }
   kv::HashTable& hash_table() { return ht_; }
   const kv::HashTable& hash_table() const { return ht_; }
@@ -111,13 +111,24 @@ class VBucket {
   // --- Replication-state operations ---
 
   // Applies a mutation received over DCP (replica / rebalance apply path).
-  // Feeds the sink so the mutation persists and re-streams.
+  // Feeds the sink so the mutation persists and re-streams. `doc` comes
+  // from another node, so its value is copied into this node's own buffer.
   void ApplyReplicated(const kv::Document& doc) EXCLUDES(op_mu_);
 
   // Applies a document arriving over XDCR, running conflict resolution
   // (paper §4.6.1). Returns KeyExists if the local version wins. Allowed in
-  // active state only.
+  // active state only. Like ApplyReplicated, copies the value once.
   Status ApplyXdcr(const kv::Document& doc) EXCLUDES(op_mu_);
+
+  // Rolls the vBucket back in place. Under the op lock it runs `fresh_file`
+  // (the bucket drops the partition's queued writes and change log and
+  // opens a new file, or returns null for none), then empties the hash
+  // table, resets the seqnos and installs the file. If `fresh_file` fails,
+  // the table and file stay as they were. The object stays put, so the raw
+  // pointers front-end ops, services and stream callbacks hold stay valid.
+  using FileFactory =
+      std::function<StatusOr<std::shared_ptr<storage::CouchFile>>()>;
+  Status Reset(const FileFactory& fresh_file) EXCLUDES(op_mu_);
 
   // --- Common ---
   uint64_t high_seqno() const { return ht_.high_seqno(); }
@@ -139,8 +150,9 @@ class VBucket {
   void Emit(const kv::Document& doc) REQUIRES(op_mu_) {
     if (sink_) sink_(doc);
   }
-  // Builds the Document for a just-applied mutation so it can be emitted.
-  kv::Document MakeDoc(std::string_view key, std::string_view value,
+  // Builds the Document for a just-applied mutation so it can be emitted;
+  // it shares `value` with the hash-table entry.
+  kv::Document MakeDoc(std::string_view key, kv::Blob value,
                        const kv::DocMeta& meta) const;
 
   const uint16_t id_;

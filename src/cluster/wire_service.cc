@@ -259,7 +259,7 @@ wire::Message WireService::HandleGet(const wire::Message& req, bool lock) {
   wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
   resp.cas = r->doc.meta.cas;
   wire::PutU32BE(&resp.extras, r->doc.meta.flags);
-  resp.value = r->doc.value;
+  resp.value = r->doc.value.view();
   return resp;
 }
 

@@ -14,8 +14,22 @@ namespace couchkv::dcp {
 void ChangeLog::Append(kv::Document doc) {
   LockGuard lock(mu_);
   if (doc.meta.seqno > high_seqno_) high_seqno_ = doc.meta.seqno;
+  int64_t delta = Bytes(doc);
   items_.push_back(std::move(doc));
-  while (items_.size() > max_items_) items_.pop_front();
+  while (items_.size() > max_items_) {
+    delta -= Bytes(items_.front());
+    items_.pop_front();
+  }
+  if (bytes_ != nullptr) bytes_->Add(delta);
+}
+
+void ChangeLog::Clear() {
+  LockGuard lock(mu_);
+  int64_t held = 0;
+  for (const kv::Document& doc : items_) held += Bytes(doc);
+  if (bytes_ != nullptr) bytes_->Sub(held);
+  items_.clear();
+  high_seqno_ = 0;
 }
 
 uint64_t ChangeLog::ReadSince(uint64_t since, size_t max,
@@ -62,6 +76,7 @@ DcpCounters DcpCounters::In(stats::Scope* scope) {
   c.items_appended = scope->GetCounter("dcp.items_appended");
   c.items_delivered = scope->GetCounter("dcp.items_delivered");
   c.backfill_items = scope->GetCounter("dcp.backfill_items");
+  c.changelog_bytes = scope->GetGauge("dcp.changelog_bytes");
   return c;
 }
 
@@ -72,7 +87,8 @@ Producer::Producer(uint16_t num_vbuckets, BackfillFn backfill,
       counters_(counters != nullptr ? *counters : DcpCounters{}) {
   logs_.reserve(num_vbuckets_);
   for (uint16_t i = 0; i < num_vbuckets_; ++i) {
-    logs_.push_back(std::make_unique<ChangeLog>());
+    logs_.push_back(std::make_unique<ChangeLog>(
+        ChangeLog::kDefaultMaxItems, counters_.changelog_bytes));
   }
 }
 
@@ -80,6 +96,8 @@ void Producer::OnMutation(uint16_t vbucket, kv::Document doc) {
   logs_[vbucket]->Append(std::move(doc));
   if (counters_.items_appended != nullptr) counters_.items_appended->Add();
 }
+
+void Producer::ResetLog(uint16_t vbucket) { logs_[vbucket]->Clear(); }
 
 StatusOr<uint64_t> Producer::AddStream(const std::string& name,
                                        uint16_t vbucket, uint64_t from_seqno,

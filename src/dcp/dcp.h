@@ -37,6 +37,9 @@ struct DcpCounters {
   stats::Counter* items_appended = nullptr;   // mutations entering ChangeLogs
   stats::Counter* items_delivered = nullptr;  // successful stream deliveries
   stats::Counter* backfill_items = nullptr;   // of those, served from storage
+  // Key + value bytes held by the bucket's ChangeLogs (a value shared with
+  // the hash table counts in full).
+  stats::Gauge* changelog_bytes = nullptr;
 
   // Resolves the "dcp.*" counters in `scope`.
   static DcpCounters In(stats::Scope* scope);
@@ -54,19 +57,31 @@ using MutationFn = std::function<Status(const kv::Mutation&)>;
 using BackfillFn = std::function<Status(
     uint16_t vbucket, uint64_t since, const MutationFn& fn)>;
 
-// In-memory, bounded window of recent mutations for one vBucket.
+// In-memory, bounded window of recent mutations for one vBucket. Entries
+// share their value buffers with the hash table and the flush queue; an
+// entry keeps its reference until it is trimmed.
 class ChangeLog {
  public:
-  explicit ChangeLog(size_t max_items = 1 << 16) : max_items_(max_items) {}
+  static constexpr size_t kDefaultMaxItems = 1 << 16;
+
+  // `bytes`, when given, tracks Σ(key + value size) of the entries held.
+  explicit ChangeLog(size_t max_items = kDefaultMaxItems,
+                     stats::Gauge* bytes = nullptr)
+      : max_items_(max_items), bytes_(bytes) {}
 
   // Appends a mutation; must be called with monotonically increasing seqnos
   // (the vBucket serializes its front-end ops, which guarantees this).
   void Append(kv::Document doc);
 
-  // Copies mutations with seqno > since (up to `max`) into out. Returns the
-  // first seqno present in the log, so callers can detect a trimmed gap.
+  // Copies mutations with seqno > since (up to `max`) into out; the copies
+  // share the logged value buffers. Returns the first seqno present in the
+  // log, so callers can detect a trimmed gap.
   uint64_t ReadSince(uint64_t since, size_t max,
                      std::vector<kv::Document>* out) const;
+
+  // Drops every entry and the high seqno (a vBucket rolled back in place
+  // reuses its seqnos from 1).
+  void Clear();
 
   uint64_t high_seqno() const;
   uint64_t start_seqno() const;  // lowest seqno still in the window
@@ -77,10 +92,15 @@ class ChangeLog {
     return items_.empty() ? high_seqno_ + 1 : items_.front().meta.seqno;
   }
 
+  static int64_t Bytes(const kv::Document& doc) {
+    return static_cast<int64_t>(doc.key.size() + doc.value.size());
+  }
+
   mutable Mutex mu_{"dcp.changelog"};
   std::deque<kv::Document> items_ GUARDED_BY(mu_);
   uint64_t high_seqno_ GUARDED_BY(mu_) = 0;
   size_t max_items_;
+  stats::Gauge* bytes_;  // null = not tracked
 };
 
 // One bucket's change feed on one node.
@@ -95,6 +115,9 @@ class Producer {
   // Appends a mutation for vb (called by the data service on every write,
   // while holding the vBucket's op lock).
   void OnMutation(uint16_t vbucket, kv::Document doc);
+
+  // Empties vb's change log (the vBucket was rolled back in place).
+  void ResetLog(uint16_t vbucket);
 
   // Opens a stream delivering mutations with seqno > from_seqno for one
   // vBucket. `name` identifies the consumer in stats. Returns a stream id.

@@ -4,7 +4,9 @@
 #define COUCHKV_KV_DOC_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 namespace couchkv::kv {
 
@@ -20,15 +22,47 @@ struct DocMeta {
   bool deleted = false;  // tombstone marker
 };
 
+// A document's value: an immutable, reference-counted byte buffer (the
+// queued_item idiom of ep-engine). A mutation builds it once from the
+// caller's bytes; the hash table, the DCP change log, the flush queue and
+// every stream delivery on that node then share it, so copying a Document
+// bumps a reference count instead of copying the bytes. A node boundary
+// (replica apply, XDCR) builds a fresh buffer: no node holds another node's
+// bytes. An empty value holds no buffer.
+class Blob {
+ public:
+  Blob() = default;
+  Blob(std::string&& bytes)  // takes the bytes; no copy
+      : buf_(bytes.empty() ? nullptr
+                           : std::make_shared<const std::string>(
+                                 std::move(bytes))) {}
+  Blob(const std::string& bytes) : Blob(std::string(bytes)) {}
+  Blob(std::string_view bytes) : Blob(std::string(bytes)) {}
+  Blob(const char* bytes) : Blob(std::string(bytes)) {}
+
+  std::string_view view() const {
+    return buf_ ? std::string_view(*buf_) : std::string_view();
+  }
+  operator std::string_view() const { return view(); }
+  const char* data() const { return view().data(); }
+  size_t size() const { return view().size(); }
+  bool empty() const { return buf_ == nullptr; }
+  // Heap bytes reserved for the value, as the cache's accounting charges it.
+  size_t capacity() const { return buf_ ? buf_->capacity() : 0; }
+
+  friend bool operator==(const Blob& a, std::string_view b) {
+    return a.view() == b;
+  }
+
+ private:
+  std::shared_ptr<const std::string> buf_;
+};
+
 // A full document: key, metadata, and the (JSON or binary) value bytes.
 struct Document {
   std::string key;
   DocMeta meta;
-  std::string value;
-
-  size_t MemoryFootprint() const {
-    return sizeof(Document) + key.capacity() + value.capacity();
-  }
+  Blob value;
 };
 
 // A mutation event as carried by DCP: a document plus the vBucket it belongs

@@ -41,7 +41,11 @@ bool HashTable::IsLockedNow(const StoredValue& sv) const {
 
 size_t HashTable::EntryFootprint(const std::string& key,
                                  const StoredValue& sv) {
-  return key.capacity() + sv.value.capacity() + sizeof(StoredValue) + 64;
+  // The fixed part is what an entry cost when StoredValue held its value
+  // inline (an 88-byte StoredValue plus 64 bytes of map node). It stays
+  // pinned so a quota evicts at the same point with the shared buffer.
+  constexpr size_t kEntryOverhead = 152;
+  return key.capacity() + sv.value.capacity() + kEntryOverhead;
 }
 
 void HashTable::AccountAdd(const std::string& key, const StoredValue& sv) {
@@ -53,7 +57,7 @@ void HashTable::AccountRemove(const std::string& key, const StoredValue& sv) {
 }
 
 HashTable::Map::iterator HashTable::FindLive(std::string_view key) {
-  auto it = map_.find(std::string(key));
+  auto it = map_.find(key);
   if (it == map_.end() || it->second.meta.deleted || IsExpired(it->second)) {
     return map_.end();
   }
@@ -73,7 +77,7 @@ GetResult HashTable::MakeGetResult(Map::iterator it) {
 
 StatusOr<GetResult> HashTable::Get(std::string_view key) {
   LockGuard lock(mu_);
-  auto it = map_.find(std::string(key));
+  auto it = map_.find(key);
   if (it == map_.end()) {
     c_.misses->Add();
     return Status::NotFound();
@@ -94,14 +98,12 @@ StatusOr<GetResult> HashTable::Get(std::string_view key) {
   return MakeGetResult(it);
 }
 
-StatusOr<DocMeta> HashTable::Mutate(std::string_view key,
-                                    std::string_view value, uint32_t flags,
-                                    uint32_t expiry, uint64_t cas,
-                                    bool require_absent, bool require_present,
-                                    bool deletion) {
+StatusOr<DocMeta> HashTable::Mutate(std::string_view key, Blob value,
+                                    uint32_t flags, uint32_t expiry,
+                                    uint64_t cas, bool require_absent,
+                                    bool require_present, bool deletion) {
   LockGuard lock(mu_);
-  std::string k(key);
-  auto it = map_.find(k);
+  auto it = map_.find(key);
   bool live = it != map_.end() && !it->second.meta.deleted &&
               !IsExpired(it->second);
 
@@ -144,7 +146,7 @@ StatusOr<DocMeta> HashTable::Mutate(std::string_view key,
 
   StoredValue sv;
   sv.meta = meta;
-  sv.value = deletion ? std::string() : std::string(value);
+  if (!deletion) sv.value = std::move(value);
   sv.resident = true;
   sv.dirty = true;
   sv.referenced = true;
@@ -155,31 +157,34 @@ StatusOr<DocMeta> HashTable::Mutate(std::string_view key,
     it->second = std::move(sv);
     AccountAdd(it->first, it->second);
   } else {
-    auto [pos, inserted] = map_.emplace(std::move(k), std::move(sv));
+    auto [pos, inserted] = map_.emplace(std::string(key), std::move(sv));
     (void)inserted;
     AccountAdd(pos->first, pos->second);
   }
   return meta;
 }
 
-StatusOr<DocMeta> HashTable::Set(std::string_view key, std::string_view value,
+StatusOr<DocMeta> HashTable::Set(std::string_view key, Blob value,
                                  uint32_t flags, uint32_t expiry,
                                  uint64_t cas) {
-  return Mutate(key, value, flags, expiry, cas, /*require_absent=*/false,
-                /*require_present=*/false, /*deletion=*/false);
+  return Mutate(key, std::move(value), flags, expiry, cas,
+                /*require_absent=*/false, /*require_present=*/false,
+                /*deletion=*/false);
 }
 
-StatusOr<DocMeta> HashTable::Add(std::string_view key, std::string_view value,
+StatusOr<DocMeta> HashTable::Add(std::string_view key, Blob value,
                                  uint32_t flags, uint32_t expiry) {
-  return Mutate(key, value, flags, expiry, /*cas=*/0, /*require_absent=*/true,
-                /*require_present=*/false, /*deletion=*/false);
+  return Mutate(key, std::move(value), flags, expiry, /*cas=*/0,
+                /*require_absent=*/true, /*require_present=*/false,
+                /*deletion=*/false);
 }
 
-StatusOr<DocMeta> HashTable::Replace(std::string_view key,
-                                     std::string_view value, uint32_t flags,
-                                     uint32_t expiry, uint64_t cas) {
-  return Mutate(key, value, flags, expiry, cas, /*require_absent=*/false,
-                /*require_present=*/true, /*deletion=*/false);
+StatusOr<DocMeta> HashTable::Replace(std::string_view key, Blob value,
+                                     uint32_t flags, uint32_t expiry,
+                                     uint64_t cas) {
+  return Mutate(key, std::move(value), flags, expiry, cas,
+                /*require_absent=*/false, /*require_present=*/true,
+                /*deletion=*/false);
 }
 
 StatusOr<DocMeta> HashTable::Remove(std::string_view key, uint64_t cas) {
@@ -205,7 +210,7 @@ StatusOr<GetResult> HashTable::GetAndLock(std::string_view key,
 
 Status HashTable::Unlock(std::string_view key, uint64_t cas) {
   LockGuard lock(mu_);
-  auto it = map_.find(std::string(key));
+  auto it = map_.find(key);
   if (it == map_.end() || it->second.meta.deleted) return Status::NotFound();
   StoredValue& sv = it->second;
   if (!IsLockedNow(sv)) return Status::TempFail("not locked");
@@ -263,7 +268,7 @@ void HashTable::Restore(const Document& doc) {
 
 void HashTable::MarkClean(std::string_view key, uint64_t seqno) {
   LockGuard lock(mu_);
-  auto it = map_.find(std::string(key));
+  auto it = map_.find(key);
   if (it != map_.end() && it->second.meta.seqno == seqno) {
     it->second.dirty = false;
   }
@@ -351,8 +356,7 @@ uint64_t HashTable::EvictTo(uint64_t target_bytes) {
           c_.evictions->Add();
           continue;
         }
-        sv.value.clear();
-        sv.value.shrink_to_fit();
+        sv.value = Blob();
         sv.resident = false;
         size_t after = EntryFootprint(it->first, sv);
         mem_used_.fetch_sub(before - after);
@@ -365,6 +369,14 @@ uint64_t HashTable::EvictTo(uint64_t target_bytes) {
     }
   }
   return reclaimed;
+}
+
+void HashTable::Clear() {
+  LockGuard lock(mu_);
+  map_.clear();
+  high_seqno_.store(0);
+  persisted_seqno_.store(0);
+  mem_used_.store(0);
 }
 
 uint64_t HashTable::Purge(uint64_t purge_before_seqno) {

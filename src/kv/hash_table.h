@@ -30,7 +30,7 @@ enum class EvictionPolicy {
 // A resident entry in the cache.
 struct StoredValue {
   DocMeta meta;
-  std::string value;
+  Blob value;             // shared with the DCP log and the flush queue
   bool resident = true;   // false once the value has been evicted
   bool dirty = true;      // true until persisted by the flusher
   bool referenced = true; // NRU bit, set on access, cleared by the evictor
@@ -102,17 +102,17 @@ class HashTable {
 
   // Unconditional upsert. cas==0 creates-or-replaces; cas!=0 requires match
   // (KeyExists on mismatch — the paper's optimistic-locking path, §3.1.1).
-  // Returns the new metadata.
-  StatusOr<DocMeta> Set(std::string_view key, std::string_view value,
+  // Returns the new metadata. The entry keeps a reference to `value`.
+  StatusOr<DocMeta> Set(std::string_view key, Blob value,
                         uint32_t flags, uint32_t expiry, uint64_t cas)
       EXCLUDES(mu_);
 
   // Insert-only; KeyExists if the key is live.
-  StatusOr<DocMeta> Add(std::string_view key, std::string_view value,
+  StatusOr<DocMeta> Add(std::string_view key, Blob value,
                         uint32_t flags, uint32_t expiry) EXCLUDES(mu_);
 
   // Replace-only; NotFound if the key is absent.
-  StatusOr<DocMeta> Replace(std::string_view key, std::string_view value,
+  StatusOr<DocMeta> Replace(std::string_view key, Blob value,
                             uint32_t flags, uint32_t expiry, uint64_t cas)
       EXCLUDES(mu_);
 
@@ -153,8 +153,13 @@ class HashTable {
   StatusOr<DocMeta> SetWithMeta(const Document& doc) EXCLUDES(mu_);
 
   // Evicts clean resident values until mem_used <= target_bytes or nothing
-  // more can be evicted. Returns bytes reclaimed.
+  // more can be evicted, dropping the table's reference to each value (the
+  // DCP log may still hold its own). Returns bytes reclaimed.
   uint64_t EvictTo(uint64_t target_bytes) EXCLUDES(mu_);
+
+  // Drops every entry and resets the seqno high-water marks and mem_used:
+  // the table is as new. Used to roll a vBucket back in place.
+  void Clear() EXCLUDES(mu_);
 
   // Removes expired entries and (policy permitting) tombstones older than
   // `purge_before_seqno`. Returns number purged.
@@ -175,8 +180,16 @@ class HashTable {
   uint64_t persisted_seqno() const { return persisted_seqno_.load(); }
 
  private:
-  struct LockedEntry;
-  using Map = std::unordered_map<std::string, StoredValue>;
+  // Transparent hashing: lookups take the caller's string_view, so a key
+  // past the small-string buffer costs no allocation to look up.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Map =
+      std::unordered_map<std::string, StoredValue, KeyHash, std::equal_to<>>;
 
   uint64_t NextCas();
   uint64_t NextSeqno() { return high_seqno_.fetch_add(1) + 1; }
@@ -198,7 +211,7 @@ class HashTable {
   GetResult MakeGetResult(Map::iterator it) REQUIRES(mu_);
 
   // Core mutation path shared by Set/Add/Replace/Remove.
-  StatusOr<DocMeta> Mutate(std::string_view key, std::string_view value,
+  StatusOr<DocMeta> Mutate(std::string_view key, Blob value,
                            uint32_t flags, uint32_t expiry, uint64_t cas,
                            bool require_absent, bool require_present,
                            bool deletion) EXCLUDES(mu_);

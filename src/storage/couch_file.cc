@@ -35,7 +35,9 @@ bool DecodeDocPayload(std::string_view payload, kv::Document* doc) {
   if (!dec.GetU32(&doc->meta.expiry)) return false;
   if (!dec.GetU8(&deleted)) return false;
   doc->meta.deleted = deleted != 0;
-  if (!dec.GetLengthPrefixed(&doc->value)) return false;
+  std::string value;
+  if (!dec.GetLengthPrefixed(&value)) return false;
+  doc->value = std::move(value);
   return true;
 }
 

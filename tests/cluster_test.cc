@@ -75,7 +75,7 @@ TEST(VBucketTest, FileIsReadableWhileOpLockHeld) {
   VBucket vb(0, VBucketState::kActive, Clock::Real(),
              kv::EvictionPolicy::kValueOnly);
   storage::CouchFile* seen = reinterpret_cast<storage::CouchFile*>(1);
-  vb.WithOpLock([&] { seen = vb.file(); });
+  vb.WithOpLock([&] { seen = vb.file().get(); });
   EXPECT_EQ(seen, nullptr);  // no file attached; the point is it returned
 }
 
@@ -614,6 +614,72 @@ TEST_F(ClusterTest, DeltaRecoveryReintegratesFailedOverNode) {
                            << post.status().ToString();
     EXPECT_EQ(post->doc.value, "w" + std::to_string(i));
   }
+}
+
+// RecoverNode rolls back a copy that ran past the promotion point. The
+// rollback resets the vBucket in place, so a front-end reader, a service
+// reading high_seqno and a replica stream holding the raw VBucket pointer
+// all keep working through it. Replacing the object instead raced every one
+// of them (a data race on the owning pointer and a use-after-free of the
+// old vBucket, which TSan and ASan report).
+TEST_F(ClusterTest, RollbackResetsVBucketInPlaceUnderConcurrentUse) {
+  const std::string key = "rollback-key";
+  uint16_t vb = KeyToVBucket(key);
+  NodeId active = cluster_.map("default")->ActiveFor(vb);
+  NodeId replica = cluster_.map("default")->ReplicasFor(vb)[0];
+  ASSERT_TRUE(
+      cluster_.node(active)->Set("default", vb, key, "v1", 0, 0, 0).ok());
+  cluster_.Quiesce();
+
+  // Writes the replica never sees: the active's copy runs ahead, so the
+  // promotion point (seqno 1) is below it.
+  net::FaultyTransport transport(11);
+  cluster_.set_transport(&transport);
+  transport.Block(net::Endpoint::Node(active), net::Endpoint::Node(replica));
+  for (int i = 2; i <= 5; ++i) {
+    ASSERT_TRUE(cluster_.node(active)
+                    ->Set("default", vb, key, "v" + std::to_string(i), 0, 0,
+                          0)
+                    .ok());
+  }
+  ASSERT_TRUE(cluster_.Failover(active).ok());
+  ASSERT_EQ(cluster_.map("default")->ActiveFor(vb), replica);
+  transport.HealAll();
+
+  std::shared_ptr<Bucket> b = cluster_.node(active)->bucket("default");
+  VBucket* held = b->vbucket(vb);  // as a replica stream callback holds it
+  auto promoted = cluster_.node(replica)->Get("default", vb, key);
+  ASSERT_TRUE(promoted.ok());
+  const kv::Document first = promoted->doc;  // v1 at seqno 1
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      (void)b->vbucket(vb)->Get(key);
+      (void)b->vbucket(vb)->high_seqno();
+      std::this_thread::yield();
+    }
+  });
+  std::thread replicator([&] {
+    while (!stop.load()) {
+      held->ApplyReplicated(first);  // idempotent: the promoted state
+      std::this_thread::yield();
+    }
+  });
+  uint64_t rollbacks0 = ClusterCounter("recovery.rollback_vbuckets");
+  Status recovered = cluster_.RecoverNode(active);
+  stop.store(true);
+  reader.join();
+  replicator.join();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  EXPECT_EQ(ClusterCounter("recovery.rollback_vbuckets"), rollbacks0 + 1);
+  EXPECT_EQ(b->vbucket(vb), held);
+
+  // The discarded tail (v2..v5) is gone everywhere; the promoted state won.
+  cluster_.Quiesce();
+  auto r = Read(key);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->doc.value, "v1");
+  cluster_.set_transport(nullptr);
 }
 
 // --- HealthMonitor detector + orchestration, on a manual clock ---

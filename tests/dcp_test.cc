@@ -50,6 +50,35 @@ TEST(ChangeLogTest, WindowTrimsOldest) {
   EXPECT_EQ(out.size(), 5u);
 }
 
+TEST(ChangeLogTest, ReadSinceSharesTheLoggedValues) {
+  ChangeLog log;
+  kv::Document doc = Doc("a", std::string(1000, 'x'), 1);
+  const char* bytes = doc.value.data();
+  log.Append(doc);
+  std::vector<kv::Document> first, second;
+  log.ReadSince(0, 10, &first);
+  log.ReadSince(0, 10, &second);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(first[0].value.data(), bytes);
+  EXPECT_EQ(second[0].value.data(), bytes);
+}
+
+TEST(ChangeLogTest, ClearDropsEntriesAndHighSeqno) {
+  ChangeLog log;
+  log.Append(Doc("a", "1", 1));
+  log.Append(Doc("b", "2", 2));
+  log.Clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.high_seqno(), 0u);
+  // A rolled-back vBucket reuses its seqnos from 1.
+  log.Append(Doc("a", "again", 1));
+  std::vector<kv::Document> out;
+  EXPECT_EQ(log.ReadSince(0, 10, &out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].value, "again");
+}
+
 TEST(ProducerTest, StreamReceivesMutationsInOrder) {
   Producer p(4, nullptr);
   std::vector<uint64_t> seen;

@@ -3,10 +3,13 @@
 // changes under live query traffic, and cross-service consistency.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <optional>
 #include <thread>
 
 #include "client/smart_client.h"
 #include "n1ql/query_service.h"
+#include "storage/faulty_env.h"
 #include "xdcr/xdcr.h"
 
 namespace couchkv {
@@ -144,6 +147,174 @@ TEST_F(IntegrationTest, WarmupRestoresBucketFromStorage) {
   auto m = after.vbucket(0)->Set("new", "nv", 0, 0, 0);
   ASSERT_TRUE(m.ok());
   EXPECT_GT(m->seqno, 50u);
+}
+
+// --- One copy per mutation ---
+
+// A standalone bucket hosting vBucket 0 as active on a disk that can be made
+// to fail every append.
+struct OneBucket {
+  std::unique_ptr<storage::Env> mem = storage::Env::NewMemEnv();
+  storage::FaultyEnv disk{mem.get(), [] {
+                            storage::FaultyEnvOptions o;
+                            o.append_fail_prob = 1.0;
+                            return o;
+                          }()};
+  dcp::Dispatcher dispatcher;
+  std::unique_ptr<cluster::Bucket> bucket;
+
+  OneBucket() {
+    disk.set_faults_enabled(false);
+    cluster::BucketConfig cfg;
+    cfg.name = "onecopy";
+    bucket = std::make_unique<cluster::Bucket>(cfg, /*node_id=*/9, &disk,
+                                               Clock::Real(), &dispatcher);
+    EXPECT_TRUE(
+        bucket->SetVBucketState(0, cluster::VBucketState::kActive).ok());
+  }
+  ~OneBucket() {
+    disk.set_faults_enabled(false);  // lets the flusher drain and stop
+    bucket.reset();
+  }
+
+  cluster::VBucket* vb() { return bucket->vbucket(0); }
+
+  // Every mutation of vBucket 0 a stream from seqno 0 delivers now.
+  std::vector<kv::Document> StreamFromZero() {
+    std::vector<kv::Document> out;
+    auto id = bucket->producer()->AddStream(
+        "probe", 0, 0, [&](const kv::Mutation& m) {
+          out.push_back(m.doc);
+          return Status::OK();
+        });
+    EXPECT_TRUE(id.ok());
+    bucket->producer()->Drain();
+    bucket->producer()->RemoveStream(*id);  // barrier: delivery is done
+    return out;
+  }
+};
+
+TEST(OneCopyTest, ActiveSetSharesOneBufferAcrossTableLogAndFlushQueue) {
+  OneBucket one;
+  one.disk.set_faults_enabled(true);  // the write stays on the flush queue
+  const std::string value(1100, 'v');
+  ASSERT_TRUE(one.vb()->Set("k", value, 0, 0, 0).ok());
+
+  auto entry = one.vb()->hash_table().Get("k");
+  ASSERT_TRUE(entry.ok());
+  const char* bytes = entry->doc.value.data();
+  EXPECT_NE(bytes, value.data());  // the one copy of the caller's bytes
+  EXPECT_EQ(entry->doc.value, value);
+
+  std::vector<kv::Document> logged = one.StreamFromZero();
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].value.data(), bytes);
+
+  // The flusher keeps re-queuing the failed write; catch it on the queue.
+  std::optional<kv::Document> queued;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!queued && std::chrono::steady_clock::now() < deadline) {
+    queued = one.bucket->QueuedDoc(0, "k");
+    if (!queued) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->value.data(), bytes);
+}
+
+TEST(OneCopyTest, SecondSetLeavesTheLoggedFirstVersionIntact) {
+  OneBucket one;
+  const std::string v1(1000, '1'), v2(1000, '2');
+  ASSERT_TRUE(one.vb()->Set("k", v1, 0, 0, 0).ok());
+  ASSERT_TRUE(one.vb()->Set("k", v2, 0, 0, 0).ok());
+
+  std::vector<kv::Document> logged = one.StreamFromZero();
+  ASSERT_EQ(logged.size(), 2u);
+  EXPECT_EQ(logged[0].value, v1);
+  EXPECT_EQ(logged[1].value, v2);
+  EXPECT_NE(logged[0].value.data(), logged[1].value.data());
+  auto entry = one.vb()->hash_table().Get("k");
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->doc.value.data(), logged[1].value.data());
+}
+
+TEST(OneCopyTest, EvictionLeavesTheLoggedValueAndReadsThrough) {
+  OneBucket one;
+  const std::string value(1000, 'e');
+  ASSERT_TRUE(one.vb()->Set("k", value, 0, 0, 0).ok());
+  one.bucket->FlushAll();
+  one.vb()->hash_table().EvictTo(0);
+  one.vb()->hash_table().EvictTo(0);  // second pass evicts referenced values
+  auto evicted = one.vb()->hash_table().Get("k");
+  ASSERT_TRUE(evicted.ok());
+  ASSERT_FALSE(evicted->resident);
+
+  // The change log kept its own reference: a new stream gets the value.
+  std::vector<kv::Document> logged = one.StreamFromZero();
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].value, value);
+  // A front-end read goes through to storage.
+  auto read = one.vb()->Get("k");
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->resident);
+  EXPECT_EQ(read->doc.value, value);
+}
+
+// A node boundary copies: the replica's value is its own buffer, so it
+// outlives the active node's memory.
+TEST_F(IntegrationTest, ReplicaOwnsItsValuesAndServesThemAfterActiveCrash) {
+  std::map<std::string, std::string> written;
+  for (int i = 0; i < 64; ++i) {
+    std::string key = "own" + std::to_string(i);
+    written[key] = "{\"n\":" + std::to_string(i) + ",\"pad\":\"" +
+                   std::string(500, 'p') + "\"}";
+    ASSERT_TRUE(client_->Upsert(key, written[key]).ok());
+  }
+  cluster_.Quiesce();
+  auto map = cluster_.map("default");
+  for (const auto& [key, value] : written) {
+    uint16_t vb = client_->VBucketFor(key);
+    auto active = cluster_.node(map->ActiveFor(vb))
+                      ->bucket("default")
+                      ->vbucket(vb)
+                      ->hash_table()
+                      .Get(key);
+    auto replica = cluster_.node(map->ReplicasFor(vb)[0])
+                       ->bucket("default")
+                       ->vbucket(vb)
+                       ->hash_table()
+                       .Get(key);
+    ASSERT_TRUE(active.ok() && replica.ok()) << key;
+    EXPECT_EQ(replica->doc.value, value);
+    EXPECT_NE(replica->doc.value.data(), active->doc.value.data()) << key;
+  }
+
+  cluster::NodeId victim = map->ActiveFor(client_->VBucketFor("own0"));
+  ASSERT_TRUE(cluster_.CrashNode(victim).ok());
+  ASSERT_TRUE(cluster_.Failover(victim).ok());
+  for (const auto& [key, value] : written) {
+    auto r = client_->Get(key);
+    ASSERT_TRUE(r.ok()) << key << ": " << r.status().ToString();
+    EXPECT_EQ(r->value, value);
+  }
+}
+
+// The shared buffer leaves the cache's accounting where it was: the same
+// writes charge the buckets the same mem_used as when each entry held its
+// value inline (figure measured on that implementation).
+TEST_F(IntegrationTest, MemUsedMatchesTheInlineValueAccounting) {
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      std::string key = "mem::" + std::to_string(i * 7919);
+      std::string value(64 + 5 * i, static_cast<char>('a' + round));
+      ASSERT_TRUE(client_->Upsert(key, value).ok());
+    }
+  }
+  cluster_.Quiesce();
+  uint64_t total = 0;
+  for (cluster::NodeId id = 0; id < 4; ++id) {
+    total += cluster_.node(id)->bucket("default")->mem_used();
+  }
+  EXPECT_EQ(total, 291400u);
 }
 
 TEST_F(IntegrationTest, QueriesKeepWorkingThroughRebalance) {

@@ -9,6 +9,7 @@
 
 #include "client/smart_client.h"
 #include "cluster/cluster.h"
+#include "dcp/dcp.h"
 #include "net/faulty_transport.h"
 #include "stats/registry.h"
 #include "stats/trace.h"
@@ -276,6 +277,70 @@ TEST_F(StatsClusterTest, NodeStatsCoversKvStorageDcpTransport) {
   for (const auto& [name, value] : *kv_only) {
     EXPECT_TRUE(MatchesGroup(name, "kv")) << name;
   }
+}
+
+// dcp.changelog_bytes is Σ(key + value size) over the entries a bucket's
+// change logs hold: every append adds its entry, every trim takes the
+// trimmed entry back out.
+TEST(DcpChangelogBytesTest, AppendsRaiseTheGaugeAndTrimsLowerIt) {
+  Scope scope("dcp.gauge");
+  dcp::DcpCounters counters = dcp::DcpCounters::In(&scope);
+  dcp::ChangeLog log(/*max_items=*/4, counters.changelog_bytes);
+  std::vector<int64_t> sizes;
+  int64_t sum = 0;
+  for (uint64_t i = 1; i <= 6; ++i) {
+    kv::Document doc;
+    doc.key = "key" + std::to_string(i);
+    doc.value = std::string(100 * i, 'v');
+    doc.meta.seqno = i;
+    sizes.push_back(static_cast<int64_t>(doc.key.size() + doc.value.size()));
+    sum += sizes.back();
+    log.Append(std::move(doc));
+    if (i == 4) {
+      EXPECT_EQ(counters.changelog_bytes->Value(), sum);
+    }
+  }
+  // Appends 5 and 6 trimmed entries 1 and 2.
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(counters.changelog_bytes->Value(), sum - sizes[0] - sizes[1]);
+  log.Clear();
+  EXPECT_EQ(counters.changelog_bytes->Value(), 0);
+}
+
+// The gauge is a bucket stat beside dcp.backlog in STATS and Prometheus.
+// A write lands in the active's and the replica's change logs, and a value
+// the log shares with the hash table counts in full.
+TEST_F(StatsClusterTest, ChangelogBytesInStatsAndPrometheus) {
+  auto total = [&] {
+    int64_t bytes = 0;
+    for (cluster::NodeId id = 0; id < 4; ++id) {
+      auto snap = cluster_.node(id)->Stats("dcp");
+      EXPECT_TRUE(snap.ok());
+      std::string name =
+          "node." + std::to_string(id) + ".bucket.default.dcp.changelog_bytes";
+      EXPECT_TRUE(snap->count(name)) << name;
+      bytes += snap->at(name).gauge;
+    }
+    return bytes;
+  };
+  int64_t before = total();
+  client::SmartClient client(&cluster_, "default");
+  int64_t written = 0;
+  for (int i = 0; i < 40; ++i) {
+    std::string key = "gauge" + std::to_string(i);
+    std::string value = "{\"pad\":\"" + std::string(10 * i, 'p') + "\"}";
+    ASSERT_TRUE(client.Upsert(key, value).ok());
+    written += static_cast<int64_t>(key.size() + value.size());
+  }
+  cluster_.Quiesce();
+  EXPECT_EQ(total() - before, 2 * written);
+  auto snap = cluster_.node(0)->Stats("dcp");
+  ASSERT_TRUE(snap.ok());
+  std::string text = ToPrometheusText(*snap);
+  EXPECT_NE(text.find("couchkv_node_0_bucket_default_dcp_changelog_bytes "),
+            std::string::npos);
+  EXPECT_NE(text.find("couchkv_node_0_bucket_default_dcp_backlog "),
+            std::string::npos);
 }
 
 TEST_F(StatsClusterTest, CrashedNodeRefusesStats) {
