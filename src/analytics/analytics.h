@@ -11,6 +11,11 @@
 // (`JOIN b ON a.x = b.y`, forbidden in N1QL per §3.2.4) execute as hash
 // joins. Analytics queries never touch the data service: reads are served
 // entirely from the shadow dataset.
+//
+// The service supplies only the rows — a full dataset scan, or lookups for
+// USE KEYS and ON KEYS — and the general joins. Every other SELECT stage is
+// the one the N1QL query service runs (n1ql/exec_util.h), so a query both
+// services accept gives the same rows, or the same error, on each.
 #ifndef COUCHKV_ANALYTICS_ANALYTICS_H_
 #define COUCHKV_ANALYTICS_ANALYTICS_H_
 
@@ -18,6 +23,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +51,9 @@ class ShadowDataset {
   void ForEach(const std::function<void(const std::string&,
                                         const json::Value&)>& fn) const;
 
+  // The document `id`, or nullopt when the dataset does not hold it.
+  std::optional<json::Value> Get(const std::string& id) const;
+
   uint64_t processed_seqno(uint16_t vb) const {
     return processed_[vb].load(std::memory_order_acquire);
   }
@@ -56,8 +65,8 @@ class ShadowDataset {
     mutable SharedMutex mu{"analytics.dataset"};
     std::map<std::string, json::Value> docs GUARDED_BY(mu);
   };
-  Shard& ShardFor(const std::string& key) {
-    return shards_[std::hash<std::string>{}(key) % kShards];
+  static size_t ShardOf(const std::string& key) {
+    return std::hash<std::string>{}(key) % kShards;
   }
 
   std::array<Shard, kShards> shards_;

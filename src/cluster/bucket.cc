@@ -431,15 +431,4 @@ void Bucket::UpdateScrapeGauges() {
       ->Set(static_cast<int64_t>(non_resident));
 }
 
-BucketStats Bucket::stats() const {
-  BucketStats s;
-  s.ops_get = op_inst_.ops_get->Value();
-  s.ops_set = op_inst_.ops_mutate->Value();
-  s.disk_queue_depth = disk_queue_depth();
-  s.mem_used = mem_used();
-  s.total_commits = storage_counters_.commits->Value();
-  s.total_compactions = storage_counters_.compactions->Value();
-  return s;
-}
-
 }  // namespace couchkv::cluster

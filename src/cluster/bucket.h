@@ -28,17 +28,6 @@
 
 namespace couchkv::cluster {
 
-// Thin view over the bucket's registry scope (single source of truth: the
-// monitoring path and this accessor read the same counters).
-struct BucketStats {
-  uint64_t ops_set = 0;  // all mutations: set/add/replace/remove/touch
-  uint64_t ops_get = 0;
-  uint64_t disk_queue_depth = 0;
-  uint64_t total_commits = 0;
-  uint64_t total_compactions = 0;
-  uint64_t mem_used = 0;
-};
-
 class Bucket {
  public:
   Bucket(BucketConfig config, NodeId node_id, storage::Env* env, Clock* clock,
@@ -99,7 +88,6 @@ class Bucket {
   uint64_t EnforceQuota();
 
   uint64_t mem_used() const;
-  BucketStats stats() const;
 
   // Refreshes the scope's point-in-time gauges (mem used, queue depth, DCP
   // backlog, fragmentation). Called by the STATS scrape path before Collect.

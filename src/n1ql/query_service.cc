@@ -1,7 +1,6 @@
 #include "n1ql/query_service.h"
 
 #include <algorithm>
-#include <set>
 #include <thread>
 
 #include "common/clock.h"
@@ -11,15 +10,7 @@
 
 namespace couchkv::n1ql {
 
-namespace {
 using json::Value;
-
-StatusOr<size_t> EvalCount(const ExprPtr& e, const QueryOptions& opts,
-                           size_t fallback) {
-  return EvalCountExpr(e, opts.params, fallback);
-}
-
-}  // namespace
 
 QueryService::QueryService(cluster::Cluster* cluster,
                            std::shared_ptr<gsi::IndexService> gsi,
@@ -46,17 +37,6 @@ client::SmartClient* QueryService::ClientFor(const std::string& bucket) {
              .first;
   }
   return it->second.get();
-}
-
-EvalContext QueryService::MakeContext(const ExecRow& row,
-                                      const std::string& default_alias,
-                                      const QueryOptions& opts) const {
-  EvalContext ctx;
-  ctx.row = &row.row;
-  ctx.default_alias = default_alias;
-  ctx.params = &opts.params;
-  ctx.aggregates = &row.aggregates;
-  return ctx;
 }
 
 StatusOr<QueryResult> QueryService::Execute(const std::string& query,
@@ -121,7 +101,7 @@ StatusOr<QueryResult> QueryService::Execute(const std::string& query,
 // SELECT
 // ---------------------------------------------------------------------------
 
-StatusOr<std::vector<QueryService::ExecRow>> QueryService::FetchRows(
+StatusOr<std::vector<ExecRow>> QueryService::FetchRows(
     const std::string& bucket, const std::string& alias,
     const std::vector<std::string>& ids, QueryMetrics* metrics) {
   // Fetch is parallelized across the pool (paper §4.5.3: "The execution of
@@ -171,7 +151,7 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::FetchRows(
   return rows;
 }
 
-StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
+StatusOr<std::vector<ExecRow>> QueryService::RunScan(
     const SelectStatement& stmt, const QueryPlan& plan,
     const QueryOptions& opts, QueryMetrics* metrics) {
   if (plan.scan.kind == ScanKind::kNoScan) {
@@ -181,21 +161,9 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
   const FromTerm& from = *stmt.from;
 
   if (plan.scan.kind == ScanKind::kKeyScan) {
-    EvalContext ctx;
-    ctx.params = &opts.params;
-    auto keys = Eval(*plan.scan.use_keys, ctx);
-    if (!keys.ok()) return keys.status();
-    std::vector<std::string> ids;
-    if (keys->is_string()) {
-      ids.push_back(keys->AsString());
-    } else if (keys->is_array()) {
-      for (const Value& k : keys->AsArray()) {
-        if (k.is_string()) ids.push_back(k.AsString());
-      }
-    } else {
-      return Status::InvalidArgument("USE KEYS expects a string or array");
-    }
-    return FetchRows(from.keyspace, from.alias, ids, metrics);
+    auto ids = EvalUseKeys(*plan.scan.use_keys, opts.params);
+    if (!ids.ok()) return ids.status();
+    return FetchRows(from.keyspace, from.alias, *ids, metrics);
   }
 
   // Index-backed scans. Push LIMIT+OFFSET into the index scan only when the
@@ -204,11 +172,11 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
   if (plan.scan.where_consumed && stmt.joins.empty() &&
       stmt.order_by.empty() && stmt.group_by.empty() &&
       !plan.has_aggregates && !stmt.distinct) {
-    auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
+    auto limit = EvalCountExpr(stmt.limit, opts.params, SIZE_MAX);
     if (!limit.ok()) return limit.status();
-    auto offset = EvalCount(stmt.offset, opts, 0);
+    auto offset = EvalCountExpr(stmt.offset, opts.params, 0);
     if (!offset.ok()) return offset.status();
-    if (*limit != SIZE_MAX) scan_limit = *limit + *offset;
+    scan_limit = *limit > SIZE_MAX - *offset ? SIZE_MAX : *limit + *offset;
   }
 
   auto entries = gsi_->Scan(from.keyspace, plan.scan.index_name,
@@ -247,121 +215,6 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
   return FetchRows(from.keyspace, from.alias, ids, metrics);
 }
 
-Status QueryService::RunJoins(const SelectStatement& stmt,
-                              const QueryOptions& opts,
-                              std::vector<ExecRow>* rows,
-                              QueryMetrics* metrics) {
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
-  for (const JoinClause& jc : stmt.joins) {
-    std::vector<ExecRow> next;
-    for (ExecRow& row : *rows) {
-      EvalContext ctx = MakeContext(row, default_alias, opts);
-      if (jc.kind == JoinClause::Kind::kUnnest) {
-        // UNNEST: repeat the parent for each element of the nested array
-        // (paper §3.2.3 / §4.5.3).
-        auto arr = Eval(*jc.unnest_expr, ctx);
-        if (!arr.ok()) return arr.status();
-        if (!arr->is_array()) continue;  // inner unnest drops the row
-        for (const Value& elem : arr->AsArray()) {
-          ExecRow out = row;
-          out.row.bindings[jc.alias] = BoundDoc{elem, "", 0};
-          next.push_back(std::move(out));
-        }
-        continue;
-      }
-      // JOIN / NEST: evaluate ON KEYS to find the inner document ids, then
-      // KeyScan the inner keyspace (the nested-loop join of §4.5.3).
-      auto keys = Eval(*jc.on_keys, ctx);
-      if (!keys.ok()) return keys.status();
-      std::vector<std::string> ids;
-      if (keys->is_string()) {
-        ids.push_back(keys->AsString());
-      } else if (keys->is_array()) {
-        for (const Value& k : keys->AsArray()) {
-          if (k.is_string()) ids.push_back(k.AsString());
-        }
-      }
-      auto inner = FetchRows(jc.keyspace, jc.alias, ids, metrics);
-      if (!inner.ok()) return inner.status();
-      if (jc.kind == JoinClause::Kind::kNest) {
-        // NEST: one output row; inner docs collected into an array
-        // (paper §3.2.3: "its right-hand input is collected into an array").
-        if (inner->empty() && jc.join_kind == JoinKind::kInner) continue;
-        Value::Array collected;
-        for (ExecRow& in : *inner) {
-          collected.push_back(in.row.bindings[jc.alias].value);
-        }
-        ExecRow out = std::move(row);
-        out.row.bindings[jc.alias] =
-            BoundDoc{Value::MakeArray(std::move(collected)), "", 0};
-        next.push_back(std::move(out));
-      } else {
-        if (inner->empty()) {
-          if (jc.join_kind == JoinKind::kLeftOuter) {
-            next.push_back(std::move(row));  // alias left unbound (MISSING)
-          }
-          continue;
-        }
-        for (ExecRow& in : *inner) {
-          ExecRow out = row;
-          out.row.bindings[jc.alias] = std::move(in.row.bindings[jc.alias]);
-          next.push_back(std::move(out));
-        }
-      }
-    }
-    *rows = std::move(next);
-  }
-  return Status::OK();
-}
-
-Status QueryService::RunGroup(const SelectStatement& stmt,
-                              const QueryPlan& plan, const QueryOptions& opts,
-                              std::vector<ExecRow>* rows) {
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
-  // Partition rows into groups keyed by the GROUP BY values (one global
-  // group when there is no GROUP BY but aggregates are present).
-  std::map<std::string, std::vector<Row>> groups;
-  std::map<std::string, ExecRow> representatives;
-  for (ExecRow& row : *rows) {
-    std::string key;
-    EvalContext ctx = MakeContext(row, default_alias, opts);
-    for (const ExprPtr& g : stmt.group_by) {
-      auto v = Eval(*g, ctx);
-      if (!v.ok()) return v.status();
-      key += v->ToJson();
-      key += '\x1f';
-    }
-    groups[key].push_back(row.row);
-    representatives.emplace(key, row);
-  }
-  if (groups.empty() && stmt.group_by.empty()) {
-    // Aggregates over an empty input still produce one row (COUNT(*) = 0).
-    groups[""] = {};
-    representatives.emplace("", ExecRow{});
-  }
-  std::vector<ExecRow> out;
-  out.reserve(groups.size());
-  for (auto& [key, members] : groups) {
-    ExecRow result = representatives.at(key);
-    for (const ExprPtr& agg : plan.aggregate_exprs) {
-      auto v = ComputeAggregate(*agg, members, default_alias, opts.params);
-      if (!v.ok()) return v.status();
-      result.aggregates[agg->ToString()] = std::move(v).value();
-    }
-    out.push_back(std::move(result));
-  }
-  *rows = std::move(out);
-  return Status::OK();
-}
-
-StatusOr<Value> QueryService::ProjectRow(const SelectStatement& stmt,
-                                         const ExecRow& row,
-                                         const QueryOptions& opts,
-                                         const std::string& default_alias) {
-  EvalContext ctx = MakeContext(row, default_alias, opts);
-  return ProjectSelectItems(stmt.items, ctx);
-}
-
 StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
                                                const QueryOptions& opts,
                                                bool explain) {
@@ -389,101 +242,28 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
     return result;
   }
 
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
-
   // Scan (+ implicit fetch).
-  auto rows_or = RunScan(stmt, plan, opts, &result.metrics);
-  if (!rows_or.ok()) return rows_or.status();
-  std::vector<ExecRow> rows = std::move(rows_or).value();
+  auto rows = RunScan(stmt, plan, opts, &result.metrics);
+  if (!rows.ok()) return rows.status();
 
-  // Joins / NEST / UNNEST.
-  COUCHKV_RETURN_IF_ERROR(RunJoins(stmt, opts, &rows, &result.metrics));
-
-  // Filter.
-  if (stmt.where != nullptr) {
-    std::vector<ExecRow> kept;
-    kept.reserve(rows.size());
-    for (ExecRow& row : rows) {
-      EvalContext ctx = MakeContext(row, default_alias, opts);
-      auto cond = EvalCondition(*stmt.where, ctx);
-      if (!cond.ok()) return cond.status();
-      if (*cond) kept.push_back(std::move(row));
-    }
-    rows = std::move(kept);
+  // Joins / NEST / UNNEST. ON KEYS fetches the inner documents through the
+  // data service: the nested-loop key join of §4.5.3.
+  const std::string default_alias = stmt.from ? stmt.from->alias : "";
+  auto fetch = [&](const std::string& keyspace, const std::string& alias,
+                   const std::vector<std::string>& ids) {
+    return FetchRows(keyspace, alias, ids, &result.metrics);
+  };
+  for (const JoinClause& jc : stmt.joins) {
+    COUCHKV_RETURN_IF_ERROR(
+        jc.kind == JoinClause::Kind::kUnnest
+            ? Unnest(jc, default_alias, opts.params, &*rows)
+            : KeyJoin(jc, default_alias, opts.params, &*rows, fetch));
   }
 
-  // Group / aggregate.
-  if (plan.has_aggregates || !stmt.group_by.empty()) {
-    COUCHKV_RETURN_IF_ERROR(RunGroup(stmt, plan, opts, &rows));
-    if (stmt.having != nullptr) {
-      std::vector<ExecRow> kept;
-      for (ExecRow& row : rows) {
-        EvalContext ctx = MakeContext(row, default_alias, opts);
-        auto cond = EvalCondition(*stmt.having, ctx);
-        if (!cond.ok()) return cond.status();
-        if (*cond) kept.push_back(std::move(row));
-      }
-      rows = std::move(kept);
-    }
-  }
-
-  // Sort.
-  if (!stmt.order_by.empty()) {
-    struct Keyed {
-      std::vector<Value> keys;
-      size_t index;
-    };
-    std::vector<Keyed> keyed(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      keyed[i].index = i;
-      EvalContext ctx = MakeContext(rows[i], default_alias, opts);
-      for (const OrderKey& k : stmt.order_by) {
-        auto v = Eval(*ResolveOutputAlias(k.expr, stmt.items), ctx);
-        if (!v.ok()) return v.status();
-        keyed[i].keys.push_back(std::move(v).value());
-      }
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const Keyed& a, const Keyed& b) {
-                       for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-                         int c = Value::Compare(a.keys[k], b.keys[k]);
-                         if (c != 0) {
-                           return stmt.order_by[k].descending ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-    std::vector<ExecRow> sorted;
-    sorted.reserve(rows.size());
-    for (const Keyed& k : keyed) sorted.push_back(std::move(rows[k.index]));
-    rows = std::move(sorted);
-  }
-
-  // Offset / limit.
-  auto offset = EvalCount(stmt.offset, opts, 0);
-  if (!offset.ok()) return offset.status();
-  auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
-  if (!limit.ok()) return limit.status();
-  if (*offset > 0) {
-    if (*offset >= rows.size()) {
-      rows.clear();
-    } else {
-      rows.erase(rows.begin(), rows.begin() + static_cast<long>(*offset));
-    }
-  }
-  if (rows.size() > *limit) rows.resize(*limit);
-
-  // Projection (+ DISTINCT on the projected values).
-  std::set<std::string> seen;
-  for (const ExecRow& row : rows) {
-    auto projected = ProjectRow(stmt, row, opts, default_alias);
-    if (!projected.ok()) return projected.status();
-    if (stmt.distinct) {
-      std::string ser = projected->ToJson();
-      if (!seen.insert(ser).second) continue;
-    }
-    result.rows.push_back(std::move(projected).value());
-  }
+  auto out = FinishSelect(stmt, plan.aggregate_exprs, opts.params,
+                          std::move(rows).value());
+  if (!out.ok()) return out.status();
+  result.rows = std::move(out).value();
   return result;
 }
 
@@ -514,7 +294,7 @@ StatusOr<QueryResult> QueryService::ExecInsert(const InsertStatement& stmt,
   return result;
 }
 
-StatusOr<std::vector<QueryService::ExecRow>> QueryService::ResolveDmlTargets(
+StatusOr<std::vector<ExecRow>> QueryService::ResolveDmlTargets(
     const std::string& keyspace, const std::string& alias,
     const ExprPtr& use_keys, const ExprPtr& where, const QueryOptions& opts,
     QueryMetrics* metrics) {
@@ -535,17 +315,8 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::ResolveDmlTargets(
   // DML must see the document body, never a covered projection.
   plan->scan.covering = false;
   auto rows = RunScan(synth, *plan, opts, metrics);
-  if (!rows.ok()) return rows;
-  if (where != nullptr) {
-    std::vector<ExecRow> kept;
-    for (ExecRow& row : *rows) {
-      EvalContext ctx = MakeContext(row, alias, opts);
-      auto cond = EvalCondition(*where, ctx);
-      if (!cond.ok()) return cond.status();
-      if (*cond) kept.push_back(std::move(row));
-    }
-    return kept;
-  }
+  if (!rows.ok() || where == nullptr) return rows;
+  COUCHKV_RETURN_IF_ERROR(FilterRows(*where, alias, opts.params, &*rows));
   return rows;
 }
 
@@ -555,7 +326,7 @@ StatusOr<QueryResult> QueryService::ExecUpdate(const UpdateStatement& stmt,
   auto targets = ResolveDmlTargets(stmt.keyspace, stmt.alias, stmt.use_keys,
                                    stmt.where, opts, &result.metrics);
   if (!targets.ok()) return targets.status();
-  auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
+  auto limit = EvalCountExpr(stmt.limit, opts.params, SIZE_MAX);
   if (!limit.ok()) return limit.status();
   if (targets->size() > *limit) targets->resize(*limit);
 
@@ -563,7 +334,7 @@ StatusOr<QueryResult> QueryService::ExecUpdate(const UpdateStatement& stmt,
   for (ExecRow& row : *targets) {
     BoundDoc& bound = row.row.bindings[stmt.alias];
     Value doc = bound.value;
-    EvalContext ctx = MakeContext(row, stmt.alias, opts);
+    EvalContext ctx = RowContext(row, stmt.alias, opts.params);
     for (const UpdatePair& pair : stmt.set) {
       auto v = Eval(*pair.value, ctx);
       if (!v.ok()) return v.status();
@@ -592,7 +363,7 @@ StatusOr<QueryResult> QueryService::ExecDelete(const DeleteStatement& stmt,
   auto targets = ResolveDmlTargets(stmt.keyspace, stmt.alias, stmt.use_keys,
                                    stmt.where, opts, &result.metrics);
   if (!targets.ok()) return targets.status();
-  auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
+  auto limit = EvalCountExpr(stmt.limit, opts.params, SIZE_MAX);
   if (!limit.ok()) return limit.status();
   if (targets->size() > *limit) targets->resize(*limit);
 

@@ -1,7 +1,10 @@
 // The Query Service (paper §4.3.5, §4.5): parses N1QL, plans against the
-// index catalog, and executes the operator pipeline of Figure 11 — scan →
-// fetch → join/nest/unnest → filter → group → project → sort → limit →
-// final project — with parallel fetch. Also executes DML and index DDL.
+// index catalog, and executes the operator pipeline of Figure 11. It owns the
+// access paths — the planner, RunScan (covered, index and key scans with
+// LIMIT pushdown) and the parallel FetchRows — and hands the rows to the
+// SELECT stages it shares with the analytics service (n1ql/exec_util.h):
+// join/nest/unnest → filter → group → sort → limit → project. Also executes
+// DML and index DDL.
 #ifndef COUCHKV_N1QL_QUERY_SERVICE_H_
 #define COUCHKV_N1QL_QUERY_SERVICE_H_
 
@@ -16,7 +19,7 @@
 #include "common/thread_pool.h"
 #include "gsi/index_service.h"
 #include "n1ql/ast.h"
-#include "n1ql/expr_eval.h"
+#include "n1ql/exec_util.h"
 #include "n1ql/planner.h"
 #include "stats/registry.h"
 #include "views/view_engine.h"
@@ -52,11 +55,6 @@ class QueryService {
                                 const QueryOptions& opts = {});
 
  private:
-  struct ExecRow {
-    Row row;
-    std::map<std::string, json::Value> aggregates;
-  };
-
   client::SmartClient* ClientFor(const std::string& bucket);
 
   StatusOr<QueryResult> ExecSelect(const SelectStatement& stmt,
@@ -81,23 +79,12 @@ class QueryService {
                                            const std::string& alias,
                                            const std::vector<std::string>& ids,
                                            QueryMetrics* metrics);
-  Status RunJoins(const SelectStatement& stmt, const QueryOptions& opts,
-                  std::vector<ExecRow>* rows, QueryMetrics* metrics);
-  Status RunGroup(const SelectStatement& stmt, const QueryPlan& plan,
-                  const QueryOptions& opts, std::vector<ExecRow>* rows);
-  StatusOr<json::Value> ProjectRow(const SelectStatement& stmt,
-                                   const ExecRow& row,
-                                   const QueryOptions& opts,
-                                   const std::string& default_alias);
 
   // Resolves the target documents for UPDATE/DELETE.
   StatusOr<std::vector<ExecRow>> ResolveDmlTargets(
       const std::string& keyspace, const std::string& alias,
       const ExprPtr& use_keys, const ExprPtr& where, const QueryOptions& opts,
       QueryMetrics* metrics);
-
-  EvalContext MakeContext(const ExecRow& row, const std::string& default_alias,
-                          const QueryOptions& opts) const;
 
   cluster::Cluster* cluster_;
   std::shared_ptr<gsi::IndexService> gsi_;

@@ -1,7 +1,10 @@
 // Tests for the analytics service (paper §6.2): shadow-dataset ingestion,
 // full scans without indexes, general hash joins (forbidden in N1QL),
-// grouping/aggregation, performance isolation, topology changes.
+// grouping/aggregation, performance isolation, topology changes, and parity
+// with the N1QL query service, whose SELECT stages it shares.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "analytics/analytics.h"
 #include "client/smart_client.h"
@@ -51,9 +54,49 @@ class AnalyticsTest : public ::testing::Test {
     ASSERT_TRUE(service_->WaitCaughtUp("customers").ok());
   }
 
+  // Starts a N1QL query service with a primary index on both buckets.
+  void StartQueryService() {
+    auto gsi = std::make_shared<gsi::IndexService>(&cluster_);
+    auto views = std::make_shared<views::ViewEngine>(&cluster_);
+    n1ql_ = std::make_unique<n1ql::QueryService>(&cluster_, gsi, views);
+    ASSERT_TRUE(n1ql_->Execute("CREATE PRIMARY INDEX ON orders").ok());
+    ASSERT_TRUE(n1ql_->Execute("CREATE PRIMARY INDEX ON customers").ok());
+  }
+
+  // Result rows as JSON text, sorted unless `ordered`.
+  static std::vector<std::string> Texts(const std::vector<Value>& rows,
+                                        bool ordered) {
+    std::vector<std::string> out;
+    for (const Value& row : rows) out.push_back(row.ToJson());
+    if (!ordered) std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  // Runs `query` on the N1QL query service (request_plus).
+  StatusOr<std::vector<std::string>> RunN1ql(const std::string& query,
+                                             const std::vector<Value>& params,
+                                             bool ordered) {
+    n1ql::QueryOptions opts;
+    opts.params = params;
+    opts.consistency = gsi::ScanConsistency::kRequestPlus;
+    auto r = n1ql_->Execute(query, opts);
+    if (!r.ok()) return r.status();
+    return Texts(r->rows, ordered);
+  }
+
+  // Runs `query` on the analytics service.
+  StatusOr<std::vector<std::string>> RunAnalytics(
+      const std::string& query, const std::vector<Value>& params,
+      bool ordered) {
+    auto r = service_->Query(query, params);
+    if (!r.ok()) return r.status();
+    return Texts(r->rows, ordered);
+  }
+
   cluster::Cluster cluster_;
   std::shared_ptr<AnalyticsService> service_;
   std::unique_ptr<client::SmartClient> orders_, customers_;
+  std::unique_ptr<n1ql::QueryService> n1ql_;
 };
 
 TEST_F(AnalyticsTest, IngestsExistingAndNewData) {
@@ -206,6 +249,113 @@ TEST_F(AnalyticsTest, UnnestAndParams) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 2u);
   EXPECT_EQ(r->rows[0].Field("sku").AsString(), "a");
+}
+
+// One table of queries through both services: the same SELECT stages must
+// give the same rows (sorted when the query fixes no order) and the same
+// errors.
+TEST_F(AnalyticsTest, MatchesQueryService) {
+  LoadSampleData();
+  ASSERT_TRUE(orders_->Upsert(
+      "o5", R"({"cust":"c3","total":40,"region":"west",)"
+            R"("items":[{"sku":"a","qty":2},{"sku":"b","qty":1}]})").ok());
+  Connect();
+  StartQueryService();
+
+  struct Case {
+    const char* name;
+    const char* query;
+    std::vector<Value> params;
+    bool ordered;  // ORDER BY, or USE KEYS (rows in listed order)
+    int rows;      // expected row count; -1 when both must fail alike
+  };
+  const std::vector<Case> cases = {
+      {"order_by_output_alias_desc",
+       "SELECT META(o).id AS oid, o.total AS t FROM orders o ORDER BY t DESC",
+       {}, true, 5},
+      {"group_by_having_aggregates",
+       "SELECT o.region, COUNT(*) AS n, SUM(o.total) AS s, AVG(o.total) AS a, "
+       "MIN(o.total) AS lo, MAX(o.total) AS hi FROM orders o "
+       "GROUP BY o.region HAVING COUNT(*) >= 3",
+       {}, false, 1},
+      {"count_star_over_empty_input",
+       "SELECT COUNT(*) AS n FROM orders o WHERE o.total > 10000", {}, false,
+       1},
+      {"offset_limit_params",
+       "SELECT META(o).id AS oid FROM orders o ORDER BY oid LIMIT $2 OFFSET $1",
+       {Value::Int(1), Value::Int(2)}, true, 2},
+      {"distinct", "SELECT DISTINCT o.region FROM orders o", {}, false, 2},
+      {"on_keys_join",
+       "SELECT META(o).id AS oid, c.name FROM orders o "
+       "JOIN customers c ON KEYS o.cust",
+       {}, false, 4},
+      {"on_keys_left_join",
+       "SELECT META(o).id AS oid, c.name FROM orders o "
+       "LEFT JOIN customers c ON KEYS o.cust",
+       {}, false, 5},
+      {"on_keys_nest",
+       "SELECT META(o).id AS oid, cs FROM orders o "
+       "NEST customers cs ON KEYS [o.cust, \"c2\"]",
+       {}, false, 5},
+      {"unnest",
+       "SELECT META(o).id AS oid, i.sku, i.qty FROM orders o "
+       "UNNEST o.items AS i",
+       {}, false, 2},
+      {"use_keys_duplicate_key",
+       "SELECT META(o).id AS oid, o.total FROM orders o "
+       "USE KEYS [\"o3\", \"o1\", \"o1\", \"nope\"]",
+       {}, true, 3},
+      {"use_keys_not_string_or_array",
+       "SELECT META(o).id AS oid FROM orders o USE KEYS 5", {}, true, -1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto want = RunN1ql(c.query, c.params, c.ordered);
+    auto got = RunAnalytics(c.query, c.params, c.ordered);
+    if (c.rows < 0) {
+      ASSERT_FALSE(want.ok());
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(want->size(), static_cast<size_t>(c.rows));
+    EXPECT_EQ(*got, *want);
+  }
+}
+
+// LIMIT/OFFSET counts past 2^64 saturate on both services: a huge LIMIT
+// returns every row and a huge OFFSET none.
+TEST_F(AnalyticsTest, HugeLimitAndOffsetSaturate) {
+  LoadSampleData();
+  Connect();
+  StartQueryService();
+  const Value huge = Value::Number(1e30);
+  struct Case {
+    const char* query;
+    std::vector<Value> params;
+    size_t rows;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT META(o).id AS oid FROM orders o LIMIT 1e30", {}, 4},
+      {"SELECT META(o).id AS oid FROM orders o OFFSET 1e30", {}, 0},
+      {"SELECT META(o).id AS oid FROM orders o LIMIT 3 OFFSET 1e30", {}, 0},
+      {"SELECT o.total FROM orders o ORDER BY o.total LIMIT $1", {huge}, 4},
+      {"SELECT META(o).id AS id FROM orders o WHERE META(o).id >= $1 "
+       "LIMIT $2",
+       {Value::Str("o2"), huge}, 3},
+      {"SELECT META(o).id AS oid FROM orders o OFFSET $1", {huge}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    auto want = RunN1ql(c.query, c.params, false);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->size(), c.rows);
+    auto got = RunAnalytics(c.query, c.params, false);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->size(), c.rows);
+  }
 }
 
 }  // namespace
