@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "cluster/vbucket_map.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "dcp/dcp.h"
 #include "json/value.h"
@@ -24,6 +25,21 @@ void BM_Crc32KeyToVBucket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Crc32KeyToVBucket);
+
+// Raw CRC32C throughput: a key-sized input, a typical doc record, and a
+// large value.
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(23)->Arg(1100)->Arg(8192);
 
 void BM_JsonParse(benchmark::State& state) {
   std::string doc =

@@ -170,8 +170,12 @@ class Parser {
           jc.join_kind = JoinKind::kInner;
         } else if (AcceptKeyword("LEFT")) {
           AcceptKeyword("OUTER");
-          PARSE_CHECK(ExpectKeyword("JOIN"));
-          jc.kind = JoinClause::Kind::kJoin;
+          if (AcceptKeyword("NEST")) {
+            jc.kind = JoinClause::Kind::kNest;
+          } else {
+            PARSE_CHECK(ExpectKeyword("JOIN"));
+            jc.kind = JoinClause::Kind::kJoin;
+          }
           jc.join_kind = JoinKind::kLeftOuter;
         } else if (AcceptKeyword("JOIN")) {
           jc.kind = JoinClause::Kind::kJoin;

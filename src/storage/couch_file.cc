@@ -1,5 +1,7 @@
 #include "storage/couch_file.h"
 
+#include <cstring>
+
 #include "common/clock.h"
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -13,15 +15,47 @@ constexpr uint8_t kRecordDoc = 1;
 constexpr uint8_t kRecordCommit = 2;
 constexpr size_t kHeaderSize = 1 + 4 + 4;  // type + payload_len + crc
 
-void EncodeDocPayload(const kv::Document& doc, std::string* out) {
-  PutLengthPrefixed(out, doc.key);
-  PutU64(out, doc.meta.cas);
-  PutU64(out, doc.meta.revno);
-  PutU64(out, doc.meta.seqno);
-  PutU32(out, doc.meta.flags);
-  PutU32(out, doc.meta.expiry);
-  PutU8(out, doc.meta.deleted ? 1 : 0);
-  PutLengthPrefixed(out, doc.value);
+// Every record is framed as [type u8][payload_len u32][crc32c(payload) u32]
+// [payload]. BuildRecord encodes one record into one buffer: it reserves the
+// exact size, writes the header with the length and CRC left blank, lets
+// `encode_payload` append the payload straight after it, then checksums the
+// payload in place and patches the length and CRC into the header. The bytes
+// do not depend on where the record lands in the file.
+template <typename EncodePayload>
+std::string BuildRecord(uint8_t type, size_t payload_len,
+                        EncodePayload&& encode_payload) {
+  std::string record;
+  record.reserve(kHeaderSize + payload_len);
+  PutU8(&record, type);
+  record.append(kHeaderSize - 1, '\0');
+  encode_payload(&record);
+  const auto len = static_cast<uint32_t>(record.size() - kHeaderSize);
+  const uint32_t crc = Crc32(std::string_view(record).substr(kHeaderSize));
+  std::memcpy(record.data() + 1, &len, sizeof(len));
+  std::memcpy(record.data() + 5, &crc, sizeof(crc));
+  return record;
+}
+
+std::string DocRecord(const kv::Document& doc) {
+  const size_t payload_len = 4 + doc.key.size() + 3 * 8 + 4 + 4 + 1 + 4 +
+                             doc.value.size();
+  return BuildRecord(kRecordDoc, payload_len, [&](std::string* out) {
+    PutLengthPrefixed(out, doc.key);
+    PutU64(out, doc.meta.cas);
+    PutU64(out, doc.meta.revno);
+    PutU64(out, doc.meta.seqno);
+    PutU32(out, doc.meta.flags);
+    PutU32(out, doc.meta.expiry);
+    PutU8(out, doc.meta.deleted ? 1 : 0);
+    PutLengthPrefixed(out, doc.value);
+  });
+}
+
+std::string CommitRecord(uint64_t high_seqno, uint64_t live_bytes) {
+  return BuildRecord(kRecordCommit, 2 * 8, [&](std::string* out) {
+    PutU64(out, high_seqno);
+    PutU64(out, live_bytes);
+  });
 }
 
 bool DecodeDocPayload(std::string_view payload, kv::Document* doc) {
@@ -39,13 +73,6 @@ bool DecodeDocPayload(std::string_view payload, kv::Document* doc) {
   if (!dec.GetLengthPrefixed(&value)) return false;
   doc->value = std::move(value);
   return true;
-}
-
-void FrameRecord(uint8_t type, std::string_view payload, std::string* out) {
-  PutU8(out, type);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
-  out->append(payload);
 }
 
 }  // namespace
@@ -162,10 +189,7 @@ void CouchFile::IndexDoc(const std::string& key, const IndexEntry& e) {
 
 Status CouchFile::AppendDoc(const kv::Document& doc, uint64_t* offset,
                             uint32_t* size) {
-  std::string payload;
-  EncodeDocPayload(doc, &payload);
-  std::string record;
-  FrameRecord(kRecordDoc, payload, &record);
+  const std::string record = DocRecord(doc);
   auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   *offset = off_or.value();
@@ -210,11 +234,7 @@ Status CouchFile::SaveDocs(const std::vector<kv::Document>& docs) {
 Status CouchFile::Commit() {
   LockGuard lock(mu_);
   uint64_t start_ns = Clock::Real()->NowNanos();
-  std::string payload;
-  PutU64(&payload, high_seqno_);
-  PutU64(&payload, live_bytes_);
-  std::string record;
-  FrameRecord(kRecordCommit, payload, &record);
+  const std::string record = CommitRecord(high_seqno_, live_bytes_);
   auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   COUCHKV_RETURN_IF_ERROR(file_->Sync());
@@ -228,11 +248,10 @@ Status CouchFile::Commit() {
   return Status::OK();
 }
 
-StatusOr<kv::Document> CouchFile::ReadDocAt(const File& file, uint64_t offset,
-                                            uint32_t size) {
-  std::string record;
-  COUCHKV_RETURN_IF_ERROR(file.Read(offset, size, &record));
-  Decoder dec(record);
+Status CouchFile::ReadRecordAt(const File& file, uint64_t offset,
+                               uint32_t size, std::string* record) {
+  COUCHKV_RETURN_IF_ERROR(file.Read(offset, size, record));
+  Decoder dec(*record);
   uint8_t type;
   uint32_t payload_len, crc;
   if (!dec.GetU8(&type) || !dec.GetU32(&payload_len) || !dec.GetU32(&crc) ||
@@ -240,13 +259,19 @@ StatusOr<kv::Document> CouchFile::ReadDocAt(const File& file, uint64_t offset,
     return Status::Corruption("bad doc record at offset " +
                               std::to_string(offset));
   }
-  std::string_view payload(record.data() + kHeaderSize, payload_len);
-  if (Crc32(payload) != crc) {
+  if (Crc32(std::string_view(*record).substr(kHeaderSize)) != crc) {
     return Status::Corruption("doc checksum mismatch at offset " +
                               std::to_string(offset));
   }
+  return Status::OK();
+}
+
+StatusOr<kv::Document> CouchFile::ReadDocAt(const File& file, uint64_t offset,
+                                            uint32_t size) {
+  std::string record;
+  COUCHKV_RETURN_IF_ERROR(ReadRecordAt(file, offset, size, &record));
   kv::Document doc;
-  if (!DecodeDocPayload(payload, &doc)) {
+  if (!DecodeDocPayload(std::string_view(record).substr(kHeaderSize), &doc)) {
     return Status::Corruption("undecodable doc at offset " +
                               std::to_string(offset));
   }
@@ -346,32 +371,25 @@ Status CouchFile::CompactLocked(uint64_t purge_before_seqno,
   std::map<uint64_t, std::string> new_by_seqno;
   uint64_t new_live = 0;
 
+  std::string record;
   for (const auto& [key, e] : by_id_) {
     // Tombstones older than the purge seqno are dropped for good.
     if (e.deleted && e.seqno < purge_before_seqno) continue;
-    auto doc_or = ReadDocAt(*file_, e.offset, e.record_size);
-    if (!doc_or.ok()) return doc_or.status();
-    std::string payload;
-    EncodeDocPayload(doc_or.value(), &payload);
-    std::string record;
-    FrameRecord(kRecordDoc, payload, &record);
+    // The record is position-independent: once its CRC checks out, its
+    // bytes are exactly what re-encoding the doc would produce.
+    COUCHKV_RETURN_IF_ERROR(ReadRecordAt(*file_, e.offset, e.record_size,
+                                         &record));
     auto off_or = tmp->Append(record);
     if (!off_or.ok()) return off_or.status();
     IndexEntry ne = e;
     ne.offset = off_or.value();
-    ne.record_size = static_cast<uint32_t>(record.size());
     new_by_id[key] = ne;
     new_by_seqno[ne.seqno] = key;
     if (!ne.deleted) new_live += ne.record_size;
   }
 
   // Commit record in the new file.
-  std::string payload;
-  PutU64(&payload, high_seqno_);
-  PutU64(&payload, new_live);
-  std::string record;
-  FrameRecord(kRecordCommit, payload, &record);
-  auto off_or = tmp->Append(record);
+  auto off_or = tmp->Append(CommitRecord(high_seqno_, new_live));
   if (!off_or.ok()) return off_or.status();
   COUCHKV_RETURN_IF_ERROR(tmp->Sync());
 

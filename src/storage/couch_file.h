@@ -130,9 +130,14 @@ class CouchFile {
   // size before the failed append (retried before the next append if that
   // truncate fails too). Only unindexed bytes are ever cut.
   StatusOr<uint64_t> AppendRecord(const std::string& record) REQUIRES(mu_);
-  // Reads and decodes one doc record from `file` — which must be a pin
-  // obtained from file_ under mu_ (or a compaction temp file), so the read
-  // itself can run lock-free against the immutable pinned contents.
+  // Reads one doc record's bytes (header included) from `file` into
+  // `record` and verifies its header and CRC; Corruption if either is bad.
+  // `file` must be a pin obtained from file_ under mu_ (or file_ itself with
+  // mu_ held), so the read can run lock-free against the immutable pinned
+  // contents.
+  static Status ReadRecordAt(const File& file, uint64_t offset, uint32_t size,
+                             std::string* record);
+  // ReadRecordAt, then decodes the verified record into a document.
   static StatusOr<kv::Document> ReadDocAt(const File& file, uint64_t offset,
                                           uint32_t size);
   void IndexDoc(const std::string& key, const IndexEntry& e) REQUIRES(mu_);

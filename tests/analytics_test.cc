@@ -262,6 +262,9 @@ TEST_F(AnalyticsTest, MatchesQueryService) {
   Connect();
   StartQueryService();
 
+  const char* kLeftOuterNestO4 =
+      "SELECT META(o).id AS oid, cs FROM orders o "
+      "LEFT OUTER NEST customers cs ON KEYS o.cust WHERE META(o).id = \"o4\"";
   struct Case {
     const char* name;
     const char* query;
@@ -297,6 +300,18 @@ TEST_F(AnalyticsTest, MatchesQueryService) {
        "SELECT META(o).id AS oid, cs FROM orders o "
        "NEST customers cs ON KEYS [o.cust, \"c2\"]",
        {}, false, 5},
+      // o4's customer c9 does not exist: NEST drops the row, LEFT [OUTER]
+      // NEST keeps it with an empty array.
+      {"on_keys_nest_drops_unmatched",
+       "SELECT META(o).id AS oid, cs FROM orders o "
+       "NEST customers cs ON KEYS o.cust",
+       {}, false, 4},
+      {"on_keys_left_nest",
+       "SELECT META(o).id AS oid, cs FROM orders o "
+       "LEFT NEST customers cs ON KEYS o.cust",
+       {}, false, 5},
+      {"on_keys_left_outer_nest_keeps_unmatched", kLeftOuterNestO4, {}, true,
+       1},
       {"unnest",
        "SELECT META(o).id AS oid, i.sku, i.qty FROM orders o "
        "UNNEST o.items AS i",
@@ -322,6 +337,11 @@ TEST_F(AnalyticsTest, MatchesQueryService) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(want->size(), static_cast<size_t>(c.rows));
     EXPECT_EQ(*got, *want);
+  }
+  for (const auto& rows : {RunN1ql(kLeftOuterNestO4, {}, true),
+                           RunAnalytics(kLeftOuterNestO4, {}, true)}) {
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(*rows, std::vector<std::string>{R"({"cs":[],"oid":"o4"})"});
   }
 }
 

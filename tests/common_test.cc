@@ -2,6 +2,7 @@
 // histogram, thread pool.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <vector>
 
@@ -67,6 +68,57 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   uint32_t part = Crc32(data.substr(0, 7));
   part = Crc32(data.substr(7), part);
   EXPECT_EQ(whole, part);
+}
+
+// Bit-at-a-time CRC32C straight from the polynomial: the reference the
+// table-driven implementation must match exactly.
+uint32_t BitwiseCrc32c(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng());
+  return out;
+}
+
+// Every length 0..1100 at every start offset mod 8 (so each tail length and
+// alignment of the 8-byte steps is covered), with zero and non-zero seeds.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 1100;
+  const std::vector<uint8_t> buf = RandomBytes(kMaxLen + 8, 20);
+  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* p = buf.data() + offset;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        ASSERT_EQ(Crc32(p, len, seed), BitwiseCrc32c(p, len, seed))
+            << "len=" << len << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// The incremental form: splitting the input anywhere and chaining the first
+// part's CRC in as the seed gives the one-shot CRC.
+TEST(Crc32Test, IncrementalMatchesAtEverySplit) {
+  constexpr size_t kLen = 1100;
+  const std::vector<uint8_t> buf = RandomBytes(kLen, 21);
+  for (uint32_t seed : {0u, 0x12345678u}) {
+    const uint32_t whole = BitwiseCrc32c(buf.data(), kLen, seed);
+    for (size_t split = 0; split <= kLen; ++split) {
+      const uint32_t head = Crc32(buf.data(), split, seed);
+      ASSERT_EQ(Crc32(buf.data() + split, kLen - split, head), whole)
+          << "split=" << split << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Crc32Test, DifferentKeysSpreadOverVBuckets) {

@@ -118,6 +118,33 @@ TEST(ParserTest, PaperJoinExample) {
   EXPECT_EQ(stmt.select.joins[0].alias, "C");
 }
 
+// LEFT [OUTER] NEST keeps the left row when no inner doc is found; both
+// spellings parse to an outer NEST, and a bare LEFT still needs JOIN or NEST.
+TEST(ParserTest, LeftNestIsOuterNest) {
+  for (const char* query :
+       {"SELECT o, cs FROM orders o LEFT NEST customers cs ON KEYS o.cust",
+        "SELECT o, cs FROM orders o LEFT OUTER NEST customers AS cs "
+        "ON KEYS o.cust"}) {
+    SCOPED_TRACE(query);
+    auto stmt = ParseStatement(query);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    ASSERT_EQ(stmt->select.joins.size(), 1u);
+    const JoinClause& nest = stmt->select.joins[0];
+    EXPECT_EQ(nest.kind, JoinClause::Kind::kNest);
+    EXPECT_EQ(nest.join_kind, JoinKind::kLeftOuter);
+    EXPECT_EQ(nest.keyspace, "customers");
+    EXPECT_EQ(nest.alias, "cs");
+    ASSERT_NE(nest.on_keys, nullptr);
+  }
+  EXPECT_EQ(ParseStatement("SELECT o FROM orders o NEST customers cs "
+                           "ON KEYS o.cust")
+                ->select.joins[0]
+                .join_kind,
+            JoinKind::kInner);
+  EXPECT_FALSE(ParseStatement("SELECT o FROM orders o LEFT UNNEST o.items i")
+                   .ok());
+}
+
 TEST(ParserTest, OrderLimitOffset) {
   auto stmt = ParseStatement(
                   "SELECT title FROM catalog.details "

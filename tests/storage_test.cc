@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/couch_file.h"
@@ -12,6 +13,8 @@
 
 namespace couchkv::storage {
 namespace {
+
+using namespace std::string_view_literals;
 
 kv::Document MakeDoc(const std::string& key, const std::string& value,
                      uint64_t seqno, bool deleted = false) {
@@ -209,6 +212,170 @@ TEST_P(CouchFileTest, LargeValuesRoundTrip) {
   ASSERT_TRUE(cf->SaveDocs({MakeDoc("big", huge, 1)}).ok());
   ASSERT_TRUE(cf->Commit().ok());
   EXPECT_EQ(cf->Get("big")->value, huge);
+}
+
+// The on-disk record format, byte for byte: a doc record, a tombstone and
+// commit records as existing files hold them. A change here means files
+// already on disk no longer recover.
+constexpr std::string_view kGoldenDoc =
+    "\x01\x37\x00\x00\x00\x95\x3d\x6d\x4a\x07\x00\x00"
+    "\x00\x75\x73\x65\x72\x3a\x3a\x31\x88\x77\x66\x55"
+    "\x44\x33\x22\x11\x03\x00\x00\x00\x00\x00\x00\x00"
+    "\x2a\x00\x00\x00\x00\x00\x00\x00\xef\xbe\xad\xde"
+    "\x07\x00\x00\x00\x00\x07\x00\x00\x00\x7b\x22\x61"
+    "\x22\x3a\x31\x7d"sv;
+constexpr std::string_view kGoldenTombstone =
+    "\x01\x2d\x00\x00\x00\xed\x28\x5f\x9e\x04\x00\x00"
+    "\x00\x67\x6f\x6e\x65\x09\x00\x00\x00\x00\x00\x00"
+    "\x00\x02\x00\x00\x00\x00\x00\x00\x00\x2b\x00\x00"
+    "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x01\x00\x00\x00\x00"sv;
+// Commit record: high seqno 43, live bytes 118 (both records above).
+constexpr std::string_view kGoldenCommit =
+    "\x02\x10\x00\x00\x00\x7c\x5b\x32\xd4\x2b\x00\x00"
+    "\x00\x00\x00\x00\x00\x76\x00\x00\x00\x00\x00\x00"
+    "\x00"sv;
+// Commit record written by Compact(44): high seqno 43, live bytes 64 (the
+// tombstone is purged).
+constexpr std::string_view kGoldenCompactedCommit =
+    "\x02\x10\x00\x00\x00\x72\x4f\x21\xee\x2b\x00\x00"
+    "\x00\x00\x00\x00\x00\x40\x00\x00\x00\x00\x00\x00"
+    "\x00"sv;
+
+kv::Document GoldenDoc() {
+  kv::Document d;
+  d.key = "user::1";
+  d.value = std::string(R"({"a":1})");
+  d.meta.cas = 0x1122334455667788ull;
+  d.meta.revno = 3;
+  d.meta.seqno = 42;
+  d.meta.flags = 0xDEADBEEF;
+  d.meta.expiry = 7;
+  return d;
+}
+
+kv::Document GoldenTombstone() {
+  kv::Document t;
+  t.key = "gone";
+  t.meta.cas = 9;
+  t.meta.revno = 2;
+  t.meta.seqno = 43;
+  t.meta.deleted = true;
+  return t;
+}
+
+std::string ReadWholeFile(Env* env, const std::string& path) {
+  auto f = env->Open(path).value();
+  std::string all;
+  EXPECT_TRUE(f->Read(0, f->Size(), &all).ok());
+  return all;
+}
+
+// Replaces the file's contents through a second handle (same size, so the
+// open CouchFile's handle keeps a valid size).
+void OverwriteFile(Env* env, const std::string& path,
+                   const std::string& contents) {
+  auto f = env->Open(path).value();
+  ASSERT_TRUE(f->Truncate(0).ok());
+  ASSERT_TRUE(f->Append(contents).ok());
+}
+
+TEST_P(CouchFileTest, RecordBytesMatchGolden) {
+  auto cf = CouchFile::Open(env_, path_).value();
+  ASSERT_TRUE(cf->SaveDocs({GoldenDoc(), GoldenTombstone()}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+  EXPECT_EQ(ReadWholeFile(env_, path_),
+            std::string(kGoldenDoc) + std::string(kGoldenTombstone) +
+                std::string(kGoldenCommit));
+
+  ASSERT_TRUE(cf->Compact(/*purge_before_seqno=*/44).ok());
+  EXPECT_EQ(ReadWholeFile(env_, path_),
+            std::string(kGoldenDoc) + std::string(kGoldenCompactedCommit));
+}
+
+TEST_P(CouchFileTest, GoldenFileRecovers) {
+  {
+    auto f = env_->Open(path_).value();
+    ASSERT_TRUE(f->Append(std::string(kGoldenDoc) +
+                          std::string(kGoldenTombstone) +
+                          std::string(kGoldenCommit))
+                    .ok());
+  }
+  auto cf = CouchFile::Open(env_, path_).value();
+  EXPECT_EQ(cf->high_seqno(), 43u);
+  EXPECT_TRUE(cf->Get("gone").status().IsNotFound());
+  auto doc = cf->Get("user::1");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const kv::Document want = GoldenDoc();
+  EXPECT_EQ(doc->value, want.value.view());
+  EXPECT_EQ(doc->meta.cas, want.meta.cas);
+  EXPECT_EQ(doc->meta.revno, want.meta.revno);
+  EXPECT_EQ(doc->meta.seqno, want.meta.seqno);
+  EXPECT_EQ(doc->meta.flags, want.meta.flags);
+  EXPECT_EQ(doc->meta.expiry, want.meta.expiry);
+  EXPECT_FALSE(doc->meta.deleted);
+}
+
+// Compaction copies each verified live record unchanged: the same docs come
+// back, and the new file is exactly the live records plus one commit record.
+TEST_P(CouchFileTest, CompactionKeepsDocsAndRecordSizes) {
+  auto cf = CouchFile::Open(env_, path_).value();
+  for (uint64_t i = 1; i <= 40; ++i) {
+    std::string key = "k" + std::to_string(i % 13);
+    ASSERT_TRUE(cf->SaveDocs({MakeDoc(key, std::string(i * 7, 'v'), i,
+                                      /*deleted=*/i % 11 == 0)})
+                    .ok());
+  }
+  ASSERT_TRUE(cf->Commit().ok());
+  auto snapshot = [&] {
+    std::vector<std::string> docs;
+    EXPECT_TRUE(cf->ChangesSince(0, [&](const kv::Document& d) {
+                    docs.push_back(d.key + "|" + std::string(d.value.view()) +
+                                   "|" + std::to_string(d.meta.seqno) + "|" +
+                                   std::to_string(d.meta.cas) + "|" +
+                                   (d.meta.deleted ? "del" : "live"));
+                    return Status::OK();
+                  }).ok());
+    return docs;
+  };
+  const std::vector<std::string> before = snapshot();
+  const CouchFileStats stats_before = cf->stats();
+  ASSERT_TRUE(cf->Compact().ok());
+  EXPECT_EQ(snapshot(), before);
+  const CouchFileStats stats_after = cf->stats();
+  EXPECT_EQ(stats_after.num_live_docs, stats_before.num_live_docs);
+  EXPECT_EQ(stats_after.num_tombstones, stats_before.num_tombstones);
+  // Before compaction live_bytes sums the size of every indexed record,
+  // tombstones included; the compacted file holds exactly those records
+  // plus one commit record (9-byte header + 16-byte payload).
+  EXPECT_EQ(stats_after.file_size, stats_before.live_bytes + 25);
+}
+
+// A live record whose CRC no longer matches fails compaction with
+// Corruption; the original file and index stay in place and readable.
+TEST_P(CouchFileTest, CompactionOfCorruptRecordFailsAndKeepsOriginal) {
+  auto cf = CouchFile::Open(env_, path_).value();
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "alpha-value", 1),
+                            MakeDoc("b", "bravo-value", 2),
+                            MakeDoc("c", "charlie-value", 3)})
+                  .ok());
+  ASSERT_TRUE(cf->Commit().ok());
+  std::string contents = ReadWholeFile(env_, path_);
+  const size_t at = contents.find("bravo-value");
+  ASSERT_NE(at, std::string::npos);
+  contents[at] = 'B';
+  OverwriteFile(env_, path_, contents);
+  const uint64_t size_before = cf->stats().file_size;
+
+  Status st = cf->Compact();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_FALSE(env_->Exists(path_ + ".compact"));
+  EXPECT_EQ(cf->stats().file_size, size_before);
+  EXPECT_EQ(cf->stats().num_compactions, 0u);
+  EXPECT_EQ(ReadWholeFile(env_, path_), contents);
+  EXPECT_EQ(cf->Get("a")->value, "alpha-value");
+  EXPECT_EQ(cf->Get("c")->value, "charlie-value");
+  EXPECT_TRUE(cf->Get("b").status().IsCorruption());
 }
 
 TEST(EnvTest, MemEnvRename) {
