@@ -326,7 +326,8 @@ StatusOr<AnalyticsResult> AnalyticsService::Query(
 
   std::vector<ExprPtr> aggregates;
   n1ql::CollectAggregates(stmt, &aggregates);
-  auto out = n1ql::FinishSelect(stmt, aggregates, params, std::move(rows));
+  auto out = n1ql::FinishSelect(stmt, stmt.where, aggregates, params,
+                                std::move(rows));
   if (!out.ok()) return out.status();
   result.rows = std::move(out).value();
   result.elapsed_ns = Clock::Real()->NowNanos() - start;

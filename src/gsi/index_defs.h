@@ -60,7 +60,9 @@ struct KeyVersion {
 };
 
 // One scan result row. For covering scans the secondary key values ride
-// along so the query service need not fetch the document.
+// along so the query service need not fetch the document. A primary
+// index's key is the id itself, so its entries leave `key` MISSING and
+// order by `doc_id` alone.
 struct IndexEntry {
   json::Value key;
   std::string doc_id;

@@ -155,9 +155,17 @@ dcp::MutationFn IndexService::Projector(std::shared_ptr<IndexState> state,
     kv.vbucket = m.vbucket;
     kv.seqno = m.doc.meta.seqno;
     if (!m.doc.meta.deleted) {
-      auto parsed = json::Parse(m.doc.value);
-      if (parsed.ok()) {
-        kv.keys = ProjectKeys(def, m.doc.key, &parsed.value());
+      if (def.is_primary && !def.where_fn) {
+        // The key is the id, so the body is only checked, never built: a
+        // value Parse rejects stays out of every index alike.
+        if (json::Validate(m.doc.value).ok()) {
+          kv.keys.push_back(json::Value::Str(m.doc.key));
+        }
+      } else {
+        auto parsed = json::Parse(m.doc.value);
+        if (parsed.ok()) {
+          kv.keys = ProjectKeys(def, m.doc.key, &parsed.value());
+        }
       }
     }
     projected->Add(kv.keys.size());
@@ -207,7 +215,8 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
   // order. Each partition scan is one round trip on the query-service ->
   // index-node link, retried a few times under transient faults. Every
   // partition returns its entries in (key, doc_id) order, so gathering is a
-  // merge of sorted runs, not a sort; a one-partition index merges nothing.
+  // merge of sorted runs, not a sort; the first run (all of a one-partition
+  // index) is taken as it is.
   auto entry_less = [](const IndexEntry& a, const IndexEntry& b) {
     int c = json::Value::Compare(a.key, b.key);
     if (c != 0) return c < 0;
@@ -231,6 +240,10 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
       std::this_thread::yield();
     }
     if (!st.ok()) return st;  // partition unreachable: the scan fails whole
+    if (i == 0) {
+      merged = std::move(part);  // already sorted and within the limit
+      continue;
+    }
     auto run = static_cast<std::ptrdiff_t>(merged.size());
     merged.insert(merged.end(), std::make_move_iterator(part.begin()),
                   std::make_move_iterator(part.end()));

@@ -55,7 +55,8 @@ class IndexService {
 
   // --- Scans ---
   // Range scan with the requested consistency. The result merges all
-  // partitions in key order (scatter/gather for partitioned GSI).
+  // partitions in key order (scatter/gather for partitioned GSI); a
+  // primary index's entries carry ids only (see IndexEntry).
   StatusOr<std::vector<IndexEntry>> Scan(const std::string& bucket,
                                          const std::string& name,
                                          const ScanRange& range, size_t limit,

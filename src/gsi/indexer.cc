@@ -1,5 +1,8 @@
 #include "gsi/indexer.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/crc32.h"
 #include "common/logging.h"
 
@@ -75,6 +78,7 @@ std::vector<IndexEntry> IndexPartition::Scan(const ScanRange& range,
                                              size_t limit) const {
   ReaderLockGuard lock(mu_);
   std::vector<IndexEntry> out;
+  if (limit != SIZE_MAX) out.reserve(std::min(limit, tree_.size()));
   auto it = tree_.begin();
   if (range.lo.has_value()) {
     it = tree_.lower_bound(TreeKey{*range.lo, ""});
@@ -90,7 +94,11 @@ std::vector<IndexEntry> IndexPartition::Scan(const ScanRange& range,
       int c = json::Value::Compare(it->first.key, *range.hi);
       if (c > 0 || (c == 0 && !range.hi_inclusive)) break;
     }
-    out.push_back(IndexEntry{it->first.key, it->first.doc_id});
+    if (def_.is_primary) {
+      out.push_back(IndexEntry{json::Value(), it->first.doc_id});
+    } else {
+      out.push_back(IndexEntry{it->first.key, it->first.doc_id});
+    }
   }
   return out;
 }

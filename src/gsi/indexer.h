@@ -52,7 +52,8 @@ class IndexPartition {
   // delete to another when the partition key changes, §4.3.4).
   void Apply(const KeyVersion& kv);
 
-  // Ordered range scan over this partition.
+  // Ordered range scan over this partition, at most `limit` entries. On a
+  // primary index an entry carries the id alone (see IndexEntry).
   std::vector<IndexEntry> Scan(const ScanRange& range, size_t limit) const;
 
   uint64_t processed_seqno(uint16_t vb) const {

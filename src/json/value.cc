@@ -339,13 +339,14 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  StatusOr<Value> Run() {
+  // Parses the whole text into `*out`; with `out` null it only checks the
+  // text, building no Value (every Parse* below treats a null `out` so).
+  Status Run(Value* out) {
     SkipWs();
-    Value v;
-    COUCHKV_PARSE(ParseValue(&v));
+    COUCHKV_PARSE(ParseValue(out));
     SkipWs();
     if (pos_ != text_.size()) return Err("trailing characters");
-    return v;
+    return Status::OK();
   }
 
  private:
@@ -391,25 +392,25 @@ class Parser {
       case '[': return ParseArray(out);
       case '"': {
         std::string s;
-        COUCHKV_PARSE(ParseString(&s));
-        *out = Value::Str(std::move(s));
+        COUCHKV_PARSE(ParseString(out != nullptr ? &s : nullptr));
+        if (out != nullptr) *out = Value::Str(std::move(s));
         return Status::OK();
       }
       case 't':
         if (ConsumeWord("true")) {
-          *out = Value::Bool(true);
+          if (out != nullptr) *out = Value::Bool(true);
           return Status::OK();
         }
         return Err("bad literal");
       case 'f':
         if (ConsumeWord("false")) {
-          *out = Value::Bool(false);
+          if (out != nullptr) *out = Value::Bool(false);
           return Status::OK();
         }
         return Err("bad literal");
       case 'n':
         if (ConsumeWord("null")) {
-          *out = Value::Null();
+          if (out != nullptr) *out = Value::Null();
           return Status::OK();
         }
         return Err("bad literal");
@@ -425,25 +426,25 @@ class Parser {
     SkipWs();
     if (Consume('}')) {
       --depth_;
-      *out = Value::MakeObject(std::move(obj));
+      if (out != nullptr) *out = Value::MakeObject(std::move(obj));
       return Status::OK();
     }
     for (;;) {
       SkipWs();
       std::string key;
-      COUCHKV_PARSE(ParseString(&key));
+      COUCHKV_PARSE(ParseString(out != nullptr ? &key : nullptr));
       SkipWs();
       if (!Consume(':')) return Err("expected ':'");
       Value v;
-      COUCHKV_PARSE(ParseValue(&v));
-      obj[std::move(key)] = std::move(v);
+      COUCHKV_PARSE(ParseValue(out != nullptr ? &v : nullptr));
+      if (out != nullptr) obj[std::move(key)] = std::move(v);
       SkipWs();
       if (Consume(',')) continue;
       if (Consume('}')) break;
       return Err("expected ',' or '}'");
     }
     --depth_;
-    *out = Value::MakeObject(std::move(obj));
+    if (out != nullptr) *out = Value::MakeObject(std::move(obj));
     return Status::OK();
   }
 
@@ -454,44 +455,44 @@ class Parser {
     SkipWs();
     if (Consume(']')) {
       --depth_;
-      *out = Value::MakeArray(std::move(arr));
+      if (out != nullptr) *out = Value::MakeArray(std::move(arr));
       return Status::OK();
     }
     for (;;) {
       Value v;
-      COUCHKV_PARSE(ParseValue(&v));
-      arr.push_back(std::move(v));
+      COUCHKV_PARSE(ParseValue(out != nullptr ? &v : nullptr));
+      if (out != nullptr) arr.push_back(std::move(v));
       SkipWs();
       if (Consume(',')) continue;
       if (Consume(']')) break;
       return Err("expected ',' or ']'");
     }
     --depth_;
-    *out = Value::MakeArray(std::move(arr));
+    if (out != nullptr) *out = Value::MakeArray(std::move(arr));
     return Status::OK();
   }
 
   Status ParseString(std::string* out) {
     if (!Consume('"')) return Err("expected string");
-    out->clear();
+    if (out != nullptr) out->clear();
     while (pos_ < text_.size()) {
       char c = text_[pos_++];
       if (c == '"') return Status::OK();
       if (c != '\\') {
-        out->push_back(c);
+        if (out != nullptr) out->push_back(c);
         continue;
       }
       if (pos_ >= text_.size()) return Err("bad escape");
       char e = text_[pos_++];
       switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
+        case '"': c = '"'; break;
+        case '\\': c = '\\'; break;
+        case '/': c = '/'; break;
+        case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
+        case 't': c = '\t'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return Err("bad \\u escape");
           unsigned cp = 0;
@@ -503,12 +504,13 @@ class Parser {
             else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
             else return Err("bad hex digit");
           }
-          AppendUtf8(cp, out);
-          break;
+          if (out != nullptr) AppendUtf8(cp, out);
+          continue;
         }
         default:
           return Err("bad escape");
       }
+      if (out != nullptr) out->push_back(c);
     }
     return Err("unterminated string");
   }
@@ -540,7 +542,7 @@ class Parser {
     char* end = nullptr;
     double d = std::strtod(num.c_str(), &end);
     if (end != num.c_str() + num.size()) return Err("bad number");
-    *out = Value::Number(d);
+    if (out != nullptr) *out = Value::Number(d);
     return Status::OK();
   }
 
@@ -553,6 +555,12 @@ class Parser {
 
 }  // namespace
 
-StatusOr<Value> Parse(std::string_view text) { return Parser(text).Run(); }
+StatusOr<Value> Parse(std::string_view text) {
+  Value v;
+  COUCHKV_RETURN_IF_ERROR(Parser(text).Run(&v));
+  return v;
+}
+
+Status Validate(std::string_view text) { return Parser(text).Run(nullptr); }
 
 }  // namespace couchkv::json

@@ -146,6 +146,10 @@ class Value {
 // Parses a JSON text into a Value. Accepts standard JSON.
 StatusOr<Value> Parse(std::string_view text);
 
+// Checks `text` with Parse's own grammar but builds no Value: OK exactly
+// when Parse accepts it, and the same error when it does not.
+Status Validate(std::string_view text);
+
 }  // namespace couchkv::json
 
 #endif  // COUCHKV_JSON_VALUE_H_

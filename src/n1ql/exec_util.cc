@@ -326,12 +326,12 @@ void AppendKeyJoin(const JoinClause& jc, ExecRow row,
 }
 
 StatusOr<std::vector<Value>> FinishSelect(
-    const SelectStatement& stmt, const std::vector<ExprPtr>& aggregates,
-    const std::vector<Value>& params, std::vector<ExecRow> rows) {
+    const SelectStatement& stmt, const ExprPtr& where,
+    const std::vector<ExprPtr>& aggregates, const std::vector<Value>& params,
+    std::vector<ExecRow> rows) {
   const std::string default_alias = stmt.from ? stmt.from->alias : "";
-  if (stmt.where != nullptr) {
-    COUCHKV_RETURN_IF_ERROR(
-        FilterRows(*stmt.where, default_alias, params, &rows));
+  if (where != nullptr) {
+    COUCHKV_RETURN_IF_ERROR(FilterRows(*where, default_alias, params, &rows));
   }
   if (!aggregates.empty() || !stmt.group_by.empty()) {
     COUCHKV_RETURN_IF_ERROR(

@@ -93,9 +93,12 @@ Status KeyJoin(const JoinClause& jc, const std::string& default_alias,
 
 // The stages after the scan and joins: WHERE → GROUP BY and `aggregates`
 // (the statement's aggregate calls, see CollectAggregates) → HAVING →
-// ORDER BY → OFFSET/LIMIT → projection + DISTINCT. Returns the result rows.
+// ORDER BY → OFFSET/LIMIT → projection + DISTINCT. `where` is the filter
+// still to evaluate: the statement's WHERE, or what a plan leaves of it
+// (QueryPlan::filter); null for none. Returns the result rows.
 StatusOr<std::vector<json::Value>> FinishSelect(
-    const SelectStatement& stmt, const std::vector<ExprPtr>& aggregates,
+    const SelectStatement& stmt, const ExprPtr& where,
+    const std::vector<ExprPtr>& aggregates,
     const std::vector<json::Value>& params, std::vector<ExecRow> rows);
 
 }  // namespace couchkv::n1ql

@@ -321,7 +321,7 @@ StatusOr<Value> Eval(const Expr& e, const EvalContext& ctx) {
     }
     case ExprKind::kMeta: {
       if (ctx.row == nullptr) return Value::Missing();
-      std::string alias =
+      const std::string& alias =
           e.meta_alias.empty() ? ctx.default_alias : e.meta_alias;
       auto it = ctx.row->bindings.find(alias);
       if (it == ctx.row->bindings.end()) return Value::Missing();

@@ -121,6 +121,39 @@ std::optional<Sarg> MatchSarg(const Expr& e, const std::string& alias,
   return s;
 }
 
+// Narrows `range` by one sargable predicate, keeping the tighter bound on
+// each side; on a tie the exclusive bound wins. The range is then the
+// intersection of every predicate given to it.
+void Narrow(const Sarg& s, gsi::ScanRange* range) {
+  auto lower = [&](bool inclusive) {
+    if (range->lo.has_value()) {
+      int c = json::Value::Compare(s.bound, *range->lo);
+      if (c < 0 || (c == 0 && (inclusive || !range->lo_inclusive))) return;
+    }
+    range->lo = s.bound;
+    range->lo_inclusive = inclusive;
+  };
+  auto upper = [&](bool inclusive) {
+    if (range->hi.has_value()) {
+      int c = json::Value::Compare(s.bound, *range->hi);
+      if (c > 0 || (c == 0 && (inclusive || !range->hi_inclusive))) return;
+    }
+    range->hi = s.bound;
+    range->hi_inclusive = inclusive;
+  };
+  switch (s.op) {
+    case BinaryOp::kEq:
+      lower(true);
+      upper(true);
+      break;
+    case BinaryOp::kGt: lower(false); break;
+    case BinaryOp::kGte: lower(true); break;
+    case BinaryOp::kLt: upper(false); break;
+    case BinaryOp::kLte: upper(true); break;
+    default: break;
+  }
+}
+
 // Collects every path referenced by the statement (relative to the FROM
 // alias); used for covering-index detection. Returns false if something
 // cannot be resolved to a document path (then covering is impossible).
@@ -220,11 +253,11 @@ json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
     }
     ops.Append(std::move(op));
   }
-  if (stmt.where != nullptr) {
-    json::Value filter = json::Value::MakeObject();
-    filter["#operator"] = json::Value::Str("Filter");
-    filter["condition"] = json::Value::Str(stmt.where->ToString());
-    ops.Append(std::move(filter));
+  if (filter != nullptr) {
+    json::Value op = json::Value::MakeObject();
+    op["#operator"] = json::Value::Str("Filter");
+    op["condition"] = json::Value::Str(filter->ToString());
+    ops.Append(std::move(op));
   }
   if (has_aggregates || !stmt.group_by.empty()) {
     json::Value group = json::Value::MakeObject();
@@ -259,6 +292,7 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
                                const std::vector<gsi::IndexDefinition>& indexes,
                                const std::vector<json::Value>& params) {
   QueryPlan plan;
+  plan.filter = stmt.where;
   CollectAggregates(stmt, &plan.aggregate_exprs);
   plan.has_aggregates = !plan.aggregate_exprs.empty();
 
@@ -328,38 +362,17 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     int score = 0;
     for (const auto& s : sargs) {
       if (!s.has_value() || s->is_meta_id || s->path != lead) continue;
-      switch (s->op) {
-        case BinaryOp::kEq:
-          range.lo = s->bound;
-          range.hi = s->bound;
-          range.lo_inclusive = range.hi_inclusive = true;
-          score = std::max(score, 100);
-          break;
-        case BinaryOp::kGt:
-          range.lo = s->bound;
-          range.lo_inclusive = false;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kGte:
-          range.lo = s->bound;
-          range.lo_inclusive = true;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kLt:
-          range.hi = s->bound;
-          range.hi_inclusive = false;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kLte:
-          range.hi = s->bound;
-          range.hi_inclusive = true;
-          score = std::max(score, 50);
-          break;
-        default:
-          break;
-      }
+      Narrow(*s, &range);
+      score = std::max(score, s->op == BinaryOp::kEq ? 100 : 50);
     }
     if (score == 0) continue;
+    // A comparison is never true of a NULL key, and NULL keys sort first:
+    // a range open below starts above them, so a pushed-down LIMIT does
+    // not count index entries the filter then drops.
+    if (!range.lo.has_value()) {
+      range.lo = json::Value::Null();
+      range.lo_inclusive = false;
+    }
     if (!def.where_text.empty()) score += 10;  // partial indexes are smaller
     if (score > best_score) {
       best = &def;
@@ -390,28 +403,7 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
   for (const auto& s : sargs) {
     if (!s.has_value() || !s->is_meta_id) continue;
     has_id_range = true;
-    switch (s->op) {
-      case BinaryOp::kEq:
-        id_range.lo = s->bound;
-        id_range.hi = s->bound;
-        break;
-      case BinaryOp::kGt:
-        id_range.lo = s->bound;
-        id_range.lo_inclusive = false;
-        break;
-      case BinaryOp::kGte:
-        id_range.lo = s->bound;
-        break;
-      case BinaryOp::kLt:
-        id_range.hi = s->bound;
-        id_range.hi_inclusive = false;
-        break;
-      case BinaryOp::kLte:
-        id_range.hi = s->bound;
-        break;
-      default:
-        break;
-    }
+    Narrow(*s, &id_range);
   }
 
   if (best != nullptr) {
@@ -459,11 +451,27 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     // A primary index entry is just META().id: it covers a statement that
     // reads nothing else from the document.
     plan.scan.covering = coverable && referenced.empty();
+    // Every id is a string, so against a string bound the index order is
+    // the comparison itself: such a META().id conjunct holds for every id
+    // the range yields and leaves the filter. Any other conjunct, a NULL,
+    // MISSING or non-string bound included, is still evaluated. A join
+    // could rebind the alias, so a statement with one keeps its WHERE.
     plan.scan.where_consumed = true;
+    std::vector<ExprPtr> residual;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (!sargs[i].has_value() || !sargs[i]->is_meta_id) {
-        plan.scan.where_consumed = false;
-        break;
+      const bool on_id = sargs[i].has_value() && sargs[i]->is_meta_id;
+      if (!on_id) plan.scan.where_consumed = false;
+      if (!on_id || !sargs[i]->bound.is_string() || !stmt.joins.empty()) {
+        residual.push_back(conjuncts[i]);
+      }
+    }
+    if (residual.size() < conjuncts.size()) {
+      plan.filter = nullptr;
+      for (ExprPtr& c : residual) {
+        plan.filter = plan.filter == nullptr
+                          ? std::move(c)
+                          : MakeBinary(BinaryOp::kAnd, plan.filter,
+                                       std::move(c));
       }
     }
     return plan;

@@ -38,6 +38,10 @@ struct ScanChoice {
 
 struct QueryPlan {
   ScanChoice scan;
+  // The WHERE the Filter operator evaluates per row: the statement's WHERE
+  // less the conjuncts the scan range already implies; null when none is
+  // left (EXPLAIN then lists no Filter).
+  ExprPtr filter;
   // True when the statement has aggregates / GROUP BY (executor runs the
   // Group operator).
   bool has_aggregates = false;

@@ -56,12 +56,12 @@ StatusOr<QueryResult> QueryService::Execute(const std::string& query,
 
   queries_->Add();
   trace::Span span("n1ql.query", query_ns_);
-  auto stmt_or = ParseStatement(query);
-  if (!stmt_or.ok()) {
+  auto prepared = Prepare(query);
+  if (!prepared.ok()) {
     query_errors_->Add();
-    return stmt_or.status();
+    return prepared.status();
   }
-  Statement& stmt = *stmt_or;
+  const Statement& stmt = **prepared;
   span.Phase("parse");
 
   uint64_t start = Clock::Real()->NowNanos();
@@ -95,6 +95,30 @@ StatusOr<QueryResult> QueryService::Execute(const std::string& query,
     query_errors_->Add();
   }
   return result;
+}
+
+StatusOr<std::shared_ptr<const Statement>> QueryService::Prepare(
+    const std::string& query) {
+  {
+    LockGuard lock(mu_);
+    auto it = statements_.find(query);
+    if (it != statements_.end()) return it->second;
+  }
+  auto parsed = ParseStatement(query);
+  if (!parsed.ok()) return parsed.status();
+  auto stmt = std::make_shared<const Statement>(std::move(parsed).value());
+  LockGuard lock(mu_);
+  if (statements_.size() >= kStatementCacheEntries &&
+      !statements_.contains(query)) {
+    statements_.erase(statements_.begin());
+  }
+  statements_.emplace(query, stmt);
+  return stmt;
+}
+
+size_t QueryService::cached_statements() const {
+  LockGuard lock(mu_);
+  return statements_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +215,7 @@ StatusOr<std::vector<ExecRow>> QueryService::RunScan(
     // still appears unless the scan is request_plus.
     std::vector<ExecRow> rows;
     rows.reserve(entries->size());
-    for (const gsi::IndexEntry& e : *entries) {
+    for (gsi::IndexEntry& e : *entries) {
       Value doc = Value::MakeObject();
       if (plan.scan.index_key_paths.size() == 1) {
         doc.SetPath(plan.scan.index_key_paths[0], e.key);
@@ -203,7 +227,8 @@ StatusOr<std::vector<ExecRow>> QueryService::RunScan(
         }
       }
       ExecRow row;
-      row.row.bindings[from.alias] = BoundDoc{std::move(doc), e.doc_id, 0};
+      row.row.bindings[from.alias] =
+          BoundDoc{std::move(doc), std::move(e.doc_id), 0};
       rows.push_back(std::move(row));
     }
     return rows;
@@ -260,8 +285,8 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
             : KeyJoin(jc, default_alias, opts.params, &*rows, fetch));
   }
 
-  auto out = FinishSelect(stmt, plan.aggregate_exprs, opts.params,
-                          std::move(rows).value());
+  auto out = FinishSelect(stmt, plan.filter, plan.aggregate_exprs,
+                          opts.params, std::move(rows).value());
   if (!out.ok()) return out.status();
   result.rows = std::move(out).value();
   return result;
@@ -315,8 +340,9 @@ StatusOr<std::vector<ExecRow>> QueryService::ResolveDmlTargets(
   // DML must see the document body, never a covered projection.
   plan->scan.covering = false;
   auto rows = RunScan(synth, *plan, opts, metrics);
-  if (!rows.ok() || where == nullptr) return rows;
-  COUCHKV_RETURN_IF_ERROR(FilterRows(*where, alias, opts.params, &*rows));
+  if (!rows.ok() || plan->filter == nullptr) return rows;
+  COUCHKV_RETURN_IF_ERROR(
+      FilterRows(*plan->filter, alias, opts.params, &*rows));
   return rows;
 }
 

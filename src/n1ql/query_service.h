@@ -1,4 +1,5 @@
-// The Query Service (paper §4.3.5, §4.5): parses N1QL, plans against the
+// The Query Service (paper §4.3.5, §4.5): parses N1QL (once per statement
+// text, kept in a bounded statement cache), plans each call against the
 // index catalog, and executes the operator pipeline of Figure 11. It owns the
 // access paths — the planner, RunScan (covered, index and key scans with
 // LIMIT pushdown) and the parallel FetchRows — and hands the rows to the
@@ -11,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "client/smart_client.h"
@@ -50,11 +52,23 @@ class QueryService {
                std::shared_ptr<gsi::IndexService> gsi,
                std::shared_ptr<views::ViewEngine> views);
 
-  // Parses and executes one N1QL statement.
+  // Parses (or finds already parsed) and executes one N1QL statement.
   StatusOr<QueryResult> Execute(const std::string& query,
                                 const QueryOptions& opts = {});
 
+  // The most statements kept parsed. Past it, caching a new text evicts an
+  // arbitrary entry.
+  static constexpr size_t kStatementCacheEntries = 1024;
+  // How many statements are kept parsed now.
+  size_t cached_statements() const;
+
  private:
+  // The parsed statement for `query`: from the statement cache, or parsed
+  // and cached (only texts that parse are kept). A hit costs one lock and
+  // one map lookup. Plans are not cached: planning runs per call against
+  // the indexes of the moment, so index DDL invalidates nothing.
+  StatusOr<std::shared_ptr<const Statement>> Prepare(const std::string& query);
+
   client::SmartClient* ClientFor(const std::string& bucket);
 
   StatusOr<QueryResult> ExecSelect(const SelectStatement& stmt,
@@ -100,9 +114,13 @@ class QueryService {
   Histogram* query_ns_ = nullptr;
   Histogram* fetch_ns_ = nullptr;
 
-  Mutex mu_{"n1ql.query_service"};
+  mutable Mutex mu_{"n1ql.query_service"};
   std::map<std::string, std::unique_ptr<client::SmartClient>> clients_
       GUARDED_BY(mu_);
+  // The statement cache (see Prepare): text -> immutable parsed statement,
+  // shared with the calls running it.
+  std::unordered_map<std::string, std::shared_ptr<const Statement>>
+      statements_ GUARDED_BY(mu_);
   // Indexes created USING VIEW (paper §3.3.1), tracked for DROP INDEX.
   // "bucket.name" -> view
   std::map<std::string, std::string> view_indexes_ GUARDED_BY(mu_);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "client/smart_client.h"
 #include "gsi/index_service.h"
@@ -200,6 +202,25 @@ TEST(IndexPartitionTest, PartitionKeyChangeMovesEntry) {
   EXPECT_EQ(p1.num_entries(), 1u);  // inserted there
 }
 
+TEST(IndexPartitionTest, PrimaryScanCarriesIdsOnly) {
+  // A primary key is the id itself: entries carry the id alone, in id
+  // order, and the range and limit apply to the ids.
+  IndexDefinition def;
+  def.is_primary = true;
+  IndexPartition p(def, 0, nullptr);
+  uint64_t seqno = 0;
+  for (const char* id : {"k3", "k1", "k4", "k2"}) {
+    p.Apply(KV(id, {Value::Str(id)}, ++seqno));
+  }
+  ScanRange range;
+  range.lo = Value::Str("k2");
+  auto out = p.Scan(range, 2);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].doc_id, "k2");
+  EXPECT_EQ(out[1].doc_id, "k3");
+  EXPECT_TRUE(out[0].key.is_missing());
+}
+
 // --- IndexService end-to-end ---
 
 class IndexServiceTest : public ::testing::Test {
@@ -343,6 +364,61 @@ TEST_F(IndexServiceTest, PartitionedScanMergesGlobalFirstN) {
           << "limit " << limit << " row " << i;
     }
   }
+}
+
+// A partitioned primary index gathers id-only runs: the merge orders them
+// by id and keeps the global first `limit`.
+TEST_F(IndexServiceTest, PartitionedPrimaryScanMergesIds) {
+  IndexDefinition def;
+  def.name = "#primary";
+  def.bucket = "default";
+  def.is_primary = true;
+  def.num_partitions = 3;
+  ASSERT_TRUE(service_->CreateIndex(def).ok());
+  std::vector<std::string> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back("k" + std::to_string(100 + (i * 17) % 40));
+    ASSERT_TRUE(client_->Upsert(ids.back(), "{}").ok());
+  }
+  std::sort(ids.begin(), ids.end());
+  ScanRange range;
+  range.lo = Value::Str("k110");
+  range.lo_inclusive = false;
+  auto entries = service_->Scan("default", "#primary", range, 9,
+                                ScanConsistency::kRequestPlus);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 9u);
+  for (size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ((*entries)[i].doc_id, ids[11 + i]) << i;
+  }
+}
+
+// The projector of a primary index only checks a body, but keeps the rule
+// every index follows: a value JSON parsing rejects is not indexed, and any
+// JSON value (not only an object) is.
+TEST_F(IndexServiceTest, PrimaryIndexSkipsUnparsableValues) {
+  IndexDefinition def;
+  def.name = "#primary";
+  def.bucket = "default";
+  def.is_primary = true;
+  ASSERT_TRUE(service_->CreateIndex(def).ok());
+  ASSERT_TRUE(client_->Upsert("obj", R"({"a":[1,{"b":"c"}]})").ok());
+  ASSERT_TRUE(client_->Upsert("num", "42").ok());
+  ASSERT_TRUE(client_->Upsert("cut", R"({"a":[1,)").ok());
+  ASSERT_TRUE(client_->Upsert("raw", "not json").ok());
+  ASSERT_TRUE(client_->Upsert("tail", R"({"a":1} x)").ok());
+  auto entries = service_->Scan("default", "#primary", ScanRange::All(),
+                                SIZE_MAX, ScanConsistency::kRequestPlus);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  std::vector<std::string> got;
+  for (const IndexEntry& e : *entries) got.push_back(e.doc_id);
+  EXPECT_EQ(got, (std::vector<std::string>{"num", "obj"}));
+  // A value that becomes valid JSON enters the index.
+  ASSERT_TRUE(client_->Upsert("raw", R"("now json")").ok());
+  entries = service_->Scan("default", "#primary", ScanRange::All(), SIZE_MAX,
+                           ScanConsistency::kRequestPlus);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 3u);
 }
 
 TEST_F(IndexServiceTest, MemoryOptimizedWritesNoDisk) {

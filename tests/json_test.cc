@@ -2,6 +2,9 @@
 // path navigation, and the N1QL collation order.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "json/value.h"
 
@@ -62,6 +65,23 @@ TEST(JsonParseTest, Errors) {
   EXPECT_FALSE(Parse("tru").ok());
   EXPECT_FALSE(Parse("1 2").ok());
   EXPECT_FALSE(Parse("\"unterminated").ok());
+}
+
+TEST(JsonParseTest, ValidateAcceptsExactlyWhatParseAccepts) {
+  const std::string deep = std::string(300, '[') + std::string(300, ']');
+  const std::vector<std::string> texts = {
+      "null", "true", "-17", "1e3", R"("a\"b\u0041")", " [1, {\"a\": []}] ",
+      R"({"a":{"b":[1,2,"x"]},"c":null})", "", "{", "[1,]", "{\"a\":}",
+      "tru", "1 2", "\"unterminated", R"("bad\q")", R"("\u12G4")", "1.2.3",
+      R"({"a" 1})", deep};
+  for (const std::string& text : texts) {
+    auto parsed = Parse(text);
+    Status validated = Validate(text);
+    EXPECT_EQ(validated.ok(), parsed.ok()) << text;
+    if (!parsed.ok()) {
+      EXPECT_EQ(validated.ToString(), parsed.status().ToString()) << text;
+    }
+  }
 }
 
 TEST(JsonParseTest, DeepNestingRejected) {

@@ -3,6 +3,9 @@
 // pushdown eligibility — all without a live cluster.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "n1ql/parser.h"
 #include "n1ql/planner.h"
 
@@ -154,6 +157,91 @@ TEST(PlannerTest, MetaIdRangeOnPrimary) {
   EXPECT_TRUE(plan->scan.where_consumed);  // LIMIT pushdown eligible
   // The primary index entry is the id itself: nothing else is read.
   EXPECT_TRUE(plan->scan.covering);
+}
+
+// Two bounds on one side: the range keeps the tighter, whatever the order,
+// and on a tie the exclusive one. LIMIT pushdown relies on it.
+TEST(PlannerTest, SameSideBoundsKeepTheTighter) {
+  auto range_of = [](const std::string& q, bool primary) {
+    auto plan = PlanSelect(
+        Parse(q), {primary ? Index("#primary", {}, true) : Index("i", {"x"})},
+        {});
+    EXPECT_TRUE(plan.ok()) << q;
+    return plan.ok() ? plan->scan.range : gsi::ScanRange{};
+  };
+  for (const char* q : {"SELECT x FROM b WHERE x > 6 AND x > 2",
+                        "SELECT x FROM b WHERE x > 2 AND x > 6",
+                        "SELECT x FROM b WHERE x >= 6 AND x > 6",
+                        "SELECT x FROM b WHERE x > 6 AND x >= 6"}) {
+    gsi::ScanRange r = range_of(q, false);
+    ASSERT_TRUE(r.lo.has_value()) << q;
+    EXPECT_EQ(r.lo->AsInt(), 6) << q;
+    EXPECT_FALSE(r.lo_inclusive) << q;
+  }
+  for (const char* q : {"SELECT x FROM b WHERE x < 20 AND x <= 10",
+                        "SELECT x FROM b WHERE x <= 10 AND x < 20",
+                        "SELECT x FROM b WHERE x < 10 AND x <= 10",
+                        "SELECT x FROM b WHERE x <= 10 AND x < 10"}) {
+    gsi::ScanRange r = range_of(q, false);
+    ASSERT_TRUE(r.hi.has_value()) << q;
+    EXPECT_EQ(r.hi->AsInt(), 10) << q;
+    EXPECT_EQ(r.hi_inclusive, std::string(q).find("x < 10") ==
+                                  std::string::npos) << q;
+  }
+  for (const char* q :
+       {"SELECT META().id FROM b WHERE META().id >= 'k5' AND META().id >= 'k1'",
+        "SELECT META().id FROM b WHERE META().id >= 'k1' AND META().id >= 'k5'"}) {
+    gsi::ScanRange r = range_of(q, true);
+    ASSERT_TRUE(r.lo.has_value()) << q;
+    EXPECT_EQ(r.lo->AsString(), "k5") << q;
+  }
+}
+
+// No comparison holds for a NULL key, and NULL keys sort first: a range
+// open below starts just above NULL.
+TEST(PlannerTest, OpenLowerBoundStartsAboveNull) {
+  auto plan = PlanSelect(Parse("SELECT x FROM b WHERE x < 5"),
+                         {Index("i", {"x"})}, {});
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan->scan.range.lo.has_value());
+  EXPECT_TRUE(plan->scan.range.lo->is_null());
+  EXPECT_FALSE(plan->scan.range.lo_inclusive);
+  EXPECT_EQ(plan->scan.range.hi->AsInt(), 5);
+}
+
+// Only a META().id comparison with a string bound on a primary scan leaves
+// the filter: every id is a string, so the index order is the comparison.
+TEST(PlannerTest, FilterKeepsWhatTheRangeDoesNotImply) {
+  const gsi::IndexDefinition primary = Index("#primary", {}, true);
+  auto filter_of = [&](const std::string& q, std::vector<Value> params,
+                       std::vector<gsi::IndexDefinition> indexes) {
+    auto plan = PlanSelect(Parse(q), indexes, params);
+    EXPECT_TRUE(plan.ok()) << q;
+    return plan.ok() && plan->filter != nullptr ? plan->filter->ToString()
+                                                : std::string("<none>");
+  };
+  EXPECT_EQ(filter_of("SELECT META().id AS id FROM b "
+                      "WHERE META().id >= $1 LIMIT $2",
+                      {Value::Str("k1"), Value::Int(5)}, {primary}),
+            "<none>");
+  EXPECT_EQ(filter_of("SELECT META().id FROM b WHERE META().id >= 'a' "
+                      "AND name = 'x' AND META(b).id < 'm'",
+                      {}, {primary}),
+            ParseExpression("name = 'x'").value()->ToString());
+  // Non-string bounds (NULL, MISSING, numbers) are still evaluated.
+  for (Value bound : {Value::Null(), Value::Missing(), Value::Int(5)}) {
+    EXPECT_NE(filter_of("SELECT META().id FROM b WHERE META().id >= $1",
+                        {bound}, {primary}),
+              "<none>")
+        << bound.ToJson();
+  }
+  // A secondary range keeps its WHERE; so does a statement with a join.
+  EXPECT_NE(filter_of("SELECT x FROM b WHERE x > 5", {}, {Index("i", {"x"})}),
+            "<none>");
+  EXPECT_NE(filter_of("SELECT META(b).id FROM b JOIN c ON KEYS b.k "
+                      "WHERE META(b).id >= 'a'",
+                      {}, {primary}),
+            "<none>");
 }
 
 TEST(PlannerTest, PrimaryScanCoversOnlyMetaIdStatements) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "client/smart_client.h"
 #include "n1ql/query_service.h"
@@ -372,6 +377,186 @@ TEST_F(N1qlTest, CoveredPrimaryScanRequestPlusHidesDeletes) {
   for (const Value& row : r.rows) {
     EXPECT_NE(row.Field("id").AsString(), "profile::3");
   }
+}
+
+// The ids a covered query returned, in order.
+std::vector<std::string> Ids(const QueryResult& r) {
+  std::vector<std::string> ids;
+  for (const Value& row : r.rows) ids.push_back(row.Field("id").AsString());
+  return ids;
+}
+
+// Two lower bounds on META().id: the scan starts at the tighter one in
+// either order, so the pushed-down LIMIT counts only qualifying ids.
+TEST_F(N1qlTest, SameSideIdBoundsKeepTheTighter) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client_->Upsert("k" + std::to_string(i), "{}").ok());
+  }
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  const std::vector<std::string> want = {"k5", "k6", "k7"};
+  EXPECT_EQ(Ids(MustQuery("SELECT meta().id AS id FROM profiles WHERE "
+                          "meta().id >= 'k5' AND meta().id >= 'k1' LIMIT 3")),
+            want);
+  EXPECT_EQ(Ids(MustQuery("SELECT meta().id AS id FROM profiles WHERE "
+                          "meta().id >= 'k1' AND meta().id >= 'k5' LIMIT 3")),
+            want);
+  EXPECT_EQ(Ids(MustQuery("SELECT meta().id AS id FROM profiles WHERE "
+                          "meta().id > 'k4' AND meta().id >= 'k5' LIMIT 3")),
+            want);
+}
+
+TEST_F(N1qlTest, SameSideSecondaryBoundsKeepTheTighter) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("x" + std::to_string(i),
+                             R"({"x":)" + std::to_string(i) + "}")
+                    .ok());
+  }
+  MustQuery("CREATE INDEX by_x ON profiles(x) USING GSI");
+  const std::vector<std::string> want = {"x7", "x8", "x9"};
+  for (const char* where : {"x > 6 AND x > 2", "x > 2 AND x > 6",
+                            "x > 6 AND x >= 6", "x >= 6 AND x > 6"}) {
+    EXPECT_EQ(Ids(MustQuery(std::string("SELECT meta().id AS id, x FROM "
+                                        "profiles WHERE ") +
+                            where + " LIMIT 3")),
+              want)
+        << where;
+  }
+}
+
+// NULL keys sort first in an index but fail every comparison: a range with
+// no lower bound must not spend a pushed-down LIMIT on them.
+TEST_F(N1qlTest, OpenSecondaryRangeSkipsNullKeys) {
+  ASSERT_TRUE(client_->Upsert("n1", R"({"x":null})").ok());
+  ASSERT_TRUE(client_->Upsert("n2", R"({"x":null})").ok());
+  ASSERT_TRUE(client_->Upsert("t", R"({"x":true})").ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("x" + std::to_string(i),
+                             R"({"x":)" + std::to_string(i) + "}")
+                    .ok());
+  }
+  MustQuery("CREATE INDEX by_x ON profiles(x) USING GSI");
+  auto r = MustQuery("SELECT meta().id AS id, x FROM profiles WHERE x < 5 "
+                     "LIMIT 3");
+  EXPECT_EQ(Ids(r), (std::vector<std::string>{"t", "x0", "x1"}));
+}
+
+// The YCSB-E statement: the covered PrimaryScan's range is the whole WHERE,
+// so the pipeline has no Filter.
+TEST_F(N1qlTest, IdRangeImpliedByScanHasNoFilter) {
+  LoadProfiles(20);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  QueryOptions opts;
+  opts.params = {Value::Str("profile::2"), Value::Int(5)};
+  auto ex = MustQuery(
+      "EXPLAIN SELECT meta().id AS id FROM profiles WHERE meta().id >= $1 "
+      "LIMIT $2",
+      opts);
+  std::vector<std::string> ops;
+  for (const Value& op : ex.rows[0].Field("operators").AsArray()) {
+    ops.push_back(op.Field("#operator").AsString());
+  }
+  EXPECT_EQ(ops, (std::vector<std::string>{"PrimaryScan", "InitialProject",
+                                           "Limit", "FinalProject"}));
+  EXPECT_TRUE(ex.rows[0].GetPath("operators[0].covering").AsBool());
+
+  // Another conjunct stays, alone, in the Filter.
+  const std::string q =
+      "SELECT META().id AS id FROM profiles "
+      "WHERE META().id >= 'profile::2' AND city = 'NY'";
+  auto ex2 = MustQuery("EXPLAIN " + q);
+  EXPECT_EQ(ex2.rows[0].GetPath("operators[2].#operator").AsString(),
+            "Filter");
+  EXPECT_EQ(ex2.rows[0].GetPath("operators[2].condition").AsString(),
+            "(city = \"NY\")");
+  // profile::2..9 sort at or after 'profile::2'; the even ones are NY.
+  EXPECT_EQ(Ids(MustQuery(q)),
+            (std::vector<std::string>{"profile::2", "profile::4", "profile::6",
+                                      "profile::8"}));
+}
+
+// Bounds that are not strings stay in the filter: NULL and MISSING match
+// nothing, and every id (a string) sorts after a number.
+TEST_F(N1qlTest, NonStringIdBoundsStillFilter) {
+  LoadProfiles(5);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  const std::string q =
+      "SELECT meta().id AS id FROM profiles WHERE meta().id >= $1 LIMIT 3";
+  QueryOptions opts;
+  opts.params = {Value::Null()};
+  EXPECT_TRUE(MustQuery(q, opts).rows.empty());
+  opts.params = {Value::Missing()};
+  EXPECT_TRUE(MustQuery(q, opts).rows.empty());
+  opts.params = {Value::Int(7)};
+  EXPECT_EQ(Ids(MustQuery(q, opts)),
+            (std::vector<std::string>{"profile::0", "profile::1",
+                                      "profile::2"}));
+}
+
+// Parsed statements are cached by text up to a fixed number of entries;
+// past it, new texts still run (and are cached), and failures are never
+// kept.
+TEST_F(N1qlTest, StatementCacheStaysWithinItsCap) {
+  const size_t cap = QueryService::kStatementCacheEntries;
+  for (size_t i = 0; i < cap + 8; ++i) {
+    auto r = MustQuery("SELECT " + std::to_string(i) + " AS n");
+    ASSERT_EQ(r.rows.size(), 1u);
+    ASSERT_EQ(r.rows[0].Field("n").AsInt(), static_cast<int64_t>(i));
+    ASSERT_LE(service_->cached_statements(), cap);
+  }
+  EXPECT_EQ(service_->cached_statements(), cap);
+  for (size_t i = 0; i < cap + 8; i += 97) {  // evicted or not, they run
+    auto r = MustQuery("SELECT " + std::to_string(i) + " AS n");
+    EXPECT_EQ(r.rows[0].Field("n").AsInt(), static_cast<int64_t>(i));
+  }
+  EXPECT_FALSE(service_->Execute("SELECT FROM WHERE").ok());
+  EXPECT_EQ(service_->cached_statements(), cap);
+}
+
+// Several threads run one cached text while another creates and drops an
+// index on the same bucket: every run returns the exact ids.
+TEST_F(N1qlTest, CachedStatementRunsConcurrentlyWithIndexDdl) {
+  LoadProfiles(30);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  std::vector<std::string> all;
+  for (int i = 0; i < 30; ++i) all.push_back("profile::" + std::to_string(i));
+  std::sort(all.begin(), all.end());
+  const std::string q =
+      "SELECT meta().id AS id FROM profiles WHERE meta().id >= $1 LIMIT $2";
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::thread ddl([&] {
+    for (int i = 0; i < 3 || !stop.load(); ++i) {
+      if (!service_->Execute("CREATE INDEX by_age ON profiles(age)").ok() ||
+          !service_->Execute("DROP INDEX profiles.by_age").ok()) {
+        bad.fetch_add(1);
+      }
+    }
+  });
+  std::vector<std::thread> runners;
+  for (int t = 0; t < 3; ++t) {
+    runners.emplace_back([&, t] {
+      for (int i = 0; i < 60; ++i) {
+        const size_t start = static_cast<size_t>(t * 7 + i) % all.size();
+        const size_t limit = 1 + static_cast<size_t>(i) % 6;
+        QueryOptions opts;
+        opts.params = {Value::Str(all[start]),
+                       Value::Int(static_cast<int64_t>(limit))};
+        opts.consistency = gsi::ScanConsistency::kRequestPlus;
+        auto r = service_->Execute(q, opts);
+        std::vector<std::string> want(
+            all.begin() + static_cast<std::ptrdiff_t>(start),
+            all.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(all.size(), start + limit)));
+        if (!r.ok() || Ids(*r) != want) bad.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& r : runners) r.join();
+  stop.store(true);
+  ddl.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 // A field read only inside a CASE arm must stop the index from covering:

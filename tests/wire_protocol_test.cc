@@ -473,6 +473,9 @@ TEST_F(WireConformanceTest, ClientRediscoversRestartedListener) {
     ASSERT_TRUE(
         client.Upsert("rk" + std::to_string(i), "v" + std::to_string(i)).ok());
   }
+  // A crash loses what was not yet flushed; the test is about rediscovery,
+  // so the writes are persisted first.
+  cluster_.Quiesce();
 
   ASSERT_TRUE(cluster_.CrashNode(0).ok());
   EXPECT_EQ(cluster_.wire_port(0), 0);  // crashed node has no listener
