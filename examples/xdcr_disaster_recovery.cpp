@@ -7,6 +7,7 @@
 #include "client/smart_client.h"
 #include "cluster/cluster.h"
 #include "examples/example_util.h"
+#include "stats/registry.h"
 #include "xdcr/xdcr.h"
 
 using namespace couchkv;
@@ -90,11 +91,17 @@ int main() {
               east_doc->Field("updated_in").AsString().c_str(),
               west_doc->Field("updated_in").AsString().c_str());
 
-  auto stats = east_to_west->stats();
+  // The link counts into the registry scope named after it, where STAT and
+  // Prometheus read it too.
+  auto link_stats =
+      stats::Registry::Global().GetScope("xdcr.xdcr-east-west");
   std::printf("east->west: sent=%llu filtered=%llu rejected=%llu\n",
-              static_cast<unsigned long long>(stats.docs_sent),
-              static_cast<unsigned long long>(stats.docs_filtered),
-              static_cast<unsigned long long>(stats.docs_rejected));
+              static_cast<unsigned long long>(
+                  link_stats->GetCounter("docs_sent")->Value()),
+              static_cast<unsigned long long>(
+                  link_stats->GetCounter("docs_filtered")->Value()),
+              static_cast<unsigned long long>(
+                  link_stats->GetCounter("docs_rejected")->Value()));
 
   // Disaster: the east datacenter loses two of its three nodes. Standard
   // Couchbase operations: failover (promote replicas), rebalance (rebuild

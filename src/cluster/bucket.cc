@@ -409,7 +409,7 @@ void Bucket::UpdateScrapeGauges() {
   scope_->GetGauge("bucket.disk_queue_depth")
       ->Set(static_cast<int64_t>(disk_queue_depth()));
   scope_->GetGauge("dcp.backlog")
-      ->Set(static_cast<int64_t>(producer_->TotalBacklog()));
+      ->Set(static_cast<int64_t>(producer_->Backlog()));
   // Worst fragmentation across hosted vBucket files, in basis points (the
   // §4.3.3 compaction trigger input).
   double worst_frag = 0.0;

@@ -99,13 +99,7 @@ uint64_t Feed::Backlog() const {
     if (n == nullptr || !n->healthy()) continue;
     std::shared_ptr<Bucket> b = n->bucket(bucket_);
     if (b == nullptr) continue;
-    const dcp::Producer* p = b->producer();
-    for (uint16_t vb = 0; vb < p->num_vbuckets(); ++vb) {
-      uint64_t acked = p->StreamSeqno(name_, vb);
-      if (acked == UINT64_MAX) continue;  // no stream here
-      uint64_t high = p->high_seqno(vb);
-      if (high > acked) backlog += high - acked;
-    }
+    backlog += b->producer()->Backlog(name_);
   }
   return backlog;
 }

@@ -54,7 +54,7 @@ class Feed {
   // NotFound once the feed is closed.
   Status WaitCaughtUp(uint64_t timeout_ms) const;
 
-  // Σ (high seqno − acknowledged seqno) over the streams on healthy nodes.
+  // Producer::Backlog of this feed's streams, summed over healthy nodes.
   uint64_t Backlog() const;
 
   const std::string& bucket() const { return bucket_; }

@@ -26,7 +26,6 @@ HealthMonitor::HealthMonitor(Cluster* cluster, HealthMonitorOptions opts)
   scope_ = stats::Registry::Global().GetScope("health");
   probes_sent_ = scope_->GetCounter("probes_sent");
   probe_failures_ = scope_->GetCounter("probe_failures");
-  failovers_executed_stat_ = scope_->GetCounter("failovers_executed");
   budget_denials_ = scope_->GetCounter("failover_budget_denials");
   probe_rtt_ns_ = scope_->GetHistogram("probe_rtt_ns");
   pairs_suspect_ = scope_->GetGauge("pairs_suspect");
@@ -231,7 +230,6 @@ bool HealthMonitor::RunOrchestration(const std::vector<NodeId>& members) {
       LockGuard lock(mu_);
       ++failovers_;
       ++budget_used_;
-      failovers_executed_stat_->Add();
       return true;
     }
     // Vetoed (would lose data), already failed over by a concurrent actor,

@@ -88,7 +88,8 @@ class HealthMonitor {
   PeerHealth Opinion(NodeId observer, NodeId peer) const;
 
   // Monotonic count of auto-failovers this monitor executed. Not affected
-  // by ResetFailoverBudget().
+  // by ResetFailoverBudget(). The registry counts every auto-failover, by
+  // any monitor, as cluster.failover.auto_total.
   int failovers_executed() const;
   // Re-arms the auto-failover budget (the operator acknowledging the
   // previous failovers, as Couchbase requires before the next one).
@@ -124,7 +125,6 @@ class HealthMonitor {
   std::shared_ptr<stats::Scope> scope_;  // "health"
   stats::Counter* probes_sent_ = nullptr;
   stats::Counter* probe_failures_ = nullptr;
-  stats::Counter* failovers_executed_stat_ = nullptr;
   stats::Counter* budget_denials_ = nullptr;
   Histogram* probe_rtt_ns_ = nullptr;
   stats::Gauge* pairs_suspect_ = nullptr;

@@ -58,7 +58,6 @@ WireService::WireService(Cluster* cluster, NodeId node_id, std::string bucket)
   // registry drops the scope from exposition only at ~Node).
   node_scope_ = stats::Registry::Global().GetScope(
       "node." + std::to_string(node_id_));
-  stat_ops_ = node_scope_->GetCounter("wire.ops");
   h_server_ = node_scope_->GetHistogram("wire.server_ns");
   h_dispatch_ = node_scope_->GetHistogram("wire.dispatch_ns");
   h_engine_ = node_scope_->GetHistogram("wire.engine_ns");
@@ -99,6 +98,8 @@ wire::Message WireService::Handle(const wire::Message& req,
   const uint64_t t_engine_end = clock->NowNanos();
   uint64_t t_replicate_end = t_engine_end;
   uint64_t t_persist_end = t_engine_end;
+  bool waited_replicate = false;
+  bool waited_persist = false;
 
   // Durability: a mutation carrying a durability framed extra blocks here
   // until the requirement holds. The replicate and persist waits run (and
@@ -123,6 +124,7 @@ wire::Message WireService::Handle(const wire::Message& req,
         replicate_only.timeout_ms = timeout_ms;
         st = cluster_->WaitForDurability(bucket_, req.vbucket, seqno,
                                          replicate_only);
+        waited_replicate = true;
       }
       t_replicate_end = clock->NowNanos();
       t_persist_end = t_replicate_end;
@@ -136,6 +138,7 @@ wire::Message WireService::Handle(const wire::Message& req,
         st = cluster_->WaitForDurability(bucket_, req.vbucket, seqno,
                                          persist_only);
         t_persist_end = clock->NowNanos();
+        waited_persist = true;
       }
       // The mutation itself succeeded; a failed durability wait reports the
       // ambiguous outcome (typically Timeout) — the write may exist, its
@@ -155,12 +158,11 @@ wire::Message WireService::Handle(const wire::Message& req,
   // the exact frames it always got.
   if (req.is_flex()) wire::PutServerDurationFrame(&resp.framing, sd);
 
-  stat_ops_->Add();
   h_server_->Record(t_done - t_recv);
   h_dispatch_->Record(t_dispatch_end - t_recv);
   h_engine_->Record(t_engine_end - t_dispatch_end);
-  h_replicate_->Record(t_replicate_end - t_engine_end);
-  h_persist_->Record(t_persist_end - t_replicate_end);
+  if (waited_replicate) h_replicate_->Record(t_replicate_end - t_engine_end);
+  if (waited_persist) h_persist_->Record(t_persist_end - t_replicate_end);
 
   if (rec != nullptr) {
     stats::OpRecord r;

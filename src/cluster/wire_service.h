@@ -76,12 +76,13 @@ class WireService {
   // wire STAT (group "wire") returns them. The shared_ptr pins the scope's
   // storage even if the node object goes away mid-request.
   std::shared_ptr<stats::Scope> node_scope_;
-  stats::Counter* stat_ops_ = nullptr;
-  Histogram* h_server_ = nullptr;     // total server-side nanos
+  Histogram* h_server_ = nullptr;     // total server-side nanos; its count
+                                      // is the node's wire op count
   Histogram* h_dispatch_ = nullptr;   // socket read -> engine call
   Histogram* h_engine_ = nullptr;     // KV engine
-  Histogram* h_replicate_ = nullptr;  // durable ops: replicate-ack wait
-  Histogram* h_persist_ = nullptr;    // durable ops: persistence wait
+  // Recorded only for a mutation that waited on that durability phase.
+  Histogram* h_replicate_ = nullptr;  // replicate-ack wait
+  Histogram* h_persist_ = nullptr;    // persistence wait
 };
 
 }  // namespace couchkv::cluster

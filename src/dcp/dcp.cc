@@ -271,10 +271,11 @@ uint64_t Producer::high_seqno(uint16_t vbucket) const {
   return logs_[vbucket]->high_seqno();
 }
 
-uint64_t Producer::TotalBacklog() const {
+uint64_t Producer::Backlog(std::string_view name) const {
   LockGuard lock(mu_);
   uint64_t backlog = 0;
   for (const auto& [id, s] : streams_) {
+    if (!name.empty() && s->name != name) continue;
     uint64_t high = logs_[s->vbucket]->high_seqno();
     uint64_t acked = s->next_seqno.load(std::memory_order_relaxed) - 1;
     if (high > acked) backlog += high - acked;

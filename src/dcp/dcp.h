@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -148,10 +149,11 @@ class Producer {
   uint64_t high_seqno(uint16_t vbucket) const;
   uint16_t num_vbuckets() const { return num_vbuckets_; }
 
-  // Total undelivered items across all open streams (Σ per-stream
-  // high_seqno − acked). The paper's DCP backlog stat: how far consumers
-  // (replicas, views, GSI, XDCR) trail the data service.
-  uint64_t TotalBacklog() const;
+  // Undelivered items, Σ (high seqno − acked), over the streams named
+  // `name`, or over every open stream when `name` is empty: the paper's DCP
+  // backlog stat, how far consumers (replicas, views, GSI, XDCR) trail the
+  // data service. One pass under the stream-map lock.
+  uint64_t Backlog(std::string_view name = {}) const;
 
  private:
   struct Stream {
@@ -162,7 +164,7 @@ class Producer {
     uint16_t vbucket = 0;
     MutationFn fn;
     // First seqno not yet delivered. Atomic because pumpers advance it under
-    // delivery_mu while StreamSeqno/TotalBacklog read it under the map lock
+    // delivery_mu while StreamSeqno/Backlog read it under the map lock
     // mu_ — two different capabilities, so neither mutex alone orders the
     // accesses.
     std::atomic<uint64_t> next_seqno{1};

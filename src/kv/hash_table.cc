@@ -424,14 +424,6 @@ HashTableStats HashTable::stats() const {
     ++s.num_items;
     if (!sv.resident) ++s.num_non_resident;
   }
-  s.mem_used = mem_used_.load();
-  s.num_hits = c_.hits->Value();
-  s.num_misses = c_.misses->Value();
-  s.num_evictions = c_.evictions->Value();
-  s.num_expired = c_.expirations->Value();
-  s.num_cas_mismatch = c_.cas_mismatches->Value();
-  s.num_lock_conflicts = c_.lock_conflicts->Value();
-  s.num_lock_timeouts = c_.lock_timeouts->Value();
   return s;
 }
 

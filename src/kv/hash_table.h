@@ -59,21 +59,13 @@ struct CacheCounters {
   static CacheCounters In(stats::Scope* scope);
 };
 
-// Statistics exposed for monitoring and tests — a thin view assembled from
-// the registry counters plus a walk of the table (single source of truth;
-// the monitoring path and this accessor can never disagree).
+// What a walk of the table finds. Cache events (hits, misses, evictions,
+// CAS mismatches, ...) are counted only in the registry (CacheCounters) and
+// memory in mem_used(); this holds the facts no counter keeps.
 struct HashTableStats {
   uint64_t num_items = 0;
   uint64_t num_non_resident = 0;
   uint64_t num_tombstones = 0;
-  uint64_t mem_used = 0;
-  uint64_t num_hits = 0;
-  uint64_t num_misses = 0;
-  uint64_t num_evictions = 0;
-  uint64_t num_expired = 0;
-  uint64_t num_cas_mismatch = 0;
-  uint64_t num_lock_conflicts = 0;
-  uint64_t num_lock_timeouts = 0;
 };
 
 // Thread-safe per-vBucket hash table.

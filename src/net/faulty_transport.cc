@@ -158,7 +158,6 @@ Status FaultyTransport::Admit(const Endpoint& src, const Endpoint& dst,
   // Partitions are configuration, not chance: they consume no RNG draw, so
   // blocking and healing a link does not perturb its decision stream.
   if (Blocked(src, dst)) {
-    ++stats_.blocked;
     Record(state, "BLOCKED");
     TransportMetrics::Instance().OnBlocked(src, dst);
     return Status::TempFail("link blocked: " + src.ToString() + "->" +
@@ -167,7 +166,6 @@ Status FaultyTransport::Admit(const Endpoint& src, const Endpoint& dst,
 
   const LinkFaults& faults = FaultsFor(key);
   if (faults.drop > 0.0 && state.rng.NextDouble() < faults.drop) {
-    ++stats_.dropped;
     Record(state, "DROP");
     TransportMetrics::Instance().OnDropped(src, dst);
     return Status::TempFail("message dropped: " + src.ToString() + "->" +
@@ -190,8 +188,6 @@ Status FaultyTransport::Admit(const Endpoint& src, const Endpoint& dst,
     if (slow != slow_nodes_.end()) delay += slow->second;
   }
 
-  ++stats_.delivered;
-  stats_.latency_us_total += delay;
   Record(state, delay == 0 ? "DELIVER"
                            : "DELIVER+" + std::to_string(delay) + "us");
   TransportMetrics::Instance().OnDelivered(src, dst, delay);
@@ -214,11 +210,6 @@ Status FaultyTransport::Reply(const Endpoint& src, const Endpoint& dst) {
   // The reply leg travels the reverse directed link, so a one-way partition
   // dst -> src kills acknowledgements of operations that executed.
   return Request(dst, src);
-}
-
-TransportStats FaultyTransport::stats() const {
-  LockGuard lock(mu_);
-  return stats_;
 }
 
 uint64_t FaultyTransport::ScheduleFingerprint() const {

@@ -39,13 +39,6 @@ struct LinkFaults {
   bool blocked = false;
 };
 
-struct TransportStats {
-  uint64_t delivered = 0;
-  uint64_t dropped = 0;   // lost to the drop probability
-  uint64_t blocked = 0;   // refused by a partition
-  uint64_t latency_us_total = 0;
-};
-
 class FaultyTransport : public Transport {
  public:
   explicit FaultyTransport(uint64_t seed) : seed_(seed) {}
@@ -84,7 +77,10 @@ class FaultyTransport : public Transport {
   Status Reply(const Endpoint& src, const Endpoint& dst) override;
 
   // --- Introspection ---
-  TransportStats stats() const;
+  // Message fates are counted only in the registry's "transport" scope
+  // (delivered, dropped, blocked, injected_latency_us). The two below are
+  // per-instance facts the registry does not hold.
+  //
   // Order-independent combination of per-link decision fingerprints: equal
   // across two runs iff every link saw the identical decision sequence.
   uint64_t ScheduleFingerprint() const;
@@ -126,7 +122,6 @@ class FaultyTransport : public Transport {
   std::set<uint32_t> isolated_nodes_ GUARDED_BY(mu_);
   std::map<uint32_t, uint64_t> slow_nodes_ GUARDED_BY(mu_);
   std::map<LinkKey, std::unique_ptr<LinkState>> links_ GUARDED_BY(mu_);
-  TransportStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace couchkv::net

@@ -38,7 +38,6 @@ TransportMetrics::NodeCounters* TransportMetrics::SlotFor(const Endpoint& src,
   if (slot != nullptr) return slot;
   auto* fresh = new NodeCounters();  // leaked with the process-wide scope
   std::string prefix = "node." + std::to_string(id) + ".";
-  fresh->sent = scope_->GetCounter(prefix + "sent");
   fresh->delivered = scope_->GetCounter(prefix + "delivered");
   fresh->dropped = scope_->GetCounter(prefix + "dropped");
   slots_[id].store(fresh, std::memory_order_release);
@@ -51,7 +50,6 @@ void TransportMetrics::OnDelivered(const Endpoint& src, const Endpoint& dst,
   delivered_->Add();
   if (latency_us > 0) injected_latency_us_->Add(latency_us);
   if (NodeCounters* slot = SlotFor(src, dst)) {
-    slot->sent->Add();
     slot->delivered->Add();
   }
 }
@@ -60,7 +58,6 @@ void TransportMetrics::OnDropped(const Endpoint& src, const Endpoint& dst) {
   sent_->Add();
   dropped_->Add();
   if (NodeCounters* slot = SlotFor(src, dst)) {
-    slot->sent->Add();
     slot->dropped->Add();
   }
 }
@@ -69,7 +66,6 @@ void TransportMetrics::OnBlocked(const Endpoint& src, const Endpoint& dst) {
   sent_->Add();
   blocked_->Add();
   if (NodeCounters* slot = SlotFor(src, dst)) {
-    slot->sent->Add();
     slot->dropped->Add();
   }
 }

@@ -1,8 +1,8 @@
 // Process-wide transport instrumentation, shared by every Transport
 // implementation: totals plus per-node link counters in the registry's
 // global "transport" scope. Node::Stats() serves each node its own slice
-// ("transport.node.<id>.*"), so STATS shows per-link sends and drops the
-// way the paper's monitoring channel shows replication-link health.
+// ("transport.node.<id>.*"), so STATS shows per-link deliveries and drops
+// the way the paper's monitoring channel shows replication-link health.
 #ifndef COUCHKV_NET_TRANSPORT_METRICS_H_
 #define COUCHKV_NET_TRANSPORT_METRICS_H_
 
@@ -31,7 +31,6 @@ class TransportMetrics {
   // Per-node counters, published once via CAS so the hot path is a single
   // acquire load + relaxed adds (no lock after first touch of a node).
   struct NodeCounters {
-    stats::Counter* sent;  // admission attempts touching this node
     stats::Counter* delivered;
     stats::Counter* dropped;  // dropped or blocked
   };

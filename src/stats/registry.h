@@ -129,7 +129,7 @@ class Registry {
 // True when `name` belongs to stats group `group`: the group appears as a
 // leading dot-separated segment sequence somewhere in the name. Examples:
 // MatchesGroup("node.0.bucket.b.kv.ops_get", "kv") and
-// MatchesGroup("transport.node.0.sent", "transport") are both true.
+// MatchesGroup("transport.node.0.delivered", "transport") are both true.
 bool MatchesGroup(std::string_view name, std::string_view group);
 
 // Interval between two scrapes: counters and histograms subtract (clamped at

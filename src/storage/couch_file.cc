@@ -239,7 +239,6 @@ Status CouchFile::Commit() {
   if (!off_or.ok()) return off_or.status();
   COUCHKV_RETURN_IF_ERROR(file_->Sync());
   committed_size_ = file_->Size();
-  ++num_commits_;
   if (counters_.commits != nullptr) {
     counters_.commits->Add();
     counters_.bytes_appended->Add(record.size());
@@ -385,7 +384,7 @@ Status CouchFile::CompactLocked(uint64_t purge_before_seqno,
     ne.offset = off_or.value();
     new_by_id[key] = ne;
     new_by_seqno[ne.seqno] = key;
-    if (!ne.deleted) new_live += ne.record_size;
+    new_live += ne.record_size;  // tombstones count, as IndexDoc counts them
   }
 
   // Commit record in the new file.
@@ -401,7 +400,6 @@ Status CouchFile::CompactLocked(uint64_t purge_before_seqno,
   by_seqno_ = std::move(new_by_seqno);
   live_bytes_ = new_live;
   committed_size_ = file_->Size();
-  ++num_compactions_;
   if (counters_.compactions != nullptr) {
     counters_.compactions->Add();
     uint64_t new_size = file_->Size();
@@ -439,8 +437,6 @@ CouchFileStats CouchFile::stats() const {
       ++s.num_live_docs;
     }
   }
-  s.num_commits = num_commits_;
-  s.num_compactions = num_compactions_;
   return s;
 }
 

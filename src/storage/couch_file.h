@@ -46,11 +46,9 @@ struct StorageCounters {
 
 struct CouchFileStats {
   uint64_t file_size = 0;
-  uint64_t live_bytes = 0;   // bytes occupied by the latest version of docs
+  uint64_t live_bytes = 0;  // latest record of each key, tombstones included
   uint64_t num_live_docs = 0;
   uint64_t num_tombstones = 0;
-  uint64_t num_commits = 0;
-  uint64_t num_compactions = 0;
 };
 
 class CouchFile {
@@ -160,8 +158,6 @@ class CouchFile {
   // append's partial record could not be truncated away.
   std::optional<uint64_t> torn_tail_at_ GUARDED_BY(mu_);
   uint64_t live_bytes_ GUARDED_BY(mu_) = 0;
-  uint64_t num_commits_ GUARDED_BY(mu_) = 0;
-  uint64_t num_compactions_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace couchkv::storage

@@ -29,7 +29,6 @@ Status XdcrLink::Start(const std::string& service_name) {
   docs_filtered_ = stats_scope_->GetCounter("docs_filtered");
   docs_rejected_ = stats_scope_->GetCounter("docs_rejected");
   docs_retried_ = stats_scope_->GetCounter("docs_retried");
-  backlog_ = stats_scope_->GetGauge("backlog");
   feed_ = cluster::Feed::Open(
       source_, spec_.source_bucket, "xdcr:" + service_name,
       [this](cluster::NodeId, const cluster::ClusterMap&) -> dcp::MutationFn {
@@ -92,16 +91,8 @@ Status XdcrLink::ShipMutation(const kv::Mutation& m) {
   return last;
 }
 
-XdcrStats XdcrLink::stats() const {
-  XdcrStats s;
-  if (docs_sent_ == nullptr) return s;  // Start() not called yet
-  s.docs_sent = docs_sent_->Value();
-  s.docs_filtered = docs_filtered_->Value();
-  s.docs_rejected = docs_rejected_->Value();
-  s.docs_retried = docs_retried_->Value();
-  s.backlog = feed_->Backlog();
-  backlog_->Set(static_cast<int64_t>(s.backlog));
-  return s;
+uint64_t XdcrLink::backlog() const {
+  return feed_ != nullptr ? feed_->Backlog() : 0;
 }
 
 }  // namespace couchkv::xdcr

@@ -26,16 +26,6 @@ struct XdcrSpec {
   std::string key_filter_regex;
 };
 
-// Thin view over the link's registry counters (scope "xdcr.<service_name>",
-// created by Start()). All zeros before Start().
-struct XdcrStats {
-  uint64_t docs_sent = 0;       // mutations shipped to the target
-  uint64_t docs_filtered = 0;   // dropped by the key filter
-  uint64_t docs_rejected = 0;   // lost conflict resolution at the target
-  uint64_t docs_retried = 0;    // re-routed after target topology changes
-  uint64_t backlog = 0;         // source mutations not yet shipped (XDCR lag)
-};
-
 // One directional replication link. For bidirectional XDCR create two links
 // (one per direction); conflict resolution keeps them convergent.
 class XdcrLink {
@@ -50,7 +40,9 @@ class XdcrLink {
   // the stats scope, so it must be unique per link. Once per link.
   Status Start(const std::string& service_name);
 
-  XdcrStats stats() const;
+  // Source mutations not yet shipped (the XDCR lag): the link's share of
+  // the source bucket's dcp.backlog. 0 before Start().
+  uint64_t backlog() const;
 
  private:
   // Ships one mutation to the target cluster through its transport.
@@ -64,8 +56,11 @@ class XdcrLink {
   XdcrSpec spec_;
   std::unique_ptr<std::regex> filter_;
 
-  // Registry-backed link counters, resolved by Start() into the scope
-  // "xdcr.<service_name>" — null (reporting disabled) before Start().
+  // The link's counters, resolved by Start() into the registry scope
+  // "xdcr.<service_name>": docs_sent (shipped to the target),
+  // docs_filtered (dropped by the key filter), docs_rejected (lost conflict
+  // resolution at the target) and docs_retried (re-routed after a target
+  // topology change). Null before Start().
   // The link owns no mutex: these pointers are written by Start() strictly
   // before Feed::Open registers the DCP streams whose callbacks read them
   // (the producer's stream-map lock publishes the writes), and the counters
@@ -75,7 +70,6 @@ class XdcrLink {
   stats::Counter* docs_filtered_ = nullptr;
   stats::Counter* docs_rejected_ = nullptr;
   stats::Counter* docs_retried_ = nullptr;
-  stats::Gauge* backlog_ = nullptr;
   std::shared_ptr<cluster::Feed> feed_;
 };
 

@@ -11,19 +11,11 @@
 #include "cluster/vbucket.h"
 #include "cluster/vbucket_map.h"
 #include "common/clock.h"
+#include "harness/registry_counter.h"
 #include "net/faulty_transport.h"
-#include "stats/registry.h"
 
 namespace couchkv::cluster {
 namespace {
-
-// Current value of a counter in the process-wide "cluster" stats scope.
-// Tests compare deltas because the registry is shared across all tests in
-// this binary.
-uint64_t ClusterCounter(const std::string& name) {
-  return stats::Registry::Global().GetScope("cluster")->GetCounter(name)
-      ->Value();
-}
 
 // --- VBucketMap ---
 
@@ -374,6 +366,7 @@ TEST_F(ClusterTest, RebalanceUnderFaultyTransport) {
   lossy.drop = 0.05;
   lossy.max_latency_us = 30;
   transport.SetDefaultFaults(lossy);
+  harness::CounterDelta dropped("transport", "dropped");
   cluster_.set_transport(&transport);
 
   std::atomic<bool> stop{false};
@@ -405,7 +398,7 @@ TEST_F(ClusterTest, RebalanceUnderFaultyTransport) {
   for (auto& w : workers) w.join();
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_GT(cluster_.map("default")->CountActive(added), 0u);
-  EXPECT_GT(transport.stats().dropped, 0u);
+  EXPECT_GT(dropped(), 0u);
 
   // Settle on a clean network, then verify reachability of every key that
   // was acked during the storm: zero unreachable keys.
@@ -498,11 +491,11 @@ TEST_F(ClusterTest, AutoFailoverVetoedWhenLastCopyWouldVanish) {
   }
   ASSERT_NE(last_copy, kNoNode);
 
-  uint64_t vetoed0 = ClusterCounter("failover.vetoed");
+  harness::CounterDelta vetoed("cluster", "failover.vetoed");
   uint64_t version0 = map->version;
   Status st = cluster_.Failover(last_copy, FailoverMode::kAuto);
   EXPECT_EQ(st.code(), StatusCode::kAborted) << st.ToString();
-  EXPECT_EQ(ClusterCounter("failover.vetoed"), vetoed0 + 1);
+  EXPECT_EQ(vetoed(), 1u);
   // The veto left the cluster untouched: node still a healthy member, map
   // unchanged.
   EXPECT_FALSE(cluster_.failed_over(last_copy));
@@ -583,8 +576,8 @@ TEST_F(ClusterTest, DeltaRecoveryReintegratesFailedOverNode) {
                     .ok());
   }
   cluster_.Quiesce();
-  uint64_t delta0 = ClusterCounter("recovery.delta_total");
-  uint64_t rollbacks0 = ClusterCounter("recovery.rollback_vbuckets");
+  harness::CounterDelta delta_recoveries("cluster", "recovery.delta_total");
+  harness::CounterDelta rollbacks("cluster", "recovery.rollback_vbuckets");
 
   ASSERT_TRUE(cluster_.Failover(2).ok());
   // The cluster keeps taking writes while node 2 is out.
@@ -596,10 +589,10 @@ TEST_F(ClusterTest, DeltaRecoveryReintegratesFailedOverNode) {
 
   ASSERT_TRUE(cluster_.RecoverNode(2).ok());
   EXPECT_FALSE(cluster_.failed_over(2));
-  EXPECT_EQ(ClusterCounter("recovery.delta_total"), delta0 + 1);
+  EXPECT_EQ(delta_recoveries(), 1u);
   // The failover was quiesced, so nothing on node 2 diverged: recovery is
   // pure delta catch-up, no vBucket rollback.
-  EXPECT_EQ(ClusterCounter("recovery.rollback_vbuckets"), rollbacks0);
+  EXPECT_EQ(rollbacks(), 0u);
   cluster_.Quiesce();
 
   // Rebalance (run by RecoverNode) handed active vBuckets back to node 2,
@@ -665,13 +658,13 @@ TEST_F(ClusterTest, RollbackResetsVBucketInPlaceUnderConcurrentUse) {
       std::this_thread::yield();
     }
   });
-  uint64_t rollbacks0 = ClusterCounter("recovery.rollback_vbuckets");
+  harness::CounterDelta rollbacks("cluster", "recovery.rollback_vbuckets");
   Status recovered = cluster_.RecoverNode(active);
   stop.store(true);
   reader.join();
   replicator.join();
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
-  EXPECT_EQ(ClusterCounter("recovery.rollback_vbuckets"), rollbacks0 + 1);
+  EXPECT_EQ(rollbacks(), 1u);
   EXPECT_EQ(b->vbucket(vb), held);
 
   // The discarded tail (v2..v5) is gone everywhere; the promoted state won.

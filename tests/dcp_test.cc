@@ -172,6 +172,40 @@ TEST(ProducerTest, StreamSeqnoTracksAcks) {
   EXPECT_EQ(p.StreamSeqno("missing", 0), UINT64_MAX);
 }
 
+// One backlog formula: Backlog(name) is Σ (high seqno − acked) over that
+// consumer's streams, and Backlog("") the same sum over every stream.
+TEST(ProducerTest, BacklogSumsPerStreamLagByName) {
+  Producer p(2, nullptr);
+  auto ok = [](const kv::Mutation&) { return Status::OK(); };
+  auto stalled = [](const kv::Mutation&) { return Status::TempFail("down"); };
+  ASSERT_TRUE(p.AddStream("idx", 0, 2, ok).ok());
+  ASSERT_TRUE(p.AddStream("idx", 1, 1, ok).ok());
+  ASSERT_TRUE(p.AddStream("repl", 0, 4, stalled).ok());
+  for (uint64_t s = 1; s <= 5; ++s) p.OnMutation(0, Doc("a", "v", s));
+  for (uint64_t s = 1; s <= 3; ++s) p.OnMutation(1, Doc("b", "v", s));
+
+  auto per_stream_sum = [&](const std::string& name) {
+    uint64_t sum = 0;
+    for (uint16_t vb = 0; vb < p.num_vbuckets(); ++vb) {
+      const uint64_t acked = p.StreamSeqno(name, vb);
+      if (acked != UINT64_MAX) sum += p.high_seqno(vb) - acked;
+    }
+    return sum;
+  };
+  EXPECT_EQ(p.Backlog("idx"), 5u);  // (5 - 2) + (3 - 1)
+  EXPECT_EQ(p.Backlog("idx"), per_stream_sum("idx"));
+  EXPECT_EQ(p.Backlog("repl"), 1u);
+  EXPECT_EQ(p.Backlog("repl"), per_stream_sum("repl"));
+  EXPECT_EQ(p.Backlog("missing"), 0u);
+  EXPECT_EQ(p.Backlog(""), 6u);
+
+  // Delivery drains idx; the stalled repl stream keeps its lag.
+  p.Drain();
+  EXPECT_EQ(p.Backlog("idx"), 0u);
+  EXPECT_EQ(p.Backlog("repl"), 1u);
+  EXPECT_EQ(p.Backlog(), 1u);
+}
+
 TEST(ProducerTest, BackfillFromStorageCoversTrimmedWindow) {
   // Build a storage file holding the full history.
   auto env = storage::Env::NewMemEnv();

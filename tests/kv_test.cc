@@ -12,6 +12,7 @@
 
 #include "common/clock.h"
 #include "kv/hash_table.h"
+#include "stats/registry.h"
 
 namespace couchkv::kv {
 namespace {
@@ -19,7 +20,11 @@ namespace {
 class HashTableTest : public ::testing::Test {
  protected:
   ManualClock clock_{1'000'000'000};  // start at t=1s
-  HashTable ht_{&clock_};
+  // The table counts cache events into this scope, as a bucket's tables
+  // count into the bucket's.
+  stats::Scope scope_{"kv_test"};
+  const CacheCounters counters_ = CacheCounters::In(&scope_);
+  HashTable ht_{&clock_, EvictionPolicy::kValueOnly, &counters_};
 };
 
 TEST_F(HashTableTest, GetMissing) {
@@ -67,7 +72,7 @@ TEST_F(HashTableTest, CasMismatchFails) {
   auto r = ht_.Set("k", "v3", 0, 0, m1->cas);
   EXPECT_TRUE(r.status().IsKeyExists());
   EXPECT_EQ(ht_.Get("k")->doc.value, "v2");
-  EXPECT_EQ(ht_.stats().num_cas_mismatch, 1u);
+  EXPECT_EQ(scope_.GetCounter("kv.cas_mismatches")->Value(), 1u);
   // Re-read and re-submit with the fresh CAS succeeds.
   auto fresh = ht_.Get("k");
   EXPECT_TRUE(ht_.Set("k", "v3", 0, 0, fresh->doc.meta.cas).ok());

@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "harness/registry_counter.h"
 #include "net/faulty_transport.h"
 #include "net/transport.h"
 
@@ -26,9 +27,11 @@ TEST(DirectTransportTest, DeliversEverything) {
 
 TEST(FaultyTransportTest, PerfectByDefault) {
   FaultyTransport t(1);
+  harness::CounterDelta delivered("transport", "delivered");
+  harness::CounterDelta dropped("transport", "dropped");
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(t.Request(kC, kN0).ok());
-  EXPECT_EQ(t.stats().delivered, 100u);
-  EXPECT_EQ(t.stats().dropped, 0u);
+  EXPECT_EQ(delivered(), 100u);
+  EXPECT_EQ(dropped(), 0u);
 }
 
 TEST(FaultyTransportTest, DropRateIsRoughlyHonored) {
@@ -164,9 +167,10 @@ TEST(FaultyTransportTest, LatencyIsInjected) {
   f.min_latency_us = 200;
   f.max_latency_us = 400;
   t.SetLinkFaults(kC, kN0, f);
+  harness::CounterDelta latency_us("transport", "injected_latency_us");
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(t.Request(kC, kN0).ok());
-  EXPECT_GE(t.stats().latency_us_total, 5u * 200u);
-  EXPECT_LE(t.stats().latency_us_total, 5u * 400u);
+  EXPECT_GE(latency_us(), 5u * 200u);
+  EXPECT_LE(latency_us(), 5u * 400u);
 }
 
 TEST(FaultyTransportTest, ExactLinkFaultsOverrideDefaults) {

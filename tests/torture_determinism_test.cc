@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "harness/registry_counter.h"
 #include "harness/torture.h"
 #include "net/faulty_transport.h"
 
@@ -38,6 +39,8 @@ RunResult RunOnce(uint64_t seed) {
   // replication links stay perfect — their cross-thread interleaving is
   // not controlled, but perfect links make identical decisions regardless.
   transport.SetClientFaults(lossy);
+  harness::CounterDelta delivered("transport", "delivered");
+  harness::CounterDelta dropped("transport", "dropped");
   cluster.set_transport(&transport);
 
   harness::TortureOptions opts;
@@ -53,8 +56,8 @@ RunResult RunOnce(uint64_t seed) {
   RunResult r;
   r.state_fp = driver.StateFingerprint();
   r.schedule_fp = transport.ScheduleFingerprint();
-  r.delivered = transport.stats().delivered;
-  r.dropped = transport.stats().dropped;
+  r.delivered = delivered();
+  r.dropped = dropped();
   cluster.set_transport(nullptr);
   return r;
 }

@@ -15,9 +15,9 @@
 
 #include "cluster/cluster.h"
 #include "cluster/health_monitor.h"
+#include "harness/registry_counter.h"
 #include "harness/torture.h"
 #include "net/faulty_transport.h"
-#include "stats/registry.h"
 
 namespace couchkv {
 namespace {
@@ -26,11 +26,6 @@ using cluster::HealthMonitor;
 using cluster::HealthMonitorOptions;
 using cluster::NodeId;
 using cluster::PeerHealth;
-
-uint64_t ClusterCounter(const char* name) {
-  return stats::Registry::Global().GetScope("cluster")->GetCounter(name)
-      ->Value();
-}
 
 // Polls until `pred` holds or `timeout_ms` of wall clock passed.
 bool WaitUntil(const std::function<bool()>& pred, uint64_t timeout_ms) {
@@ -78,7 +73,8 @@ TEST_P(TortureFailoverTest, AutoFailoverDuringTrafficLosesNoDurableWrite) {
   harness::TortureDriver driver(&cluster, "default", opts);
   driver.NoteFailover();  // the floor for this test is replicate-acked
 
-  const uint64_t auto_before = ClusterCounter("failover.auto_total");
+  harness::CounterDelta auto_failovers("cluster", "failover.auto_total");
+  harness::CounterDelta blocked("transport", "blocked");
   const NodeId victim = 2;
 
   monitor.Start();
@@ -106,9 +102,9 @@ TEST_P(TortureFailoverTest, AutoFailoverDuringTrafficLosesNoDurableWrite) {
   EXPECT_GE(took.count() + 3 * static_cast<int64_t>(hm.heartbeat_interval_ms),
             static_cast<int64_t>(hm.auto_failover_timeout_ms));
   EXPECT_LE(took.count(), 5000);
-  EXPECT_EQ(ClusterCounter("failover.auto_total"), auto_before + 1);
+  EXPECT_EQ(auto_failovers(), 1u);
   EXPECT_EQ(monitor.failovers_executed(), 1);
-  EXPECT_GT(transport.stats().blocked, 0u);
+  EXPECT_GT(blocked(), 0u);
   // The failed-over node must be fully out of the published map.
   auto m = cluster.map("default");
   ASSERT_NE(m, nullptr);
@@ -145,8 +141,8 @@ TEST_P(TortureFailoverTest, FlappingAndOneWayLinksProduceZeroFailovers) {
   hm.max_auto_failovers = 4;  // permissive: the detector must not even ask
   HealthMonitor monitor(&cluster, hm);
 
-  const uint64_t auto_before = ClusterCounter("failover.auto_total");
-  const uint64_t vetoed_before = ClusterCounter("failover.vetoed");
+  harness::CounterDelta auto_failovers("cluster", "failover.auto_total");
+  harness::CounterDelta vetoed("cluster", "failover.vetoed");
   const uint64_t version_before = cluster.map("default")->version;
 
   // Flapping: 150ms of outage, then one good ping, ten times over. The
@@ -173,8 +169,8 @@ TEST_P(TortureFailoverTest, FlappingAndOneWayLinksProduceZeroFailovers) {
   EXPECT_EQ(monitor.Opinion(0, 2), PeerHealth::kConfirmedDown);
   EXPECT_EQ(monitor.Opinion(1, 2), PeerHealth::kHealthy);
 
-  EXPECT_EQ(ClusterCounter("failover.auto_total"), auto_before);
-  EXPECT_EQ(ClusterCounter("failover.vetoed"), vetoed_before);
+  EXPECT_EQ(auto_failovers(), 0u);
+  EXPECT_EQ(vetoed(), 0u);
   EXPECT_EQ(monitor.failovers_executed(), 0);
   EXPECT_FALSE(cluster.failed_over(0));
   EXPECT_FALSE(cluster.failed_over(2));
@@ -267,7 +263,7 @@ TEST_P(TortureFailoverTest, PartitionHealThenRecoverNodeConverges) {
   harness::TortureDriver driver(&cluster, "default", opts);
   driver.NoteFailover();
 
-  const uint64_t recoveries_before = ClusterCounter("recovery.delta_total");
+  harness::CounterDelta recoveries("cluster", "recovery.delta_total");
   const NodeId victim = 3;
 
   monitor.Start();
@@ -285,7 +281,7 @@ TEST_P(TortureFailoverTest, PartitionHealThenRecoverNodeConverges) {
   transport.HealAll();
   ASSERT_TRUE(cluster.RecoverNode(victim).ok());
   EXPECT_FALSE(cluster.failed_over(victim));
-  EXPECT_EQ(ClusterCounter("recovery.delta_total"), recoveries_before + 1);
+  EXPECT_EQ(recoveries(), 1u);
 
   driver.Settle();
   // The node is a full member again: the rebalance gave it actives back.

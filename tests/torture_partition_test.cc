@@ -7,6 +7,7 @@
 #include <string>
 
 #include "cluster/cluster.h"
+#include "harness/registry_counter.h"
 #include "harness/torture.h"
 #include "net/faulty_transport.h"
 #include "xdcr/xdcr.h"
@@ -27,6 +28,7 @@ TEST_P(TorturePartitionTest, ReplicasConvergeAfterOneWayPartitionHeals) {
 
   net::FaultyTransport transport(seed);
   cluster.set_transport(&transport);
+  harness::CounterDelta blocked("transport", "blocked");
 
   // Cut replication node 0 -> node 1 one way mid-workload. Front-end writes
   // keep succeeding (clients reach every node); the affected DCP streams
@@ -45,7 +47,7 @@ TEST_P(TorturePartitionTest, ReplicasConvergeAfterOneWayPartitionHeals) {
   // While partitioned, at least the node0->node1 links show refused traffic
   // if any vBucket replicates that way (with 4 nodes and a balanced map,
   // some do).
-  EXPECT_GT(transport.stats().blocked, 0u);
+  EXPECT_GT(blocked(), 0u);
 
   transport.HealAll();
   driver.Settle();
@@ -114,6 +116,7 @@ TEST_P(TorturePartitionTest, XdcrDeliversEverythingOverLossyLink) {
 
   auto link = std::make_shared<xdcr::XdcrLink>(
       &source, &target, xdcr::XdcrSpec{"default", "default", ""});
+  harness::CounterDelta docs_sent("xdcr.xdcr-torture", "docs_sent");
   ASSERT_TRUE(link->Start("xdcr-torture").ok());
 
   harness::TortureOptions opts;
@@ -148,7 +151,7 @@ TEST_P(TorturePartitionTest, XdcrDeliversEverythingOverLossyLink) {
                         << d.status().ToString();
     EXPECT_EQ(d.value().value, s.value().value) << "divergence on " << key;
   }
-  EXPECT_GT(link->stats().docs_sent, 0u);
+  EXPECT_GT(docs_sent(), 0u);
   target.set_transport(nullptr);
 }
 

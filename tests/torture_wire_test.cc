@@ -16,21 +16,14 @@
 #include <thread>
 
 #include "cluster/cluster.h"
+#include "harness/registry_counter.h"
 #include "harness/torture.h"
 #include "net/faulty_transport.h"
-#include "stats/registry.h"
 
 namespace couchkv {
 namespace {
 
 class TortureWireTest : public ::testing::TestWithParam<uint64_t> {};
-
-// SET frames served by every listener in the process so far.
-uint64_t WireSets() {
-  stats::Snapshot s = stats::Registry::Global().Collect("wire");
-  auto it = s.find("wire.ops.SET");
-  return it == s.end() ? 0 : it->second.counter;
-}
 
 // The crash-torture scenario over sockets: kill a node mid-workload (its
 // listener dies with it), restart it onto a FRESH ephemeral port, and
@@ -46,7 +39,8 @@ TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
   ASSERT_TRUE(cluster.StartWireServers("default").ok());
 
-  const uint64_t sets_before = WireSets();
+  // SET frames served by every listener in the process.
+  harness::CounterDelta wire_sets("wire", "ops.SET");
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -75,7 +69,7 @@ TEST_P(TortureWireTest, PersistAckedWritesSurviveCrashOverSockets) {
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
   // Proof the workload crossed the kernel, not an in-process shortcut.
-  EXPECT_GT(WireSets(), sets_before);
+  EXPECT_GT(wire_sets(), 0u);
 }
 
 // The partition scenario over sockets: client ops travel over TCP while
@@ -97,7 +91,8 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   lossy.max_latency_us = 30;
   faults.SetDefaultFaults(lossy);
   cluster.set_transport(&faults);
-  const uint64_t sets_before = WireSets();
+  // SET frames served by every listener in the process.
+  harness::CounterDelta wire_sets("wire", "ops.SET");
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -109,12 +104,13 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
 
   // Cut node 2 off from node-to-node traffic: clients still reach it over
   // their sockets, but replication in and out of it stalls until the heal.
+  harness::CounterDelta blocked("transport", "blocked");
   faults.Block(net::Endpoint::Node(0), net::Endpoint::Node(2));
   faults.Block(net::Endpoint::Node(1), net::Endpoint::Node(2));
   faults.Block(net::Endpoint::Node(2), net::Endpoint::Node(0));
   faults.Block(net::Endpoint::Node(2), net::Endpoint::Node(1));
   driver.Run();
-  EXPECT_GT(faults.stats().blocked, 0u);
+  EXPECT_GT(blocked(), 0u);
 
   // Checks observe a fault-free (but still socket-backed) network.
   faults.Reset();
@@ -123,7 +119,7 @@ TEST_P(TortureWireTest, IsolatedNodeCatchesUpAfterHealOverSockets) {
   EXPECT_TRUE(driver.CheckAckedWritesDurable());
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
-  EXPECT_GT(WireSets(), sets_before);
+  EXPECT_GT(wire_sets(), 0u);
   cluster.set_transport(nullptr);
 }
 
@@ -141,7 +137,8 @@ TEST_P(TortureWireTest, FailoverThenRecoverNodeConvergesOverSockets) {
   ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
   ASSERT_TRUE(cluster.StartWireServers("default").ok());
 
-  const uint64_t sets_before = WireSets();
+  // SET frames served by every listener in the process.
+  harness::CounterDelta wire_sets("wire", "ops.SET");
 
   harness::TortureOptions opts;
   opts.seed = seed;
@@ -175,7 +172,7 @@ TEST_P(TortureWireTest, FailoverThenRecoverNodeConvergesOverSockets) {
   EXPECT_TRUE(driver.CheckAckedWritesDurable());
   EXPECT_TRUE(driver.CheckReplicaConvergence());
   EXPECT_TRUE(driver.CheckAllKeysReachable());
-  EXPECT_GT(WireSets(), sets_before);
+  EXPECT_GT(wire_sets(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TortureWireTest,

@@ -389,6 +389,58 @@ TEST_F(WireTraceClusterTest, WireStatsExposedOverStatAndPrometheus) {
   EXPECT_NE(prom.find("couchkv_wire_ops_SET"), std::string::npos);
 }
 
+// The replicate and persist histograms time durability waits, so only a
+// mutation that waited lands in them. A plain SET adds nothing: a zero there
+// would repeat the op count and drag every percentile to 0.
+TEST_F(WireTraceClusterTest, OnlyDurableMutationsRecordDurabilityWaits) {
+  // Σ count of every node's histogram `suffix` in the process registry.
+  auto count_of = [](const std::string& suffix) {
+    uint64_t count = 0;
+    for (const auto& [name, v] : stats::Registry::Global().Collect("wire")) {
+      if (name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        count += v.hist.count;
+      }
+    }
+    return count;
+  };
+  const uint64_t replicate_before = count_of(".wire.replicate_ns");
+  const uint64_t persist_before = count_of(".wire.persist_ns");
+
+  client::WireClient client(ports_, "default");
+  constexpr uint64_t kPlain = 6;
+  constexpr uint64_t kDurable = 4;
+  for (uint64_t i = 0; i < kPlain; ++i) {
+    ASSERT_TRUE(client.Upsert("plain-" + std::to_string(i), "v").ok());
+  }
+
+  // A node that has served only non-durable ops shows both histograms,
+  // empty, in its STAT "wire" scrape.
+  auto stats_json = client.StatsFor("plain-0", "wire");
+  ASSERT_TRUE(stats_json.ok()) << stats_json.status().ToString();
+  auto doc = json::Parse(*stats_json);
+  ASSERT_TRUE(doc.ok());
+  int empty_phases = 0;
+  for (const auto& [name, v] : doc->AsObject()) {
+    if (name.find(".wire.replicate_ns") != std::string::npos ||
+        name.find(".wire.persist_ns") != std::string::npos) {
+      EXPECT_EQ(v.Field("count").AsInt(), 0) << name;
+      ++empty_phases;
+    }
+  }
+  EXPECT_EQ(empty_phases, 2) << *stats_json;
+
+  client::WriteOptions opts;
+  opts.durability.replicate_to = 1;
+  for (uint64_t i = 0; i < kDurable; ++i) {
+    auto r = client.Upsert("durable-" + std::to_string(i), "v", opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(count_of(".wire.replicate_ns") - replicate_before, kDurable);
+  EXPECT_EQ(count_of(".wire.persist_ns") - persist_before, 0u);
+}
+
 // --- Seed determinism ----------------------------------------------------
 
 // The canonical projection of a recorder dump: everything except wall-clock

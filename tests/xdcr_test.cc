@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "client/smart_client.h"
+#include "harness/registry_counter.h"
 #include "xdcr/xdcr.h"
 
 namespace couchkv::xdcr {
@@ -52,6 +53,7 @@ class XdcrTest : public ::testing::Test {
 };
 
 TEST_F(XdcrTest, ReplicatesDocuments) {
+  harness::CounterDelta docs_sent("xdcr.east-west", "docs_sent");
   auto link = Link(&east_, &west_, "east-west");
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(east_client_
@@ -64,7 +66,7 @@ TEST_F(XdcrTest, ReplicatesDocuments) {
     auto r = west_client_->Get("doc" + std::to_string(i));
     ASSERT_TRUE(r.ok()) << "doc" << i;
   }
-  EXPECT_GE(link->stats().docs_sent, 50u);
+  EXPECT_GE(docs_sent(), 50u);
 }
 
 TEST_F(XdcrTest, ReplicatesDeletes) {
@@ -80,13 +82,14 @@ TEST_F(XdcrTest, ReplicatesDeletes) {
 TEST_F(XdcrTest, FilteredReplication) {
   // Per the paper: filtering "based on a regular expression on the
   // document ID".
+  harness::CounterDelta docs_filtered("xdcr.east-west", "docs_filtered");
   auto link = Link(&east_, &west_, "east-west", "^replicate:");
   ASSERT_TRUE(east_client_->Upsert("replicate:1", "{}").ok());
   ASSERT_TRUE(east_client_->Upsert("local:1", "{}").ok());
   QuiesceBoth();
   EXPECT_TRUE(west_client_->Get("replicate:1").ok());
   EXPECT_TRUE(west_client_->Get("local:1").status().IsNotFound());
-  EXPECT_GE(link->stats().docs_filtered, 1u);
+  EXPECT_GE(docs_filtered(), 1u);
 }
 
 TEST_F(XdcrTest, ConflictResolutionMostUpdatesWins) {
@@ -113,6 +116,8 @@ TEST_F(XdcrTest, ConflictResolutionMostUpdatesWins) {
 }
 
 TEST_F(XdcrTest, BidirectionalConvergesWithoutLoops) {
+  harness::CounterDelta e2w_rejected("xdcr.east-west", "docs_rejected");
+  harness::CounterDelta w2e_rejected("xdcr.west-east", "docs_rejected");
   auto e2w = Link(&east_, &west_, "east-west");
   auto w2e = Link(&west_, &east_, "west-east");
   for (int i = 0; i < 20; ++i) {
@@ -129,7 +134,7 @@ TEST_F(XdcrTest, BidirectionalConvergesWithoutLoops) {
   }
   // Echo suppression: the reverse link rejects re-delivered docs instead of
   // ping-ponging forever.
-  EXPECT_GT(w2e->stats().docs_rejected + e2w->stats().docs_rejected, 0u);
+  EXPECT_GT(w2e_rejected() + e2w_rejected(), 0u);
 }
 
 TEST_F(XdcrTest, TargetTopologyAwareness) {
@@ -170,7 +175,7 @@ TEST_F(XdcrTest, SourceFailoverAndRebalance) {
   for (int i = 0; i < 60; ++i) {
     EXPECT_TRUE(west_client_->Get("k" + std::to_string(i)).ok()) << "k" << i;
   }
-  EXPECT_EQ(link->stats().backlog, 0u);
+  EXPECT_EQ(link->backlog(), 0u);
 }
 
 }  // namespace

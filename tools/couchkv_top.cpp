@@ -1,13 +1,16 @@
 // couchkv_top: a live terminal poller for a running cluster's wire
-// front-ends. Each tick it asks every listed node for STAT "wire" (per-node
-// ops counter + per-phase latency histograms) and OBSERVE_TRACE (the flight
-// recorder), then prints one line per node:
+// front-ends. Each tick it asks every listed node for STAT "wire" (per-phase
+// latency histograms) and OBSERVE_TRACE (the flight recorder), then prints
+// one line per node:
 //
-//   ops/s     interval rate from the node's wire.ops counter delta
+//   ops/s     interval rate from the delta of the node's wire.server_ns
+//             histogram count (one record per served op)
 //   p50/p99   per phase (server total, dispatch, engine, replicate,
 //             persist), microseconds. These are lifetime percentiles from
 //             the registry histograms — the JSON exposition carries summary
 //             quantiles, not buckets, so they cannot be windowed per tick.
+//             "-" marks an empty histogram: replicate and persist record
+//             only mutations that waited for durability.
 //   slowest   the oldest currently in-flight op: its trace id, opcode, and
 //             age — the thing to grab when a node looks wedged.
 //
@@ -99,7 +102,7 @@ const couchkv::json::Value* FindNodeMetric(const couchkv::json::Value& doc,
       continue;
     }
     if (node_label != nullptr) {
-      // "node.3.wire.ops" -> "3"
+      // "node.3.wire.server_ns" -> "3"
       size_t dot = name.find('.', 5);
       *node_label = dot == std::string::npos ? "?" : name.substr(5, dot - 5);
     }
@@ -120,6 +123,9 @@ PhaseQuantiles Quantiles(const couchkv::json::Value& doc,
   const couchkv::json::Value* h =
       FindNodeMetric(doc, ".wire." + phase + "_ns", nullptr);
   if (h == nullptr || !h->is_object()) return q;
+  if (!h->Field("count").is_number() || h->Field("count").AsInt() == 0) {
+    return q;
+  }
   if (h->Field("p50_us").is_number()) q.p50 = h->Field("p50_us").AsNumber();
   if (h->Field("p99_us").is_number()) q.p99 = h->Field("p99_us").AsNumber();
   q.present = true;
@@ -159,7 +165,7 @@ int main(int argc, char** argv) {
   Config cfg = ParseArgs(argc, argv);
   couchkv::Clock* clock = couchkv::Clock::Real();
 
-  // port -> (last wire.ops value, last sample nanos) for interval rates.
+  // port -> (last served-op count, last sample nanos) for interval rates.
   std::map<uint16_t, std::pair<uint64_t, uint64_t>> last_ops;
 
   std::printf("%-6s %-6s %9s  %17s %17s %17s %17s %17s  %s\n", "node",
@@ -188,11 +194,11 @@ int main(int argc, char** argv) {
       }
       const uint64_t now = clock->NowNanos();
       std::string node_label = "?";
-      const couchkv::json::Value* ops =
-          FindNodeMetric(*stat_doc, ".wire.ops", &node_label);
+      const couchkv::json::Value* server =
+          FindNodeMetric(*stat_doc, ".wire.server_ns", &node_label);
       double rate = 0;
-      if (ops != nullptr && ops->is_number()) {
-        uint64_t v = static_cast<uint64_t>(ops->AsInt());
+      if (server != nullptr && server->Field("count").is_number()) {
+        uint64_t v = static_cast<uint64_t>(server->Field("count").AsInt());
         auto it = last_ops.find(port);
         if (it != last_ops.end() && now > it->second.second &&
             v >= it->second.first) {
