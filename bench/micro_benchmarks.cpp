@@ -71,7 +71,8 @@ void BM_HashTableSet(benchmark::State& state) {
   std::string value(128, 'v');
   uint64_t i = 0;
   for (auto _ : state) {
-    auto r = ht.Set("key" + std::to_string(i++ % 10000), value, 0, 0, 0);
+    auto r = ht.Store(kv::StoreOp::kSet, "key" + std::to_string(i++ % 10000),
+                      value, 0, 0, 0);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -82,7 +83,8 @@ void BM_HashTableGet(benchmark::State& state) {
   kv::HashTable ht;
   std::string value(128, 'v');
   for (int i = 0; i < 10000; ++i) {
-    if (!ht.Set("key" + std::to_string(i), value, 0, 0, 0).ok()) std::abort();
+    const std::string key = "key" + std::to_string(i);
+    if (!ht.Store(kv::StoreOp::kSet, key, value, 0, 0, 0).ok()) std::abort();
   }
   uint64_t i = 0;
   for (auto _ : state) {

@@ -75,16 +75,19 @@ if [ "$RAW_LINES" -lt 3 ]; then
   cat "$TOP_OUT" >&2
   exit 1
 fi
-# The second tick's rows carry interval rates: each must name its node and
-# show a nonzero ops/s (couchkv_top's own STAT and OBSERVE_TRACE requests
-# are served ops), or the ops/s source is broken.
+# The first tick has no earlier sample, so each of its rows must show "-"
+# for ops/s. The second tick's rows carry interval rates: each must name its
+# node and show a nonzero ops/s (couchkv_top's own STAT and OBSERVE_TRACE
+# requests are served ops), or the ops/s source is broken.
 NPORTS="$(echo "$PORTS" | tr ',' '\n' | grep -c .)"
 if ! awk -v n="$NPORTS" '
     NR == 1 || /^  raw\[/ { next }
-    ++row > n { seen++; if ($1 == "?" || $3 + 0 == 0) bad++ }
-    END { exit (seen == n && bad == 0) ? 0 : 1 }' "$TOP_OUT"; then
-  echo "run_wire_workloads: couchkv_top second tick lacks a node label" \
-    "or reads 0 ops/s" >&2
+    ++row <= n { first++; if ($3 != "-") bad++; next }
+    { seen++; if ($1 == "?" || $3 + 0 == 0) bad++ }
+    END { exit (first == n && seen == n && bad == 0) ? 0 : 1 }' \
+    "$TOP_OUT"; then
+  echo "run_wire_workloads: couchkv_top first tick does not read \"-\"" \
+    "ops/s, or its second tick lacks a node label or reads 0 ops/s" >&2
   cat "$TOP_OUT" >&2
   exit 1
 fi

@@ -35,7 +35,8 @@ Status SmartClient::FetchMap() {
 
 template <typename Fn>
 auto SmartClient::WithRouting(std::string_view key, Fn&& op)
-    -> decltype(op(nullptr, uint16_t{0})) {
+    -> decltype(op(std::declval<cluster::VBucket&>(), uint16_t{0})) {
+  using Result = decltype(op(std::declval<cluster::VBucket&>(), uint16_t{0}));
   return router_.Run(
       key,
       [this](std::string_view k) {
@@ -45,7 +46,7 @@ auto SmartClient::WithRouting(std::string_view key, Fn&& op)
         return route;
       },
       [this] { return FetchMap(); },
-      [&](const Route& route) -> decltype(op(nullptr, uint16_t{0})) {
+      [&](const Route& route) -> Result {
         cluster::Node* n = cluster_->node(route.node);
         if (n == nullptr) {
           return Status::TempFail("node " + std::to_string(route.node) +
@@ -56,8 +57,12 @@ auto SmartClient::WithRouting(std::string_view key, Fn&& op)
         // (ambiguous outcome — the retry may then see e.g. KeyExists from
         // its own first attempt).
         return net::Call(cluster_->transport(), endpoint_,
-                         net::Endpoint::Node(route.node),
-                         [&] { return op(n, route.vb); });
+                         net::Endpoint::Node(route.node), [&] {
+                           return n->WithVBucket(
+                               bucket_, route.vb, [&](cluster::VBucket& v) {
+                                 return op(v, route.vb);
+                               });
+                         });
       });
 }
 
@@ -76,8 +81,8 @@ StatusOr<GetReply> ToGetReply(std::string_view key,
 
 StatusOr<GetReply> SmartClient::Get(std::string_view key) {
   trace::Span span("client.get", get_ns_);
-  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
-    return ToGetReply(key, n->Get(bucket_, vb, key));
+  return WithRouting(key, [&](cluster::VBucket& v, uint16_t) {
+    return ToGetReply(key, v.Get(key));
   });
 }
 
@@ -87,65 +92,57 @@ StatusOr<json::Value> SmartClient::GetJson(std::string_view key) {
   return json::Parse(r->value);
 }
 
-namespace {
-StatusOr<MutateReply> FinishMutation(cluster::Cluster* cluster,
-                                     const std::string& bucket, uint16_t vb,
-                                     const StatusOr<kv::DocMeta>& meta,
-                                     const cluster::Durability& dur) {
-  if (!meta.ok()) return meta.status();
-  Status st = cluster->WaitForDurability(bucket, vb, meta->seqno, dur);
-  if (!st.ok()) return st;
-  MutateReply reply;
-  reply.cas = meta->cas;
-  reply.seqno = meta->seqno;
-  reply.vbucket = vb;
-  return reply;
+StatusOr<MutateReply> SmartClient::Store(kv::StoreOp op, std::string_view key,
+                                         std::string_view value,
+                                         uint32_t flags, uint32_t expiry,
+                                         uint64_t cas,
+                                         const cluster::Durability& dur) {
+  static constexpr const char* kSpanNames[] = {
+      "client.upsert", "client.insert", "client.replace", "client.remove",
+      "client.touch"};
+  trace::Span span(kSpanNames[static_cast<int>(op)], mutate_ns_);
+  return WithRouting(
+      key, [&](cluster::VBucket& v, uint16_t vb) -> StatusOr<MutateReply> {
+        auto meta = v.Store(op, key, value, flags, expiry, cas);
+        if (!meta.ok()) return meta.status();
+        Status st = cluster_->WaitForDurability(bucket_, vb, meta->seqno, dur);
+        if (!st.ok()) return st;
+        MutateReply reply;
+        reply.cas = meta->cas;
+        reply.seqno = meta->seqno;
+        reply.vbucket = vb;
+        return reply;
+      });
 }
-}  // namespace
 
 StatusOr<MutateReply> SmartClient::Upsert(std::string_view key,
                                           std::string_view value,
                                           const WriteOptions& opts) {
-  trace::Span span("client.upsert", mutate_ns_);
-  return WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<MutateReply> {
-        auto meta =
-            n->Set(bucket_, vb, key, value, opts.flags, opts.expiry, opts.cas);
-        return FinishMutation(cluster_, bucket_, vb, meta, opts.durability);
-      });
+  return Store(kv::StoreOp::kSet, key, value, opts.flags, opts.expiry,
+               opts.cas, opts.durability);
 }
 
 StatusOr<MutateReply> SmartClient::Insert(std::string_view key,
                                           std::string_view value,
                                           const WriteOptions& opts) {
-  trace::Span span("client.insert", mutate_ns_);
-  return WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<MutateReply> {
-        auto meta = n->Add(bucket_, vb, key, value, opts.flags, opts.expiry);
-        return FinishMutation(cluster_, bucket_, vb, meta, opts.durability);
-      });
+  return Store(kv::StoreOp::kAdd, key, value, opts.flags, opts.expiry,
+               /*cas=*/0, opts.durability);
 }
 
 StatusOr<MutateReply> SmartClient::Replace(std::string_view key,
                                            std::string_view value,
                                            const WriteOptions& opts) {
-  trace::Span span("client.replace", mutate_ns_);
-  return WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<MutateReply> {
-        auto meta = n->Replace(bucket_, vb, key, value, opts.flags,
-                               opts.expiry, opts.cas);
-        return FinishMutation(cluster_, bucket_, vb, meta, opts.durability);
-      });
+  return Store(kv::StoreOp::kReplace, key, value, opts.flags, opts.expiry,
+               opts.cas, opts.durability);
 }
 
 StatusOr<MutateReply> SmartClient::Remove(std::string_view key, uint64_t cas,
                                           const cluster::Durability& dur) {
-  trace::Span span("client.remove", mutate_ns_);
-  return WithRouting(
-      key, [&](cluster::Node* n, uint16_t vb) -> StatusOr<MutateReply> {
-        auto meta = n->Remove(bucket_, vb, key, cas);
-        return FinishMutation(cluster_, bucket_, vb, meta, dur);
-      });
+  return Store(kv::StoreOp::kDelete, key, {}, 0, 0, cas, dur);
+}
+
+Status SmartClient::Touch(std::string_view key, uint32_t expiry) {
+  return Store(kv::StoreOp::kTouch, key, {}, 0, expiry, 0, {}).status();
 }
 
 StatusOr<MutateReply> SmartClient::UpsertJson(std::string_view key,
@@ -157,15 +154,14 @@ StatusOr<MutateReply> SmartClient::UpsertJson(std::string_view key,
 StatusOr<GetReply> SmartClient::GetAndLock(std::string_view key,
                                            uint64_t lock_ms) {
   trace::Span span("client.getl", get_ns_);
-  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
-    return ToGetReply(key, n->GetAndLock(bucket_, vb, key, lock_ms));
+  return WithRouting(key, [&](cluster::VBucket& v, uint16_t) {
+    return ToGetReply(key, v.GetAndLock(key, lock_ms));
   });
 }
 
 Status SmartClient::Unlock(std::string_view key, uint64_t cas) {
-  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) {
-    return n->Unlock(bucket_, vb, key, cas);
-  });
+  return WithRouting(
+      key, [&](cluster::VBucket& v, uint16_t) { return v.Unlock(key, cas); });
 }
 
 StatusOr<json::Value> SmartClient::LookupIn(std::string_view key,
@@ -274,13 +270,6 @@ ClusterStatsResult SmartClient::ClusterStats(const std::string& group) {
     result.nodes.push_back(std::move(entry));
   }
   return result;
-}
-
-Status SmartClient::Touch(std::string_view key, uint32_t expiry) {
-  trace::Span span("client.touch", mutate_ns_);
-  return WithRouting(key, [&](cluster::Node* n, uint16_t vb) -> Status {
-    return n->Touch(bucket_, vb, key, expiry).status();
-  });
 }
 
 }  // namespace couchkv::client

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/router.h"
@@ -131,11 +132,18 @@ class SmartClient {
   }
 
  private:
-  // Runs `op(node, vb)` against the active node for `key`'s vBucket
-  // through the shared routing/retry loop.
+  // Runs `op(vbucket, vb)` against the active node's copy of `key`'s
+  // vBucket, through the node's KV gate and the shared routing/retry loop.
   template <typename Fn>
   auto WithRouting(std::string_view key, Fn&& op)
-      -> decltype(op(nullptr, uint16_t{0}));
+      -> decltype(op(std::declval<cluster::VBucket&>(), uint16_t{0}));
+
+  // The one mutation path behind Upsert/Insert/Replace/Remove/Touch: runs
+  // the store op, then waits for `dur`.
+  StatusOr<MutateReply> Store(kv::StoreOp op, std::string_view key,
+                              std::string_view value, uint32_t flags,
+                              uint32_t expiry, uint64_t cas,
+                              const cluster::Durability& dur);
 
   Status FetchMap();
 

@@ -8,6 +8,11 @@
 
 namespace couchkv::cluster {
 
+namespace {
+// The compactor rewrites a vBucket file whose fragmentation exceeds this.
+constexpr double kCompactionThreshold = 0.5;
+}  // namespace
+
 Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
                Clock* clock, dcp::Dispatcher* dispatcher)
     : config_(std::move(config)),
@@ -134,9 +139,8 @@ size_t Bucket::RequeueFailedBatch(uint16_t vb, std::vector<kv::Document>& docs) 
 }
 
 void Bucket::UpdateBackpressure() {
-  uint64_t limit = config_.disk_failure_tempfail_queue_depth;
-  bool want = limit > 0 && disk_unhealthy_.load(std::memory_order_acquire) &&
-              queued_.load(std::memory_order_acquire) >= limit;
+  bool want = disk_unhealthy_.load(std::memory_order_acquire) &&
+              queued_.load(std::memory_order_acquire) >= kTempFailQueueDepth;
   backpressure_.store(want, std::memory_order_release);
 }
 
@@ -362,7 +366,7 @@ size_t Bucket::MaybeCompact() {
   for (auto& v : vbuckets_) {
     std::shared_ptr<storage::CouchFile> file = v->file();
     if (file == nullptr || v->state() == VBucketState::kDead) continue;
-    if (file->Fragmentation() > config_.compaction_threshold) {
+    if (file->Fragmentation() > kCompactionThreshold) {
       Status st = file->Compact();
       if (st.ok()) {
         ++compacted;

@@ -37,6 +37,13 @@ class Bucket {
   Bucket(const Bucket&) = delete;
   Bucket& operator=(const Bucket&) = delete;
 
+  // Disk-failure backpressure (the paper's §3.1.1 temporary failure):
+  // while the flusher is in its retry loop (a SaveDocs/Commit failed and
+  // the batch was re-enqueued) AND the disk write queue holds at least this
+  // many docs, front-end mutations return TempFail instead of growing the
+  // unpersistable backlog without bound. Reads are never throttled.
+  static constexpr uint64_t kTempFailQueueDepth = 1u << 16;
+
   const BucketConfig& config() const { return config_; }
   NodeId node_id() const { return node_id_; }
 
@@ -79,8 +86,8 @@ class Bucket {
   // partition's incoming stream afterwards (ApplyMap does).
   Status RollbackVBucket(uint16_t vb);
 
-  // Runs one compaction sweep: compacts any hosted vBucket file whose
-  // fragmentation exceeds the configured threshold. Returns #compacted.
+  // Runs one compaction sweep: compacts any hosted vBucket file that is
+  // more than half stale data. Returns #compacted.
   size_t MaybeCompact();
 
   // Enforces the memory quota by evicting clean values (paper §4.3.3).
@@ -103,8 +110,7 @@ class Bucket {
   std::optional<kv::Document> QueuedDoc(uint16_t vb, const std::string& key);
 
   // True while front-end mutations are rejected with TempFail because the
-  // flusher cannot drain the queue (see BucketConfig::
-  // disk_failure_tempfail_queue_depth).
+  // flusher cannot drain the queue (see kTempFailQueueDepth).
   bool backpressure_active() const {
     return backpressure_.load(std::memory_order_acquire);
   }

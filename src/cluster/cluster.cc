@@ -1,7 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <thread>
 
@@ -20,9 +18,6 @@ constexpr const char* kMoverStream = "rebalance-mover";
 }  // namespace
 
 Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
-  if (opts_.use_posix) {
-    ::mkdir(opts_.data_dir.c_str(), 0755);
-  }
   scope_ = stats::Registry::Global().GetScope("cluster");
   failover_manual_ = scope_->GetCounter("failover.manual_total");
   failover_auto_ = scope_->GetCounter("failover.auto_total");
@@ -53,39 +48,8 @@ Cluster::~Cluster() {
 }
 
 std::unique_ptr<storage::Env> Cluster::MakeNodeEnv(NodeId id) {
-  if (!opts_.use_posix) {
-    std::unique_ptr<storage::Env> env =
-        storage::Env::NewMemEnv(opts_.simulated_fsync_us);
-    if (opts_.wrap_node_env) env = opts_.wrap_node_env(id, std::move(env));
-    return env;
-  }
-  // Give each node a directory, simulating its private disk.
-  std::string dir = opts_.data_dir + "/node" + std::to_string(id);
-  ::mkdir(dir.c_str(), 0755);
-  // A thin wrapper that prefixes paths would be cleaner; we reuse PosixEnv
-  // directly by prefixing inside an adapter.
-  class PrefixEnv : public storage::Env {
-   public:
-    explicit PrefixEnv(std::string prefix) : prefix_(std::move(prefix)) {}
-    StatusOr<std::unique_ptr<storage::File>> Open(
-        const std::string& path) override {
-      return storage::Env::Posix()->Open(prefix_ + "/" + path);
-    }
-    bool Exists(const std::string& path) const override {
-      return storage::Env::Posix()->Exists(prefix_ + "/" + path);
-    }
-    Status Remove(const std::string& path) override {
-      return storage::Env::Posix()->Remove(prefix_ + "/" + path);
-    }
-    Status Rename(const std::string& from, const std::string& to) override {
-      return storage::Env::Posix()->Rename(prefix_ + "/" + from,
-                                           prefix_ + "/" + to);
-    }
-
-   private:
-    std::string prefix_;
-  };
-  std::unique_ptr<storage::Env> env = std::make_unique<PrefixEnv>(dir);
+  std::unique_ptr<storage::Env> env =
+      storage::Env::NewMemEnv(opts_.simulated_fsync_us);
   if (opts_.wrap_node_env) env = opts_.wrap_node_env(id, std::move(env));
   return env;
 }

@@ -29,18 +29,15 @@ class Feed;
 
 struct ClusterOptions {
   Clock* clock = Clock::Real();
-  // When true, nodes write through PosixEnv into `data_dir`; otherwise each
-  // node gets a private in-memory filesystem.
-  bool use_posix = false;
-  std::string data_dir = "/tmp/couchkv";
-  // Simulated fsync latency for in-memory node disks (0 = free). Stands in
-  // for real disk sync cost when benchmarking durability/persistence.
+  // Each node's private disk is an in-memory filesystem. This is its
+  // simulated fsync latency (0 = free), standing in for real disk sync cost
+  // when benchmarking durability/persistence.
   uint64_t simulated_fsync_us = 0;
   // Test hook: wraps the Env a new node gets as its private disk (e.g. in a
   // storage::FaultyEnv) before the node boots. Receives the node id and the
-  // env built per the options above; returns the env to install. The
-  // wrapper IS the node's disk from then on — it survives
-  // CrashNode/RestartNode, so warmup recovers through it too.
+  // in-memory env; returns the env to install. The wrapper IS the node's
+  // disk from then on — it survives CrashNode/RestartNode, so warmup
+  // recovers through it too.
   std::function<std::unique_ptr<storage::Env>(NodeId,
                                               std::unique_ptr<storage::Env>)>
       wrap_node_env;

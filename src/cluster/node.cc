@@ -88,68 +88,6 @@ StatusOr<std::shared_ptr<Bucket>> Node::Route(const std::string& bucket,
   return b;
 }
 
-StatusOr<kv::GetResult> Node::Get(const std::string& bucket, uint16_t vb,
-                                  std::string_view key) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Get(key);
-}
-
-StatusOr<kv::DocMeta> Node::Set(const std::string& bucket, uint16_t vb,
-                                std::string_view key, std::string_view value,
-                                uint32_t flags, uint32_t expiry,
-                                uint64_t cas) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Set(key, value, flags, expiry, cas);
-}
-
-StatusOr<kv::DocMeta> Node::Add(const std::string& bucket, uint16_t vb,
-                                std::string_view key, std::string_view value,
-                                uint32_t flags, uint32_t expiry) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Add(key, value, flags, expiry);
-}
-
-StatusOr<kv::DocMeta> Node::Replace(const std::string& bucket, uint16_t vb,
-                                    std::string_view key,
-                                    std::string_view value, uint32_t flags,
-                                    uint32_t expiry, uint64_t cas) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Replace(key, value, flags, expiry, cas);
-}
-
-StatusOr<kv::DocMeta> Node::Remove(const std::string& bucket, uint16_t vb,
-                                   std::string_view key, uint64_t cas) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Remove(key, cas);
-}
-
-StatusOr<kv::GetResult> Node::GetAndLock(const std::string& bucket,
-                                         uint16_t vb, std::string_view key,
-                                         uint64_t lock_ms) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->GetAndLock(key, lock_ms);
-}
-
-Status Node::Unlock(const std::string& bucket, uint16_t vb,
-                    std::string_view key, uint64_t cas) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Unlock(key, cas);
-}
-
-StatusOr<kv::DocMeta> Node::Touch(const std::string& bucket, uint16_t vb,
-                                  std::string_view key, uint32_t expiry) {
-  auto b = Route(bucket, vb);
-  if (!b.ok()) return b.status();
-  return (*b)->vbucket(vb)->Touch(key, expiry);
-}
-
 Status Node::StartWireServer(net::TcpServer::Handler handler) {
   LockGuard lock(wire_mu_);
   if (wire_server_ != nullptr) {

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "cluster/bucket.h"
 #include "cluster/types.h"
@@ -78,26 +79,19 @@ class Node {
   // clears it — a dead process would have lost its ring.
   stats::FlightRecorder* flight_recorder() { return &flight_recorder_; }
 
-  // --- Data service (KV API) entry points; the smart client calls these ---
-  StatusOr<kv::GetResult> Get(const std::string& bucket, uint16_t vb,
-                              std::string_view key);
-  StatusOr<kv::DocMeta> Set(const std::string& bucket, uint16_t vb,
-                            std::string_view key, std::string_view value,
-                            uint32_t flags, uint32_t expiry, uint64_t cas);
-  StatusOr<kv::DocMeta> Add(const std::string& bucket, uint16_t vb,
-                            std::string_view key, std::string_view value,
-                            uint32_t flags, uint32_t expiry);
-  StatusOr<kv::DocMeta> Replace(const std::string& bucket, uint16_t vb,
-                                std::string_view key, std::string_view value,
-                                uint32_t flags, uint32_t expiry, uint64_t cas);
-  StatusOr<kv::DocMeta> Remove(const std::string& bucket, uint16_t vb,
-                               std::string_view key, uint64_t cas);
-  StatusOr<kv::GetResult> GetAndLock(const std::string& bucket, uint16_t vb,
-                                     std::string_view key, uint64_t lock_ms);
-  Status Unlock(const std::string& bucket, uint16_t vb, std::string_view key,
-                uint64_t cas);
-  StatusOr<kv::DocMeta> Touch(const std::string& bucket, uint16_t vb,
-                              std::string_view key, uint32_t expiry);
+  // --- Data service (KV API) gate; the smart client and the wire
+  // front-end run every KV op through it ---
+  // Checks that the node is up, runs the data service and hosts `bucket`,
+  // and that `vb` is in range; then runs `fn(VBucket&)` with the bucket
+  // pinned, so a concurrent Crash() cannot free it under the op. A failed
+  // check comes back as `fn`'s result type.
+  template <typename Fn>
+  auto WithVBucket(const std::string& bucket, uint16_t vb, Fn&& fn)
+      -> decltype(fn(std::declval<VBucket&>())) {
+    StatusOr<std::shared_ptr<Bucket>> b = Route(bucket, vb);
+    if (!b.ok()) return b.status();
+    return fn(*(*b)->vbucket(vb));
+  }
 
   // --- Wire front-end (TCP listener for the binary protocol) ---
   // Starts a TCP listener on an ephemeral 127.0.0.1 port serving `handler`.
@@ -126,9 +120,8 @@ class Node {
   StatusOr<stats::Snapshot> Stats(const std::string& group = "");
 
  private:
-  // Common pre-checks; returns a pinned bucket (see bucket()) or an error.
-  // Callers hold the returned shared_ptr across the whole operation so a
-  // concurrent Crash() cannot free the memory under them.
+  // WithVBucket's checks; returns a pinned bucket (see bucket()) or an
+  // error.
   StatusOr<std::shared_ptr<Bucket>> Route(const std::string& bucket,
                                           uint16_t vb);
 
@@ -148,8 +141,8 @@ class Node {
   std::map<std::string, std::shared_ptr<Bucket>> buckets_ GUARDED_BY(mu_);
 
   // Wire listener state. Separate mutex: StopWireServer() joins connection
-  // threads, and those threads take mu_ through the KV entry points — a
-  // single lock would deadlock Crash().
+  // threads, and those threads take mu_ through the KV gate — a single
+  // lock would deadlock Crash().
   mutable Mutex wire_mu_{"cluster.node.wire"};
   std::unique_ptr<net::TcpServer> wire_server_ GUARDED_BY(wire_mu_);
   net::TcpServer::Handler wire_handler_ GUARDED_BY(wire_mu_);

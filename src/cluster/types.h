@@ -43,14 +43,6 @@ struct BucketConfig {
   uint32_t num_replicas = 1;  // up to 3 (paper §4.1.1)
   kv::EvictionPolicy eviction = kv::EvictionPolicy::kValueOnly;
   uint64_t memory_quota_bytes = 256ull << 20;
-  // Compactor fires when a vBucket file's fragmentation exceeds this.
-  double compaction_threshold = 0.5;
-  // Disk-failure backpressure: while the flusher is in its retry loop (a
-  // SaveDocs/Commit failed and the batch was re-enqueued) AND the disk
-  // write queue holds at least this many docs, front-end mutations return
-  // TempFail instead of growing the unpersistable backlog without bound.
-  // Reads are never throttled. 0 disables the throttle.
-  uint64_t disk_failure_tempfail_queue_depth = 1u << 16;
 };
 
 // Client-selected durability for a single mutation (paper §2.3.2

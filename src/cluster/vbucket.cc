@@ -40,117 +40,46 @@ kv::Document VBucket::MakeDoc(std::string_view key, kv::Blob value,
   return doc;
 }
 
+template <typename Find>
+StatusOr<kv::GetResult> VBucket::FindResident(std::string_view key, Find find,
+                                              trace::Span& span) {
+  StatusOr<kv::GetResult> r = find();
+  if (!r.ok() || r->resident) return r;
+  std::shared_ptr<storage::CouchFile> f = file();
+  if (f == nullptr) return Status::Internal("non-resident, no storage");
+  auto doc = f->Get(key);
+  if (!doc.ok()) return doc.status();
+  ht_.Restore(doc.value());
+  span.Phase("disk");
+  r = find();
+  if (r.ok() && !r->resident) {
+    // Only a concurrent eviction between the restore and the lookup.
+    return Status::TempFail("value evicted during read-through");
+  }
+  return r;
+}
+
 StatusOr<kv::GetResult> VBucket::Get(std::string_view key) {
   trace::Span span("kv.get", inst_.get_ns);
   LockGuard lock(op_mu_);
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckActive());
   if (inst_.ops_get != nullptr) inst_.ops_get->Add();
-  auto r = ht_.Get(key);
+  auto r = FindResident(key, [&] { return ht_.Get(key); }, span);
   span.Phase("cache");
-  if (!r.ok()) return r;
-  if (!r->resident) {
-    // Read-through: the value was evicted; fetch it from the append-only
-    // store and restore it into the cache (paper §4.3.3).
-    std::shared_ptr<storage::CouchFile> f = file();
-    if (f == nullptr) return Status::Internal("non-resident, no storage");
-    auto doc_or = f->Get(key);
-    if (!doc_or.ok()) return doc_or.status();
-    ht_.Restore(doc_or.value());
-    span.Phase("disk");
-    return ht_.Get(key);
-  }
   return r;
-}
-
-StatusOr<kv::DocMeta> VBucket::Set(std::string_view key,
-                                   std::string_view value, uint32_t flags,
-                                   uint32_t expiry, uint64_t cas) {
-  trace::Span span("kv.set", inst_.mutate_ns);
-  LockGuard lock(op_mu_);
-  span.Phase("dispatch");
-  COUCHKV_RETURN_IF_ERROR(CheckWritable());
-  if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  kv::Blob buf(value);  // the one copy of the bytes on this node
-  auto meta = ht_.Set(key, buf, flags, expiry, cas);
-  span.Phase("cache");
-  if (meta.ok()) {
-    Emit(MakeDoc(key, std::move(buf), meta.value()));
-    span.Phase("sink");
-  }
-  return meta;
-}
-
-StatusOr<kv::DocMeta> VBucket::Add(std::string_view key,
-                                   std::string_view value, uint32_t flags,
-                                   uint32_t expiry) {
-  trace::Span span("kv.add", inst_.mutate_ns);
-  LockGuard lock(op_mu_);
-  span.Phase("dispatch");
-  COUCHKV_RETURN_IF_ERROR(CheckWritable());
-  if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  kv::Blob buf(value);  // the one copy of the bytes on this node
-  auto meta = ht_.Add(key, buf, flags, expiry);
-  span.Phase("cache");
-  if (meta.ok()) {
-    Emit(MakeDoc(key, std::move(buf), meta.value()));
-    span.Phase("sink");
-  }
-  return meta;
-}
-
-StatusOr<kv::DocMeta> VBucket::Replace(std::string_view key,
-                                       std::string_view value, uint32_t flags,
-                                       uint32_t expiry, uint64_t cas) {
-  trace::Span span("kv.replace", inst_.mutate_ns);
-  LockGuard lock(op_mu_);
-  span.Phase("dispatch");
-  COUCHKV_RETURN_IF_ERROR(CheckWritable());
-  if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  kv::Blob buf(value);  // the one copy of the bytes on this node
-  auto meta = ht_.Replace(key, buf, flags, expiry, cas);
-  span.Phase("cache");
-  if (meta.ok()) {
-    Emit(MakeDoc(key, std::move(buf), meta.value()));
-    span.Phase("sink");
-  }
-  return meta;
-}
-
-StatusOr<kv::DocMeta> VBucket::Remove(std::string_view key, uint64_t cas) {
-  trace::Span span("kv.remove", inst_.mutate_ns);
-  LockGuard lock(op_mu_);
-  span.Phase("dispatch");
-  COUCHKV_RETURN_IF_ERROR(CheckWritable());
-  if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  auto meta = ht_.Remove(key, cas);
-  span.Phase("cache");
-  if (meta.ok()) {
-    Emit(MakeDoc(key, {}, meta.value()));
-    span.Phase("sink");
-  }
-  return meta;
 }
 
 StatusOr<kv::GetResult> VBucket::GetAndLock(std::string_view key,
                                             uint64_t lock_ms) {
   trace::Span span("kv.getl", inst_.get_ns);
   LockGuard lock(op_mu_);
+  span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckActive());
   if (inst_.ops_get != nullptr) inst_.ops_get->Add();
-  auto r = ht_.GetAndLock(key, lock_ms);
-  if (!r.ok()) return r;
-  if (!r->resident) {
-    std::shared_ptr<storage::CouchFile> f = file();
-    if (f != nullptr) {
-      auto doc_or = f->Get(key);
-      if (doc_or.ok()) {
-        ht_.Restore(doc_or.value());
-        r->doc.value = doc_or.value().value;
-        r->resident = true;
-      }
-    }
-  }
+  auto r = FindResident(key, [&] { return ht_.GetAndLock(key, lock_ms); },
+                        span);
+  span.Phase("cache");
   return r;
 }
 
@@ -160,16 +89,30 @@ Status VBucket::Unlock(std::string_view key, uint64_t cas) {
   return ht_.Unlock(key, cas);
 }
 
-StatusOr<kv::DocMeta> VBucket::Touch(std::string_view key, uint32_t expiry) {
-  trace::Span span("kv.touch", inst_.mutate_ns);
+StatusOr<kv::DocMeta> VBucket::Store(kv::StoreOp op, std::string_view key,
+                                     std::string_view value, uint32_t flags,
+                                     uint32_t expiry, uint64_t cas) {
+  static constexpr const char* kSpanNames[] = {
+      "kv.set", "kv.add", "kv.replace", "kv.remove", "kv.touch"};
+  trace::Span span(kSpanNames[static_cast<int>(op)], inst_.mutate_ns);
   LockGuard lock(op_mu_);
+  span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckWritable());
   if (inst_.ops_mutate != nullptr) inst_.ops_mutate->Add();
-  auto meta = ht_.Touch(key, expiry);
+  kv::Blob buf;  // the document's value as emitted to DCP and the flusher
+  if (op == kv::StoreOp::kTouch) {
+    // TOUCH keeps the value, and the emitted document must carry it.
+    auto cur = FindResident(key, [&] { return ht_.Get(key); }, span);
+    if (!cur.ok()) return cur.status();
+    buf = std::move(cur->doc.value);
+  } else if (op != kv::StoreOp::kDelete) {
+    buf = kv::Blob(value);  // the one copy of the bytes on this node
+  }
+  auto meta = ht_.Store(op, key, buf, flags, expiry, cas);
+  span.Phase("cache");
   if (meta.ok()) {
-    // Touch changes metadata only; emit so indexes/replicas see new expiry.
-    auto cur = ht_.Get(key);
-    if (cur.ok()) Emit(cur->doc);
+    Emit(MakeDoc(key, std::move(buf), meta.value()));
+    span.Phase("sink");
   }
   return meta;
 }

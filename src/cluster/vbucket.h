@@ -20,13 +20,17 @@
 #include "stats/registry.h"
 #include "storage/couch_file.h"
 
+namespace couchkv::trace {
+class Span;
+}  // namespace couchkv::trace
+
 namespace couchkv::cluster {
 
 // Front-end op accounting shared by all vBuckets of a bucket: op counts plus
 // the latency histograms per-op trace::Spans record into.
 struct OpInstruments {
   stats::Counter* ops_get = nullptr;
-  stats::Counter* ops_mutate = nullptr;  // set/add/replace/remove/touch
+  stats::Counter* ops_mutate = nullptr;  // every Store
   Histogram* get_ns = nullptr;
   Histogram* mutate_ns = nullptr;
 
@@ -88,25 +92,21 @@ class VBucket {
   const kv::HashTable& hash_table() const { return ht_; }
 
   // --- Front-end (active-state) operations ---
-  // All return NotMyVBucket unless the vBucket is active.
+  // All return NotMyVBucket unless the vBucket is active. Get, GetAndLock
+  // and a kTouch Store read an evicted value back from storage first
+  // (paper §4.3.3); a failed read returns the storage error and changes
+  // nothing.
 
   StatusOr<kv::GetResult> Get(std::string_view key) EXCLUDES(op_mu_);
-  StatusOr<kv::DocMeta> Set(std::string_view key, std::string_view value,
-                            uint32_t flags, uint32_t expiry, uint64_t cas)
-      EXCLUDES(op_mu_);
-  StatusOr<kv::DocMeta> Add(std::string_view key, std::string_view value,
-                            uint32_t flags, uint32_t expiry)
-      EXCLUDES(op_mu_);
-  StatusOr<kv::DocMeta> Replace(std::string_view key, std::string_view value,
-                                uint32_t flags, uint32_t expiry, uint64_t cas)
-      EXCLUDES(op_mu_);
-  StatusOr<kv::DocMeta> Remove(std::string_view key, uint64_t cas)
-      EXCLUDES(op_mu_);
   StatusOr<kv::GetResult> GetAndLock(std::string_view key, uint64_t lock_ms)
       EXCLUDES(op_mu_);
   Status Unlock(std::string_view key, uint64_t cas) EXCLUDES(op_mu_);
-  StatusOr<kv::DocMeta> Touch(std::string_view key, uint32_t expiry)
-      EXCLUDES(op_mu_);
+  // The one front-end mutation (kv::HashTable::Store): applies it and emits
+  // the resulting document to the sink. Disk-failure backpressure refuses
+  // it with TempFail. `value` is read by kSet/kAdd/kReplace only.
+  StatusOr<kv::DocMeta> Store(kv::StoreOp op, std::string_view key,
+                              std::string_view value, uint32_t flags,
+                              uint32_t expiry, uint64_t cas) EXCLUDES(op_mu_);
 
   // --- Replication-state operations ---
 
@@ -144,9 +144,16 @@ class VBucket {
  private:
   Status CheckActive() const REQUIRES(op_mu_);
   // CheckActive + disk-failure backpressure; gate for every front-end
-  // mutation (Set/Add/Replace/Remove/Touch). Replication applies bypass it:
-  // refusing those would stall DCP, not shed load.
+  // mutation (Store). Replication applies bypass it: refusing those would
+  // stall DCP, not shed load.
   Status CheckWritable() const REQUIRES(op_mu_);
+  // Runs the cache lookup `find`. When it finds the value evicted, reads
+  // the document back from storage into the cache, marks `span`'s "disk"
+  // phase and runs `find` once more; a failed read returns the storage
+  // error before the second lookup, so a GETL takes no lock.
+  template <typename Find>
+  StatusOr<kv::GetResult> FindResident(std::string_view key, Find find,
+                                       trace::Span& span) REQUIRES(op_mu_);
   void Emit(const kv::Document& doc) REQUIRES(op_mu_) {
     if (sink_) sink_(doc);
   }

@@ -25,11 +25,6 @@ wire::Message ErrorResp(const wire::Message& req, const Status& st) {
   return resp;
 }
 
-void PackMeta(const kv::DocMeta& meta, wire::Message* resp) {
-  resp->cas = meta.cas;
-  wire::PutU64BE(&resp->extras, meta.seqno);
-}
-
 bool IsMutationOpcode(uint8_t op) {
   switch (static_cast<wire::Opcode>(op)) {
     case wire::Opcode::kSet:
@@ -94,7 +89,7 @@ wire::Message WireService::Handle(const wire::Message& req,
   // Dispatch phase: everything between the socket read and the engine call
   // (frame decode plus in-order queueing behind earlier pipelined frames).
   const uint64_t t_dispatch_end = clock->NowNanos();
-  wire::Message resp = DispatchOpcode(req);
+  wire::Message resp = DispatchOpcode(req, n);
   const uint64_t t_engine_end = clock->NowNanos();
   uint64_t t_replicate_end = t_engine_end;
   uint64_t t_persist_end = t_engine_end;
@@ -200,63 +195,62 @@ wire::Message WireService::Handle(const wire::Message& req,
   return resp;
 }
 
-wire::Message WireService::DispatchOpcode(const wire::Message& req) {
-  switch (static_cast<wire::Opcode>(req.opcode)) {
-    case wire::Opcode::kNoop: {
-      // Liveness probe: an unhealthy-but-listening node answers TempFail,
-      // so a prober sees it exactly as it would a dead process, just with a
-      // crisper error.
-      Node* n = cluster_->node(node_id_);
-      if (n == nullptr || !n->healthy()) {
-        return ErrorResp(req, Status::TempFail("node is down"));
-      }
-      return wire::Message::Resp(req, wire::kSuccess);
-    }
+wire::Message WireService::DispatchOpcode(const wire::Message& req,
+                                          Node* n) {
+  const auto op = static_cast<wire::Opcode>(req.opcode);
+  if (!wire::IsKnownOpcode(req.opcode)) {
+    wire::Message resp = wire::Message::Resp(req, wire::kUnknownCommand);
+    resp.value = "unknown opcode";
+    return resp;
+  }
+  // The cluster map is the cluster's; every other op runs on this node.
+  if (op == wire::Opcode::kGetClusterMap) return HandleClusterMap(req);
+  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
+  switch (op) {
     case wire::Opcode::kGet:
-      return HandleGet(req, /*lock=*/false);
     case wire::Opcode::kGetLocked:
-      return HandleGet(req, /*lock=*/true);
+      return HandleGet(req, n);
     case wire::Opcode::kSet:
     case wire::Opcode::kAdd:
     case wire::Opcode::kReplace:
-      return HandleMutation(req);
     case wire::Opcode::kDelete:
-      return HandleDelete(req);
-    case wire::Opcode::kUnlockKey:
-      return HandleUnlock(req);
     case wire::Opcode::kTouch:
-      return HandleTouch(req);
+      return HandleStore(req, n);
+    case wire::Opcode::kUnlockKey:
+      return HandleUnlock(req, n);
     case wire::Opcode::kStat:
-      return HandleStat(req);
-    case wire::Opcode::kGetClusterMap:
-      return HandleClusterMap(req);
+      return HandleStat(req, n);
     case wire::Opcode::kObserveTrace:
-      return HandleObserveTrace(req);
+      return HandleObserveTrace(req, n);
+    default:
+      break;
   }
-  wire::Message resp = wire::Message::Resp(req, wire::kUnknownCommand);
-  resp.value = "unknown opcode";
-  return resp;
+  // Only NOOP is left, the liveness probe: an unhealthy-but-listening node
+  // answers TempFail, so a prober sees it exactly as it would a dead
+  // process, just with a crisper error.
+  if (!n->healthy()) return ErrorResp(req, Status::TempFail("node is down"));
+  return wire::Message::Resp(req, wire::kSuccess);
 }
 
-wire::Message WireService::HandleGet(const wire::Message& req, bool lock) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
+wire::Message WireService::HandleGet(const wire::Message& req, Node* n) {
+  const bool lock =
+      req.opcode == static_cast<uint8_t>(wire::Opcode::kGetLocked);
+  uint32_t lock_ms = 0;
   if (req.key.empty()) {
     return ErrorResp(req, Status::InvalidArgument("GET requires a key"));
   }
-  StatusOr<kv::GetResult> r = [&]() -> StatusOr<kv::GetResult> {
-    if (!lock) {
-      if (!req.extras.empty()) {
-        return Status::InvalidArgument("GET takes no extras");
-      }
-      return n->Get(bucket_, req.vbucket, req.key);
-    }
-    uint32_t lock_ms = 0;
-    if (!wire::GetU32BE(req.extras, 0, &lock_ms) || req.extras.size() != 4) {
-      return Status::InvalidArgument("GETL requires 4-byte lock duration");
-    }
-    return n->GetAndLock(bucket_, req.vbucket, req.key, lock_ms);
-  }();
+  if (!lock && !req.extras.empty()) {
+    return ErrorResp(req, Status::InvalidArgument("GET takes no extras"));
+  }
+  if (lock && (req.extras.size() != 4 ||
+               !wire::GetU32BE(req.extras, 0, &lock_ms))) {
+    return ErrorResp(
+        req, Status::InvalidArgument("GETL requires 4-byte lock duration"));
+  }
+  StatusOr<kv::GetResult> r =
+      n->WithVBucket(bucket_, req.vbucket, [&](VBucket& v) {
+        return lock ? v.GetAndLock(req.key, lock_ms) : v.Get(req.key);
+      });
   if (!r.ok()) return ErrorResp(req, r.status());
   wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
   resp.cas = r->doc.meta.cas;
@@ -265,86 +259,68 @@ wire::Message WireService::HandleGet(const wire::Message& req, bool lock) {
   return resp;
 }
 
-wire::Message WireService::HandleMutation(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
+wire::Message WireService::HandleStore(const wire::Message& req, Node* n) {
+  // The opcode picks the store op and its argument rule; SET is the
+  // default.
   uint32_t flags = 0;
   uint32_t expiry = 0;
-  if (!wire::GetMutationExtras(req.extras, &flags, &expiry)) {
-    return ErrorResp(
-        req, Status::InvalidArgument("mutation requires 8-byte extras"));
+  uint64_t cas = req.cas;
+  kv::StoreOp op = kv::StoreOp::kSet;
+  bool args_ok = wire::GetMutationExtras(req.extras, &flags, &expiry);
+  const char* rule = "requires a key and 8-byte extras";
+  switch (static_cast<wire::Opcode>(req.opcode)) {
+    case wire::Opcode::kAdd:
+      op = kv::StoreOp::kAdd;
+      args_ok = args_ok && req.cas == 0;
+      rule = "requires a key and 8-byte extras, and takes no cas";
+      break;
+    case wire::Opcode::kReplace:
+      op = kv::StoreOp::kReplace;
+      break;
+    case wire::Opcode::kDelete:
+      op = kv::StoreOp::kDelete;
+      args_ok = req.extras.empty();
+      rule = "takes a key, no extras";
+      break;
+    case wire::Opcode::kTouch:
+      op = kv::StoreOp::kTouch;
+      args_ok =
+          req.extras.size() == 4 && wire::GetU32BE(req.extras, 0, &expiry);
+      cas = 0;  // TOUCH carries no cas condition
+      rule = "requires a key and 4-byte expiry";
+      break;
+    default:
+      break;
   }
-  if (req.key.empty()) {
-    return ErrorResp(req, Status::InvalidArgument("mutation requires a key"));
+  if (!args_ok || req.key.empty()) {
+    return ErrorResp(req, Status::InvalidArgument(
+                              std::string(wire::OpcodeName(req.opcode)) +
+                              " " + rule));
   }
-  StatusOr<kv::DocMeta> r = [&]() -> StatusOr<kv::DocMeta> {
-    switch (static_cast<wire::Opcode>(req.opcode)) {
-      case wire::Opcode::kSet:
-        return n->Set(bucket_, req.vbucket, req.key, req.value, flags, expiry,
-                      req.cas);
-      case wire::Opcode::kAdd:
-        if (req.cas != 0) {
-          return Status::InvalidArgument("ADD takes no cas");
-        }
-        return n->Add(bucket_, req.vbucket, req.key, req.value, flags, expiry);
-      case wire::Opcode::kReplace:
-        return n->Replace(bucket_, req.vbucket, req.key, req.value, flags,
-                          expiry, req.cas);
-      default:
-        return Status::Internal("non-mutation opcode in HandleMutation");
-    }
-  }();
+  StatusOr<kv::DocMeta> r =
+      n->WithVBucket(bucket_, req.vbucket, [&](VBucket& v) {
+        return v.Store(op, req.key, req.value, flags, expiry, cas);
+      });
   if (!r.ok()) return ErrorResp(req, r.status());
   wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
-  PackMeta(*r, &resp);
+  resp.cas = r->cas;
+  wire::PutU64BE(&resp.extras, r->seqno);
   return resp;
 }
 
-wire::Message WireService::HandleDelete(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
-  if (req.key.empty() || !req.extras.empty()) {
-    return ErrorResp(req,
-                     Status::InvalidArgument("DELETE takes a key, no extras"));
-  }
-  StatusOr<kv::DocMeta> r = n->Remove(bucket_, req.vbucket, req.key, req.cas);
-  if (!r.ok()) return ErrorResp(req, r.status());
-  wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
-  PackMeta(*r, &resp);
-  return resp;
-}
-
-wire::Message WireService::HandleUnlock(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
+wire::Message WireService::HandleUnlock(const wire::Message& req, Node* n) {
   if (req.key.empty() || req.cas == 0) {
     return ErrorResp(
         req, Status::InvalidArgument("UNLOCK requires a key and the lock cas"));
   }
-  Status st = n->Unlock(bucket_, req.vbucket, req.key, req.cas);
+  Status st = n->WithVBucket(bucket_, req.vbucket, [&](VBucket& v) {
+    return v.Unlock(req.key, req.cas);
+  });
   if (!st.ok()) return ErrorResp(req, st);
   return wire::Message::Resp(req, wire::kSuccess);
 }
 
-wire::Message WireService::HandleTouch(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
-  uint32_t expiry = 0;
-  if (req.key.empty() || req.extras.size() != 4 ||
-      !wire::GetU32BE(req.extras, 0, &expiry)) {
-    return ErrorResp(
-        req, Status::InvalidArgument("TOUCH requires a key and 4-byte expiry"));
-  }
-  StatusOr<kv::DocMeta> r = n->Touch(bucket_, req.vbucket, req.key, expiry);
-  if (!r.ok()) return ErrorResp(req, r.status());
-  wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
-  PackMeta(*r, &resp);
-  return resp;
-}
-
-wire::Message WireService::HandleStat(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr) return ErrorResp(req, Status::TempFail("node is gone"));
+wire::Message WireService::HandleStat(const wire::Message& req, Node* n) {
   StatusOr<stats::Snapshot> snap = n->Stats(req.key);
   if (!snap.ok()) return ErrorResp(req, snap.status());
   wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
@@ -384,11 +360,9 @@ wire::Message WireService::HandleClusterMap(const wire::Message& req) {
   return resp;
 }
 
-wire::Message WireService::HandleObserveTrace(const wire::Message& req) {
-  Node* n = cluster_->node(node_id_);
-  if (n == nullptr || !n->healthy()) {
-    return ErrorResp(req, Status::TempFail("node is down"));
-  }
+wire::Message WireService::HandleObserveTrace(const wire::Message& req,
+                                              Node* n) {
+  if (!n->healthy()) return ErrorResp(req, Status::TempFail("node is down"));
   // Key: empty = whole recorder; otherwise a decimal trace id to filter by.
   uint64_t filter = 0;
   if (!req.key.empty()) {

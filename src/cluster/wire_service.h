@@ -1,9 +1,9 @@
 // The per-node wire front-end: maps each decoded binary-protocol request to
-// the node's KV API and packs the result back into a response frame. One
-// WireService instance backs one node's TcpServer; it is stateless beyond
-// the cluster/node pointers and pre-resolved metric handles, so handler
-// threads need no synchronization of their own (the Node API is already
-// thread-safe).
+// a vBucket op through the node's KV gate (Node::WithVBucket) and packs the
+// result back into a response frame. One WireService instance backs one
+// node's TcpServer; it is stateless beyond the cluster/node pointers and
+// pre-resolved metric handles, so handler threads need no synchronization
+// of their own (the gate and the vBucket ops are already thread-safe).
 //
 // Extras layouts (all big-endian, mirroring the memcached binary protocol):
 //   SET/ADD/REPLACE request ... 8 bytes: flags u32, expiry u32
@@ -56,17 +56,19 @@ class WireService {
 
  private:
   // The opcode switch (the engine phase). Pure dispatch: no timing, no
-  // durability — Handle wraps it with both.
-  net::wire::Message DispatchOpcode(const net::wire::Message& req);
+  // durability — Handle wraps it with both. `n` is this service's node,
+  // null once it has left the cluster.
+  net::wire::Message DispatchOpcode(const net::wire::Message& req, Node* n);
 
-  net::wire::Message HandleGet(const net::wire::Message& req, bool lock);
-  net::wire::Message HandleMutation(const net::wire::Message& req);
-  net::wire::Message HandleDelete(const net::wire::Message& req);
-  net::wire::Message HandleUnlock(const net::wire::Message& req);
-  net::wire::Message HandleTouch(const net::wire::Message& req);
-  net::wire::Message HandleStat(const net::wire::Message& req);
+  // GET and GETL.
+  net::wire::Message HandleGet(const net::wire::Message& req, Node* n);
+  // SET, ADD, REPLACE, DELETE and TOUCH: one kv::StoreOp each.
+  net::wire::Message HandleStore(const net::wire::Message& req, Node* n);
+  net::wire::Message HandleUnlock(const net::wire::Message& req, Node* n);
+  net::wire::Message HandleStat(const net::wire::Message& req, Node* n);
   net::wire::Message HandleClusterMap(const net::wire::Message& req);
-  net::wire::Message HandleObserveTrace(const net::wire::Message& req);
+  net::wire::Message HandleObserveTrace(const net::wire::Message& req,
+                                        Node* n);
 
   Cluster* cluster_;
   const NodeId node_id_;

@@ -58,6 +58,18 @@ class Blob {
   std::shared_ptr<const std::string> buf_;
 };
 
+// The front-end mutations, one store operation the way memcached's engine
+// store(item, cas, operation) takes them. Each takes a new CAS, revno and
+// seqno; they differ only in what must hold first and what they keep.
+// Span-name tables are indexed by the enumerator, so new ops go last.
+enum class StoreOp {
+  kSet,      // create or replace
+  kAdd,      // create only; KeyExists if the key is live
+  kReplace,  // replace only; NotFound if the key is absent
+  kDelete,   // write a tombstone; NotFound if the key is absent
+  kTouch,    // set the expiry only, keeping value and flags; NotFound if absent
+};
+
 // A full document: key, metadata, and the (JSON or binary) value bytes.
 struct Document {
   std::string key;

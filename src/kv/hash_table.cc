@@ -56,14 +56,6 @@ void HashTable::AccountRemove(const std::string& key, const StoredValue& sv) {
   mem_used_.fetch_sub(EntryFootprint(key, sv));
 }
 
-HashTable::Map::iterator HashTable::FindLive(std::string_view key) {
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second.meta.deleted || IsExpired(it->second)) {
-    return map_.end();
-  }
-  return it;
-}
-
 GetResult HashTable::MakeGetResult(Map::iterator it) {
   StoredValue& sv = it->second;
   sv.referenced = true;
@@ -98,18 +90,21 @@ StatusOr<GetResult> HashTable::Get(std::string_view key) {
   return MakeGetResult(it);
 }
 
-StatusOr<DocMeta> HashTable::Mutate(std::string_view key, Blob value,
-                                    uint32_t flags, uint32_t expiry,
-                                    uint64_t cas, bool require_absent,
-                                    bool require_present, bool deletion) {
+StatusOr<DocMeta> HashTable::Store(StoreOp op, std::string_view key,
+                                   Blob value, uint32_t flags,
+                                   uint32_t expiry, uint64_t cas) {
   LockGuard lock(mu_);
   auto it = map_.find(key);
   bool live = it != map_.end() && !it->second.meta.deleted &&
               !IsExpired(it->second);
 
-  if (require_absent && live) return Status::KeyExists("key already exists");
-  if (require_present && !live) return Status::NotFound();
-  if (deletion && !live) return Status::NotFound();
+  if (op == StoreOp::kAdd && live) {
+    return Status::KeyExists("key already exists");
+  }
+  if (!live && (op == StoreOp::kReplace || op == StoreOp::kDelete ||
+                op == StoreOp::kTouch)) {
+    return Status::NotFound();
+  }
 
   if (live) {
     StoredValue& sv = it->second;
@@ -140,14 +135,18 @@ StatusOr<DocMeta> HashTable::Mutate(std::string_view key, Blob value,
   meta.cas = NextCas();
   meta.revno += 1;
   meta.seqno = NextSeqno();
-  meta.flags = flags;
   meta.expiry = expiry;
-  meta.deleted = deletion;
+  meta.deleted = op == StoreOp::kDelete;
 
   StoredValue sv;
+  if (op == StoreOp::kTouch) {
+    sv.value = it->second.value;  // TOUCH keeps the value and flags
+    sv.resident = it->second.resident;
+  } else {
+    meta.flags = flags;
+    if (op != StoreOp::kDelete) sv.value = std::move(value);
+  }
   sv.meta = meta;
-  if (!deletion) sv.value = std::move(value);
-  sv.resident = true;
   sv.dirty = true;
   sv.referenced = true;
   sv.locked_until_ns = 0;  // mutation releases any lock
@@ -164,44 +163,19 @@ StatusOr<DocMeta> HashTable::Mutate(std::string_view key, Blob value,
   return meta;
 }
 
-StatusOr<DocMeta> HashTable::Set(std::string_view key, Blob value,
-                                 uint32_t flags, uint32_t expiry,
-                                 uint64_t cas) {
-  return Mutate(key, std::move(value), flags, expiry, cas,
-                /*require_absent=*/false, /*require_present=*/false,
-                /*deletion=*/false);
-}
-
-StatusOr<DocMeta> HashTable::Add(std::string_view key, Blob value,
-                                 uint32_t flags, uint32_t expiry) {
-  return Mutate(key, std::move(value), flags, expiry, /*cas=*/0,
-                /*require_absent=*/true, /*require_present=*/false,
-                /*deletion=*/false);
-}
-
-StatusOr<DocMeta> HashTable::Replace(std::string_view key, Blob value,
-                                     uint32_t flags, uint32_t expiry,
-                                     uint64_t cas) {
-  return Mutate(key, std::move(value), flags, expiry, cas,
-                /*require_absent=*/false, /*require_present=*/true,
-                /*deletion=*/false);
-}
-
-StatusOr<DocMeta> HashTable::Remove(std::string_view key, uint64_t cas) {
-  return Mutate(key, {}, 0, 0, cas, /*require_absent=*/false,
-                /*require_present=*/false, /*deletion=*/true);
-}
-
 StatusOr<GetResult> HashTable::GetAndLock(std::string_view key,
                                           uint64_t lock_ms) {
   LockGuard lock(mu_);
-  auto it = FindLive(key);
-  if (it == map_.end()) return Status::NotFound();
+  auto it = map_.find(key);
+  if (it == map_.end() || it->second.meta.deleted || IsExpired(it->second)) {
+    return Status::NotFound();
+  }
   StoredValue& sv = it->second;
   if (IsLockedNow(sv)) {
     c_.lock_conflicts->Add();
     return Status::Locked();
   }
+  if (!sv.resident) return MakeGetResult(it);  // read back first, then lock
   // Locking changes the CAS so that pre-lock CAS holders cannot mutate.
   sv.meta.cas = NextCas();
   sv.locked_until_ns = clock_->NowNanos() + lock_ms * 1000000ULL;
@@ -217,21 +191,6 @@ Status HashTable::Unlock(std::string_view key, uint64_t cas) {
   if (cas != sv.meta.cas) return Status::Locked("wrong unlock CAS");
   sv.locked_until_ns = 0;
   return Status::OK();
-}
-
-StatusOr<DocMeta> HashTable::Touch(std::string_view key, uint32_t expiry) {
-  LockGuard lock(mu_);
-  auto it = FindLive(key);
-  if (it == map_.end()) return Status::NotFound();
-  StoredValue& sv = it->second;
-  if (IsLockedNow(sv)) {
-    c_.lock_conflicts->Add();
-    return Status::Locked();
-  }
-  sv.meta.expiry = expiry;
-  sv.meta.cas = NextCas();
-  sv.dirty = true;
-  return sv.meta;
 }
 
 void HashTable::Restore(const Document& doc) {

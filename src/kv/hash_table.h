@@ -92,36 +92,27 @@ class HashTable {
   // the caller (VBucket) re-reads from storage.
   StatusOr<GetResult> Get(std::string_view key) EXCLUDES(mu_);
 
-  // Unconditional upsert. cas==0 creates-or-replaces; cas!=0 requires match
-  // (KeyExists on mismatch — the paper's optimistic-locking path, §3.1.1).
-  // Returns the new metadata. The entry keeps a reference to `value`.
-  StatusOr<DocMeta> Set(std::string_view key, Blob value,
-                        uint32_t flags, uint32_t expiry, uint64_t cas)
+  // The one front-end mutation (see StoreOp). cas==0 is unconditional;
+  // cas!=0 requires a match (KeyExists on mismatch — the paper's optimistic-
+  // locking path, §3.1.1). A GETL-locked document takes only its lock CAS
+  // (Locked otherwise) and the mutation releases the lock. Returns the new
+  // metadata. The entry takes `flags`, `expiry` and a reference to `value`,
+  // except that kDelete stores no value and kTouch takes only `expiry`,
+  // keeping the entry's value (resident or not) and flags.
+  StatusOr<DocMeta> Store(StoreOp op, std::string_view key, Blob value,
+                          uint32_t flags, uint32_t expiry, uint64_t cas)
       EXCLUDES(mu_);
-
-  // Insert-only; KeyExists if the key is live.
-  StatusOr<DocMeta> Add(std::string_view key, Blob value,
-                        uint32_t flags, uint32_t expiry) EXCLUDES(mu_);
-
-  // Replace-only; NotFound if the key is absent.
-  StatusOr<DocMeta> Replace(std::string_view key, Blob value,
-                            uint32_t flags, uint32_t expiry, uint64_t cas)
-      EXCLUDES(mu_);
-
-  // Deletes (writes a tombstone so the deletion flows through DCP).
-  StatusOr<DocMeta> Remove(std::string_view key, uint64_t cas) EXCLUDES(mu_);
 
   // GETL: fetch and hard-lock for `lock_ms` (auto-released on timeout to
   // avoid deadlocks, §3.1.1). While locked, mutations without the lock CAS
-  // fail with Locked.
+  // fail with Locked. An evicted value is not locked: the result comes back
+  // non-resident, and the caller reads the value back (Restore) and asks
+  // again.
   StatusOr<GetResult> GetAndLock(std::string_view key, uint64_t lock_ms)
       EXCLUDES(mu_);
 
   // Releases a GETL lock; requires the CAS returned by GetAndLock.
   Status Unlock(std::string_view key, uint64_t cas) EXCLUDES(mu_);
-
-  // Updates expiry only.
-  StatusOr<DocMeta> Touch(std::string_view key, uint32_t expiry) EXCLUDES(mu_);
 
   // --- Back-end operations ---
 
@@ -195,18 +186,8 @@ class HashTable {
       REQUIRES(mu_);
   static size_t EntryFootprint(const std::string& key, const StoredValue& sv);
 
-  // Looks up `key` and returns map_.end() for absent, tombstoned, or
-  // expired entries — the shared preamble of Get/GetAndLock/Touch.
-  Map::iterator FindLive(std::string_view key) REQUIRES(mu_);
-
   // Fills a GetResult from a live entry and marks it referenced.
   GetResult MakeGetResult(Map::iterator it) REQUIRES(mu_);
-
-  // Core mutation path shared by Set/Add/Replace/Remove.
-  StatusOr<DocMeta> Mutate(std::string_view key, Blob value,
-                           uint32_t flags, uint32_t expiry, uint64_t cas,
-                           bool require_absent, bool require_present,
-                           bool deletion) EXCLUDES(mu_);
 
   Clock* clock_;
   EvictionPolicy policy_;

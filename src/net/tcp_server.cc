@@ -15,6 +15,9 @@ namespace couchkv::net {
 
 namespace {
 
+// listen(2) queue length for pending connections.
+constexpr int kListenBacklog = 128;
+
 // Writes the whole buffer, absorbing short writes and EINTR. MSG_NOSIGNAL:
 // a peer that closed mid-response must surface as EPIPE, not kill the
 // process with SIGPIPE.
@@ -78,7 +81,7 @@ Status TcpServer::Start() {
     ::close(fd);
     return st;
   }
-  if (::listen(fd, opts_.backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     Status st =
         Status::IOError(std::string("listen: ") + std::strerror(errno));
     ::close(fd);
@@ -172,7 +175,7 @@ void TcpServer::AcceptLoop() {
 
 void TcpServer::ConnLoop(Conn* conn) {
   conn_affine_.AssertAffine();
-  wire::FrameDecoder decoder(wire::kMagicRequest, opts_.max_frame_body);
+  wire::FrameDecoder decoder(wire::kMagicRequest);
   char buf[64 << 10];
   bool alive = true;
   while (alive && !stopping_.load(std::memory_order_acquire)) {

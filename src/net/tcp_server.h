@@ -31,8 +31,6 @@ struct TcpServerOptions {
   // ports collide across parallel test binaries). Read the result from
   // port() after Start().
   uint16_t port = 0;
-  int backlog = 128;
-  uint32_t max_frame_body = wire::kMaxBodyLen;
   // Clock for request receive stamps (null = Clock::Real()). A node passes
   // its own clock so the handler's phase math and the receive stamp share
   // one time base (deterministic under ManualClock).

@@ -40,6 +40,7 @@ TransportMetrics::NodeCounters* TransportMetrics::SlotFor(const Endpoint& src,
   std::string prefix = "node." + std::to_string(id) + ".";
   fresh->delivered = scope_->GetCounter(prefix + "delivered");
   fresh->dropped = scope_->GetCounter(prefix + "dropped");
+  fresh->blocked = scope_->GetCounter(prefix + "blocked");
   slots_[id].store(fresh, std::memory_order_release);
   return fresh;
 }
@@ -66,7 +67,7 @@ void TransportMetrics::OnBlocked(const Endpoint& src, const Endpoint& dst) {
   sent_->Add();
   blocked_->Add();
   if (NodeCounters* slot = SlotFor(src, dst)) {
-    slot->dropped->Add();
+    slot->blocked->Add();
   }
 }
 

@@ -1,8 +1,8 @@
 // Process-wide transport instrumentation, shared by every Transport
 // implementation: totals plus per-node link counters in the registry's
 // global "transport" scope. Node::Stats() serves each node its own slice
-// ("transport.node.<id>.*"), so STATS shows per-link deliveries and drops
-// the way the paper's monitoring channel shows replication-link health.
+// ("transport.node.<id>.*"), so STATS shows per-link deliveries, drops and
+// blocks the way the paper's monitoring channel shows replication-link health.
 #ifndef COUCHKV_NET_TRANSPORT_METRICS_H_
 #define COUCHKV_NET_TRANSPORT_METRICS_H_
 
@@ -32,7 +32,8 @@ class TransportMetrics {
   // acquire load + relaxed adds (no lock after first touch of a node).
   struct NodeCounters {
     stats::Counter* delivered;
-    stats::Counter* dropped;  // dropped or blocked
+    stats::Counter* dropped;
+    stats::Counter* blocked;
   };
   static constexpr uint32_t kMaxNodes = 64;
 

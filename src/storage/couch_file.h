@@ -92,8 +92,8 @@ class CouchFile {
   // the next sweep) and the temp file is cleaned up best-effort.
   Status Compact(uint64_t purge_before_seqno = 0) EXCLUDES(mu_);
 
-  // Fraction of the file occupied by stale data, 0..1. The compactor daemon
-  // fires when this exceeds the configured threshold.
+  // Fraction of the file occupied by stale data, 0..1. The bucket's
+  // compaction sweep compacts a file when this exceeds one half.
   double Fragmentation() const EXCLUDES(mu_);
 
   uint64_t high_seqno() const EXCLUDES(mu_);

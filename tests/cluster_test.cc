@@ -17,6 +17,20 @@
 namespace couchkv::cluster {
 namespace {
 
+// KV ops aimed at one node through its data-service gate, bypassing the
+// smart client's routing (so a test can hit a replica or a wrong node).
+StatusOr<kv::DocMeta> SetOn(Node* n, const std::string& bucket, uint16_t vb,
+                            std::string_view key, std::string_view value) {
+  return n->WithVBucket(bucket, vb, [&](VBucket& v) {
+    return v.Store(kv::StoreOp::kSet, key, value, 0, 0, 0);
+  });
+}
+
+StatusOr<kv::GetResult> GetOn(Node* n, const std::string& bucket, uint16_t vb,
+                              std::string_view key) {
+  return n->WithVBucket(bucket, vb, [&](VBucket& v) { return v.Get(key); });
+}
+
 // --- VBucketMap ---
 
 TEST(VBucketMapTest, KeyHashingMatchesCrc32) {
@@ -88,13 +102,13 @@ class ClusterTest : public ::testing::Test {
                               const std::string& value) {
     uint16_t vb = KeyToVBucket(key);
     NodeId active = cluster_.map("default")->ActiveFor(vb);
-    return cluster_.node(active)->Set("default", vb, key, value, 0, 0, 0);
+    return SetOn(cluster_.node(active), "default", vb, key, value);
   }
 
   StatusOr<kv::GetResult> Read(const std::string& key) {
     uint16_t vb = KeyToVBucket(key);
     NodeId active = cluster_.map("default")->ActiveFor(vb);
-    return cluster_.node(active)->Get("default", vb, key);
+    return GetOn(cluster_.node(active), "default", vb, key);
   }
 
   Cluster cluster_;
@@ -112,7 +126,7 @@ TEST_F(ClusterTest, WrongNodeReturnsNotMyVBucket) {
   NodeId active = cluster_.map("default")->ActiveFor(vb);
   NodeId wrong = (active + 1) % 4;
   // The wrong node hosts this vb as replica or dead, never active.
-  auto r = cluster_.node(wrong)->Set("default", vb, "k1", "v", 0, 0, 0);
+  auto r = SetOn(cluster_.node(wrong), "default", vb, "k1", "v");
   EXPECT_TRUE(r.status().IsNotMyVBucket());
 }
 
@@ -139,7 +153,7 @@ TEST_F(ClusterTest, MutationsReplicateAsynchronously) {
 TEST_F(ClusterTest, ReplicaRejectsFrontEndOps) {
   uint16_t vb = KeyToVBucket("k1");
   NodeId replica = cluster_.map("default")->ReplicasFor(vb)[0];
-  auto r = cluster_.node(replica)->Get("default", vb, "k1");
+  auto r = GetOn(cluster_.node(replica), "default", vb, "k1");
   EXPECT_TRUE(r.status().IsNotMyVBucket());
 }
 
@@ -208,7 +222,7 @@ TEST_F(ClusterTest, FailoverPromotesReplicas) {
 
 TEST_F(ClusterTest, FailedNodeRefusesRequests) {
   ASSERT_TRUE(cluster_.Failover(1).ok());
-  auto r = cluster_.node(1)->Get("default", 0, "k");
+  auto r = GetOn(cluster_.node(1), "default", 0, "k");
   EXPECT_TRUE(r.status().IsTempFail());
 }
 
@@ -269,7 +283,7 @@ TEST_F(ClusterTest, MdsNodeWithoutDataServiceHostsNoBuckets) {
   cfg.num_replicas = 0;
   ASSERT_TRUE(c.CreateBucket(cfg).ok());
   EXPECT_EQ(c.node(query_only)->bucket("b"), nullptr);
-  auto r = c.node(query_only)->Get("b", 0, "k");
+  auto r = GetOn(c.node(query_only), "b", 0, "k");
   EXPECT_FALSE(r.ok());
 }
 
@@ -308,7 +322,7 @@ TEST_F(ClusterTest, QuotaEnforcementEvicts) {
     std::string key = "k" + std::to_string(i);
     uint16_t vb = KeyToVBucket(key);
     ASSERT_TRUE(
-        c.node(0)->Set("small", vb, key, std::string(2048, 'v'), 0, 0, 0).ok());
+        SetOn(c.node(0), "small", vb, key, std::string(2048, 'v')).ok());
   }
   c.Quiesce();  // persist so values are clean and evictable
   ASSERT_GT(b->mem_used(), cfg.memory_quota_bytes);
@@ -323,7 +337,7 @@ TEST_F(ClusterTest, CrashNodeRefusesRequestsUntilRestart) {
   NodeId active = cluster_.map("default")->ActiveFor(vb);
 
   ASSERT_TRUE(cluster_.CrashNode(active).ok());
-  auto r = cluster_.node(active)->Get("default", vb, "k1");
+  auto r = GetOn(cluster_.node(active), "default", vb, "k1");
   EXPECT_TRUE(r.status().IsTempFail()) << r.status().ToString();
   // Unlike Failover, the map still names the crashed node as active.
   EXPECT_EQ(cluster_.map("default")->ActiveFor(vb), active);
@@ -440,7 +454,7 @@ TEST_F(ClusterTest, FailoverPromotesFreshestReplicaBySeqno) {
   ASSERT_EQ(replicas.size(), 2u);
 
   // Baseline write reaches both replicas over a clean network.
-  ASSERT_TRUE(cluster_.node(active)->Set("wide", vb, key, "v1", 0, 0, 0).ok());
+  ASSERT_TRUE(SetOn(cluster_.node(active), "wide", vb, key, "v1").ok());
   cluster_.Quiesce();
 
   // Stall replication to the chain-first replica only; the chain-second
@@ -451,8 +465,8 @@ TEST_F(ClusterTest, FailoverPromotesFreshestReplicaBySeqno) {
                   net::Endpoint::Node(replicas[0]));
   StatusOr<kv::DocMeta> last = Status::NotFound("no write yet");
   for (int i = 2; i <= 5; ++i) {
-    last = cluster_.node(active)->Set("wide", vb, key,
-                                      "v" + std::to_string(i), 0, 0, 0);
+    last = SetOn(cluster_.node(active), "wide", vb, key,
+                 "v" + std::to_string(i));
     ASSERT_TRUE(last.ok());
   }
   ASSERT_TRUE(cluster_
@@ -464,7 +478,7 @@ TEST_F(ClusterTest, FailoverPromotesFreshestReplicaBySeqno) {
   // promotion must pick the replica that actually holds the acked writes.
   ASSERT_TRUE(cluster_.Failover(active).ok());
   EXPECT_EQ(cluster_.map("wide")->ActiveFor(vb), replicas[1]);
-  auto r = cluster_.node(replicas[1])->Get("wide", vb, key);
+  auto r = GetOn(cluster_.node(replicas[1]), "wide", vb, key);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->doc.value, "v5");
 
@@ -621,7 +635,7 @@ TEST_F(ClusterTest, RollbackResetsVBucketInPlaceUnderConcurrentUse) {
   NodeId active = cluster_.map("default")->ActiveFor(vb);
   NodeId replica = cluster_.map("default")->ReplicasFor(vb)[0];
   ASSERT_TRUE(
-      cluster_.node(active)->Set("default", vb, key, "v1", 0, 0, 0).ok());
+      SetOn(cluster_.node(active), "default", vb, key, "v1").ok());
   cluster_.Quiesce();
 
   // Writes the replica never sees: the active's copy runs ahead, so the
@@ -630,9 +644,8 @@ TEST_F(ClusterTest, RollbackResetsVBucketInPlaceUnderConcurrentUse) {
   cluster_.set_transport(&transport);
   transport.Block(net::Endpoint::Node(active), net::Endpoint::Node(replica));
   for (int i = 2; i <= 5; ++i) {
-    ASSERT_TRUE(cluster_.node(active)
-                    ->Set("default", vb, key, "v" + std::to_string(i), 0, 0,
-                          0)
+    ASSERT_TRUE(SetOn(cluster_.node(active), "default", vb, key,
+                      "v" + std::to_string(i))
                     .ok());
   }
   ASSERT_TRUE(cluster_.Failover(active).ok());
@@ -641,7 +654,7 @@ TEST_F(ClusterTest, RollbackResetsVBucketInPlaceUnderConcurrentUse) {
 
   std::shared_ptr<Bucket> b = cluster_.node(active)->bucket("default");
   VBucket* held = b->vbucket(vb);  // as a replica stream callback holds it
-  auto promoted = cluster_.node(replica)->Get("default", vb, key);
+  auto promoted = GetOn(cluster_.node(replica), "default", vb, key);
   ASSERT_TRUE(promoted.ok());
   const kv::Document first = promoted->doc;  // v1 at seqno 1
   std::atomic<bool> stop{false};

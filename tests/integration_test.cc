@@ -126,11 +126,12 @@ TEST_F(IntegrationTest, WarmupRestoresBucketFromStorage) {
     ASSERT_TRUE(before.SetVBucketState(0, cluster::VBucketState::kActive).ok());
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(before.vbucket(0)
-                      ->Set("k" + std::to_string(i), "v" + std::to_string(i),
-                            0, 0, 0)
+                      ->Store(kv::StoreOp::kSet, "k" + std::to_string(i),
+                              "v" + std::to_string(i), 0, 0, 0)
                       .ok());
     }
-    ASSERT_TRUE(before.vbucket(0)->Remove("k7", 0).ok());
+    ASSERT_TRUE(
+        before.vbucket(0)->Store(kv::StoreOp::kDelete, "k7", {}, 0, 0, 0).ok());
     before.FlushAll();
   }  // "crash"
   dcp::Dispatcher dispatcher;
@@ -144,7 +145,7 @@ TEST_F(IntegrationTest, WarmupRestoresBucketFromStorage) {
   EXPECT_EQ(r->doc.value, "v3");
   EXPECT_TRUE(after.vbucket(0)->Get("k7").status().IsNotFound());
   // Seqno high-water marks survive the restart: new mutations continue on.
-  auto m = after.vbucket(0)->Set("new", "nv", 0, 0, 0);
+  auto m = after.vbucket(0)->Store(kv::StoreOp::kSet, "new", "nv", 0, 0, 0);
   ASSERT_TRUE(m.ok());
   EXPECT_GT(m->seqno, 50u);
 }
@@ -198,7 +199,7 @@ TEST(OneCopyTest, ActiveSetSharesOneBufferAcrossTableLogAndFlushQueue) {
   OneBucket one;
   one.disk.set_faults_enabled(true);  // the write stays on the flush queue
   const std::string value(1100, 'v');
-  ASSERT_TRUE(one.vb()->Set("k", value, 0, 0, 0).ok());
+  ASSERT_TRUE(one.vb()->Store(kv::StoreOp::kSet, "k", value, 0, 0, 0).ok());
 
   auto entry = one.vb()->hash_table().Get("k");
   ASSERT_TRUE(entry.ok());
@@ -224,8 +225,8 @@ TEST(OneCopyTest, ActiveSetSharesOneBufferAcrossTableLogAndFlushQueue) {
 TEST(OneCopyTest, SecondSetLeavesTheLoggedFirstVersionIntact) {
   OneBucket one;
   const std::string v1(1000, '1'), v2(1000, '2');
-  ASSERT_TRUE(one.vb()->Set("k", v1, 0, 0, 0).ok());
-  ASSERT_TRUE(one.vb()->Set("k", v2, 0, 0, 0).ok());
+  ASSERT_TRUE(one.vb()->Store(kv::StoreOp::kSet, "k", v1, 0, 0, 0).ok());
+  ASSERT_TRUE(one.vb()->Store(kv::StoreOp::kSet, "k", v2, 0, 0, 0).ok());
 
   std::vector<kv::Document> logged = one.StreamFromZero();
   ASSERT_EQ(logged.size(), 2u);
@@ -240,7 +241,7 @@ TEST(OneCopyTest, SecondSetLeavesTheLoggedFirstVersionIntact) {
 TEST(OneCopyTest, EvictionLeavesTheLoggedValueAndReadsThrough) {
   OneBucket one;
   const std::string value(1000, 'e');
-  ASSERT_TRUE(one.vb()->Set("k", value, 0, 0, 0).ok());
+  ASSERT_TRUE(one.vb()->Store(kv::StoreOp::kSet, "k", value, 0, 0, 0).ok());
   one.bucket->FlushAll();
   one.vb()->hash_table().EvictTo(0);
   one.vb()->hash_table().EvictTo(0);  // second pass evicts referenced values
@@ -257,6 +258,144 @@ TEST(OneCopyTest, EvictionLeavesTheLoggedValueAndReadsThrough) {
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->resident);
   EXPECT_EQ(read->doc.value, value);
+}
+
+// --- Read-through and the store ops ---
+
+// Writes `value` under `key`, persists it and evicts it again, so the next
+// read of it must go to storage.
+void WriteAndEvict(OneBucket& one, const std::string& key,
+                   const std::string& value) {
+  ASSERT_TRUE(one.vb()->Store(kv::StoreOp::kSet, key, value, 0, 0, 0).ok());
+  one.bucket->FlushAll();
+  one.vb()->hash_table().EvictTo(0);
+  one.vb()->hash_table().EvictTo(0);  // second pass evicts referenced values
+  auto evicted = one.vb()->hash_table().Get(key);
+  ASSERT_TRUE(evicted.ok());
+  ASSERT_FALSE(evicted->resident);
+}
+
+TEST(ReadThroughTest, GetlWhoseReadFailsTakesNoLock) {
+  OneBucket one;
+  const std::string value(1000, 'l');
+  ASSERT_NO_FATAL_FAILURE(WriteAndEvict(one, "k", value));
+  const uint64_t cas = one.vb()->hash_table().Get("k")->doc.meta.cas;
+
+  one.disk.FailNextReads(1);
+  auto failed = one.vb()->GetAndLock("k", 15000);
+  EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  EXPECT_EQ(one.vb()->hash_table().Get("k")->doc.meta.cas, cas);
+
+  auto locked = one.vb()->GetAndLock("k", 15000);
+  ASSERT_TRUE(locked.ok()) << locked.status().ToString();
+  EXPECT_EQ(locked->doc.value, value);
+  EXPECT_NE(locked->doc.meta.cas, cas);
+}
+
+TEST(ReadThroughTest, TouchOfAnEvictedValueKeepsTheValueOnDisk) {
+  OneBucket one;
+  const std::string value(1000, 't');
+  ASSERT_NO_FATAL_FAILURE(WriteAndEvict(one, "k", value));
+
+  const uint32_t expiry =
+      static_cast<uint32_t>(Clock::Real()->NowSeconds()) + 3600;
+  ASSERT_TRUE(
+      one.vb()->Store(kv::StoreOp::kTouch, "k", {}, 0, expiry, 0).ok());
+  one.bucket->FlushAll();
+  one.vb()->hash_table().EvictTo(0);
+  one.vb()->hash_table().EvictTo(0);
+
+  auto read = one.vb()->Get("k");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->doc.value, value);
+  EXPECT_EQ(read->doc.meta.expiry, expiry);
+}
+
+TEST_F(IntegrationTest, TouchReachesTheReplicaUnderANewSeqno) {
+  auto put = client_->Upsert("touched", R"({"v":1})");
+  ASSERT_TRUE(put.ok());
+  cluster_.Quiesce();
+  const uint32_t expiry = 4000000000u;
+  ASSERT_TRUE(client_->Touch("touched", expiry).ok());
+  cluster_.Quiesce();
+
+  const uint16_t vb = client_->VBucketFor("touched");
+  auto map = cluster_.map("default");
+  std::shared_ptr<cluster::Bucket> active =
+      cluster_.node(map->ActiveFor(vb))->bucket("default");
+  auto on_active = active->vbucket(vb)->hash_table().Get("touched");
+  auto on_replica = cluster_.node(map->ReplicasFor(vb)[0])
+                        ->bucket("default")
+                        ->vbucket(vb)
+                        ->hash_table()
+                        .Get("touched");
+  ASSERT_TRUE(on_active.ok() && on_replica.ok());
+  EXPECT_EQ(on_active->doc.meta.expiry, expiry);
+  EXPECT_EQ(on_replica->doc.meta.expiry, on_active->doc.meta.expiry);
+  EXPECT_GT(on_active->doc.meta.seqno, put->seqno);
+  EXPECT_EQ(on_replica->doc.meta.seqno, on_active->doc.meta.seqno);
+
+  // The active's change log carries each seqno once.
+  std::vector<uint64_t> seqnos;
+  auto id = active->producer()->AddStream(
+      "probe", vb, 0, [&](const kv::Mutation& m) {
+        seqnos.push_back(m.doc.meta.seqno);
+        return Status::OK();
+      });
+  ASSERT_TRUE(id.ok());
+  active->producer()->Drain();
+  active->producer()->RemoveStream(*id);  // barrier: delivery is done
+  ASSERT_FALSE(seqnos.empty());
+  for (size_t i = 1; i < seqnos.size(); ++i) {
+    EXPECT_LT(seqnos[i - 1], seqnos[i]);
+  }
+}
+
+// Disk-failure backpressure (§3.1.1's temporary failure): once the flusher
+// is failing and the disk write queue holds the TempFail depth, every store
+// op is refused with TempFail while reads still succeed; a healed disk
+// drains the queue and lifts it.
+TEST(BackpressureTest, FailingDiskTempFailsEveryStoreOpButNotReads) {
+  OneBucket one;
+  ASSERT_TRUE(
+      one.vb()->Store(kv::StoreOp::kSet, "held", "v", 0, 0, 0).ok());
+  one.bucket->FlushAll();
+  one.disk.set_faults_enabled(true);
+  for (uint64_t i = 0; i < cluster::Bucket::kTempFailQueueDepth; ++i) {
+    ASSERT_TRUE(one.vb()
+                    ->Store(kv::StoreOp::kSet, "q" + std::to_string(i), "v",
+                            0, 0, 0)
+                    .ok())
+        << i;
+  }
+  // The flag is set when a failed flush pass puts the whole queue back.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!one.bucket->backpressure_active() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(one.bucket->backpressure_active());
+
+  auto store = [&](kv::StoreOp op, const std::string& key) {
+    return one.vb()->Store(op, key, "w", 0, 0, 0).status();
+  };
+  EXPECT_TRUE(store(kv::StoreOp::kSet, "new").IsTempFail());
+  EXPECT_TRUE(store(kv::StoreOp::kAdd, "new").IsTempFail());
+  EXPECT_TRUE(store(kv::StoreOp::kReplace, "held").IsTempFail());
+  EXPECT_TRUE(store(kv::StoreOp::kTouch, "held").IsTempFail());
+  EXPECT_TRUE(store(kv::StoreOp::kDelete, "held").IsTempFail());
+  auto read = one.vb()->Get("held");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->doc.value, "v");
+
+  one.disk.set_faults_enabled(false);
+  one.bucket->FlushAll();
+  EXPECT_FALSE(one.bucket->backpressure_active());
+  EXPECT_TRUE(store(kv::StoreOp::kSet, "new").ok());
+  EXPECT_TRUE(store(kv::StoreOp::kAdd, "added").ok());
+  EXPECT_TRUE(store(kv::StoreOp::kReplace, "held").ok());
+  EXPECT_TRUE(store(kv::StoreOp::kTouch, "held").ok());
+  EXPECT_TRUE(store(kv::StoreOp::kDelete, "held").ok());
 }
 
 // A node boundary copies: the replica's value is its own buffer, so it

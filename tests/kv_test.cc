@@ -32,7 +32,7 @@ TEST_F(HashTableTest, GetMissing) {
 }
 
 TEST_F(HashTableTest, SetThenGet) {
-  auto meta = ht_.Set("k", "{\"v\":1}", 0, 0, 0);
+  auto meta = ht_.Store(StoreOp::kSet, "k", "{\"v\":1}", 0, 0, 0);
   ASSERT_TRUE(meta.ok());
   EXPECT_GT(meta->cas, 0u);
   EXPECT_EQ(meta->seqno, 1u);
@@ -48,7 +48,8 @@ TEST_F(HashTableTest, SetThenGet) {
 TEST_F(HashTableTest, SeqnosMonotonic) {
   uint64_t prev = 0;
   for (int i = 0; i < 100; ++i) {
-    auto meta = ht_.Set("k" + std::to_string(i % 7), "v", 0, 0, 0);
+    auto meta =
+        ht_.Store(StoreOp::kSet, "k" + std::to_string(i % 7), "v", 0, 0, 0);
     ASSERT_TRUE(meta.ok());
     EXPECT_GT(meta->seqno, prev);
     prev = meta->seqno;
@@ -57,8 +58,8 @@ TEST_F(HashTableTest, SeqnosMonotonic) {
 }
 
 TEST_F(HashTableTest, CasMatchSucceeds) {
-  auto m1 = ht_.Set("k", "v1", 0, 0, 0);
-  auto m2 = ht_.Set("k", "v2", 0, 0, m1->cas);
+  auto m1 = ht_.Store(StoreOp::kSet, "k", "v1", 0, 0, 0);
+  auto m2 = ht_.Store(StoreOp::kSet, "k", "v2", 0, 0, m1->cas);
   ASSERT_TRUE(m2.ok());
   EXPECT_EQ(ht_.Get("k")->doc.value, "v2");
   EXPECT_EQ(m2->revno, 2u);
@@ -67,42 +68,47 @@ TEST_F(HashTableTest, CasMatchSucceeds) {
 TEST_F(HashTableTest, CasMismatchFails) {
   // The paper's optimistic-locking flow (§3.1.1): a concurrent mutation
   // bumps the CAS, so the original client's conditional update fails.
-  auto m1 = ht_.Set("k", "v1", 0, 0, 0);
-  ASSERT_TRUE(ht_.Set("k", "v2", 0, 0, 0).ok());  // concurrent writer
-  auto r = ht_.Set("k", "v3", 0, 0, m1->cas);
+  auto m1 = ht_.Store(StoreOp::kSet, "k", "v1", 0, 0, 0);
+  // A concurrent writer.
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v2", 0, 0, 0).ok());
+  auto r = ht_.Store(StoreOp::kSet, "k", "v3", 0, 0, m1->cas);
   EXPECT_TRUE(r.status().IsKeyExists());
   EXPECT_EQ(ht_.Get("k")->doc.value, "v2");
   EXPECT_EQ(scope_.GetCounter("kv.cas_mismatches")->Value(), 1u);
   // Re-read and re-submit with the fresh CAS succeeds.
   auto fresh = ht_.Get("k");
-  EXPECT_TRUE(ht_.Set("k", "v3", 0, 0, fresh->doc.meta.cas).ok());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", "v3", 0, 0, fresh->doc.meta.cas).ok());
 }
 
 TEST_F(HashTableTest, CasOnMissingKeyIsNotFound) {
-  EXPECT_TRUE(ht_.Set("nope", "v", 0, 0, 12345).status().IsNotFound());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kSet, "nope", "v", 0, 0, 12345).status().IsNotFound());
 }
 
 TEST_F(HashTableTest, AddOnlyInsertsOnce) {
-  EXPECT_TRUE(ht_.Add("k", "v1", 0, 0).ok());
-  EXPECT_TRUE(ht_.Add("k", "v2", 0, 0).status().IsKeyExists());
+  EXPECT_TRUE(ht_.Store(StoreOp::kAdd, "k", "v1", 0, 0, 0).ok());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kAdd, "k", "v2", 0, 0, 0).status().IsKeyExists());
 }
 
 TEST_F(HashTableTest, AddSucceedsAfterDelete) {
-  ASSERT_TRUE(ht_.Add("k", "v1", 0, 0).ok());
-  ASSERT_TRUE(ht_.Remove("k", 0).ok());
-  EXPECT_TRUE(ht_.Add("k", "v2", 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kAdd, "k", "v1", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kDelete, "k", {}, 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kAdd, "k", "v2", 0, 0, 0).ok());
 }
 
 TEST_F(HashTableTest, ReplaceRequiresExistence) {
-  EXPECT_TRUE(ht_.Replace("k", "v", 0, 0, 0).status().IsNotFound());
-  ASSERT_TRUE(ht_.Set("k", "v1", 0, 0, 0).ok());
-  EXPECT_TRUE(ht_.Replace("k", "v2", 0, 0, 0).ok());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kReplace, "k", "v", 0, 0, 0).status().IsNotFound());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v1", 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kReplace, "k", "v2", 0, 0, 0).ok());
   EXPECT_EQ(ht_.Get("k")->doc.value, "v2");
 }
 
 TEST_F(HashTableTest, RemoveLeavesTombstoneWithSeqno) {
-  ASSERT_TRUE(ht_.Set("k", "v", 0, 0, 0).ok());
-  auto meta = ht_.Remove("k", 0);
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0).ok());
+  auto meta = ht_.Store(StoreOp::kDelete, "k", {}, 0, 0, 0);
   ASSERT_TRUE(meta.ok());
   EXPECT_TRUE(meta->deleted);
   EXPECT_EQ(meta->seqno, 2u);
@@ -111,67 +117,72 @@ TEST_F(HashTableTest, RemoveLeavesTombstoneWithSeqno) {
 }
 
 TEST_F(HashTableTest, RemoveMissingIsNotFound) {
-  EXPECT_TRUE(ht_.Remove("k", 0).status().IsNotFound());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kDelete, "k", {}, 0, 0, 0).status().IsNotFound());
 }
 
 TEST_F(HashTableTest, RemoveWithStaleCasFails) {
-  auto m1 = ht_.Set("k", "v1", 0, 0, 0);
-  ASSERT_TRUE(ht_.Set("k", "v2", 0, 0, 0).ok());
-  EXPECT_TRUE(ht_.Remove("k", m1->cas).status().IsKeyExists());
+  auto m1 = ht_.Store(StoreOp::kSet, "k", "v1", 0, 0, 0);
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v2", 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kDelete, "k", {}, 0, 0,
+                        m1->cas).status().IsKeyExists());
 }
 
 // --- GETL hard locks (§3.1.1) ---
 
 TEST_F(HashTableTest, LockBlocksForeignWrites) {
-  ASSERT_TRUE(ht_.Set("k", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0).ok());
   auto locked = ht_.GetAndLock("k", 15000);
   ASSERT_TRUE(locked.ok());
   // A writer without the lock CAS is refused.
-  EXPECT_TRUE(ht_.Set("k", "other", 0, 0, 0).status().IsLocked());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", "other", 0, 0, 0).status().IsLocked());
   // The lock holder can write using the returned CAS.
-  EXPECT_TRUE(ht_.Set("k", "mine", 0, 0, locked->doc.meta.cas).ok());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", "mine", 0, 0, locked->doc.meta.cas).ok());
   EXPECT_EQ(ht_.Get("k")->doc.value, "mine");
   // The mutation released the lock.
-  EXPECT_TRUE(ht_.Set("k", "again", 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kSet, "k", "again", 0, 0, 0).ok());
 }
 
 TEST_F(HashTableTest, LockExpiresAfterTimeout) {
   // "This lock will be released after a certain timeout to avoid
   // deadlocks" (§3.1.1).
-  ASSERT_TRUE(ht_.Set("k", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0).ok());
   ASSERT_TRUE(ht_.GetAndLock("k", 15000).ok());
-  EXPECT_TRUE(ht_.Set("k", "x", 0, 0, 0).status().IsLocked());
+  EXPECT_TRUE(ht_.Store(StoreOp::kSet, "k", "x", 0, 0, 0).status().IsLocked());
   clock_.AdvanceMillis(15001);
-  EXPECT_TRUE(ht_.Set("k", "x", 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kSet, "k", "x", 0, 0, 0).ok());
 }
 
 TEST_F(HashTableTest, DoubleLockRefused) {
-  ASSERT_TRUE(ht_.Set("k", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0).ok());
   ASSERT_TRUE(ht_.GetAndLock("k", 15000).ok());
   EXPECT_TRUE(ht_.GetAndLock("k", 15000).status().IsLocked());
 }
 
 TEST_F(HashTableTest, UnlockRequiresLockCas) {
-  ASSERT_TRUE(ht_.Set("k", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0).ok());
   auto locked = ht_.GetAndLock("k", 15000);
   EXPECT_TRUE(ht_.Unlock("k", 1).IsLocked());
   EXPECT_TRUE(ht_.Unlock("k", locked->doc.meta.cas).ok());
-  EXPECT_TRUE(ht_.Set("k", "x", 0, 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kSet, "k", "x", 0, 0, 0).ok());
 }
 
 TEST_F(HashTableTest, LockInvalidatesOldCas) {
-  auto m = ht_.Set("k", "v", 0, 0, 0);
+  auto m = ht_.Store(StoreOp::kSet, "k", "v", 0, 0, 0);
   ASSERT_TRUE(ht_.GetAndLock("k", 15000).ok());
   // Pre-lock CAS no longer works even after expiry.
   clock_.AdvanceMillis(15001);
-  EXPECT_TRUE(ht_.Set("k", "x", 0, 0, m->cas).status().IsKeyExists());
+  EXPECT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", "x", 0, 0, m->cas).status().IsKeyExists());
 }
 
 // --- TTL ---
 
 TEST_F(HashTableTest, ExpiryHidesDocument) {
   uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
-  ASSERT_TRUE(ht_.Set("k", "v", 0, now + 10, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, now + 10, 0).ok());
   EXPECT_TRUE(ht_.Get("k").ok());
   clock_.AdvanceSeconds(11);
   EXPECT_TRUE(ht_.Get("k").status().IsNotFound());
@@ -179,27 +190,49 @@ TEST_F(HashTableTest, ExpiryHidesDocument) {
 
 TEST_F(HashTableTest, TouchExtendsExpiry) {
   uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
-  ASSERT_TRUE(ht_.Set("k", "v", 0, now + 10, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, now + 10, 0).ok());
   clock_.AdvanceSeconds(8);
   ASSERT_TRUE(
-      ht_.Touch("k", static_cast<uint32_t>(clock_.NowSeconds()) + 10).ok());
+      ht_.Store(StoreOp::kTouch, "k", {}, 0,
+                static_cast<uint32_t>(clock_.NowSeconds()) + 10, 0).ok());
   clock_.AdvanceSeconds(8);
   EXPECT_TRUE(ht_.Get("k").ok());
 }
 
+// TOUCH is a mutation like any other: new CAS, revno and seqno, so DCP
+// carries it; only the value and flags stay.
+TEST_F(HashTableTest, TouchTakesANewCasRevnoAndSeqno) {
+  auto set = ht_.Store(StoreOp::kSet, "k", "v", 7, 0, 0);
+  ASSERT_TRUE(set.ok());
+  auto touched = ht_.Store(StoreOp::kTouch, "k", "ignored", 9, 4000000000u, 0);
+  ASSERT_TRUE(touched.ok());
+  EXPECT_GT(touched->cas, set->cas);
+  EXPECT_EQ(touched->revno, set->revno + 1);
+  EXPECT_GT(touched->seqno, set->seqno);
+  EXPECT_EQ(touched->expiry, 4000000000u);
+  auto r = ht_.Get("k");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->doc.value, "v");
+  EXPECT_EQ(r->doc.meta.flags, 7u);
+  EXPECT_EQ(r->doc.meta.seqno, touched->seqno);
+  EXPECT_TRUE(ht_.Store(StoreOp::kTouch, "absent", {}, 0, 1, 0)
+                  .status()
+                  .IsNotFound());
+}
+
 TEST_F(HashTableTest, SetOnExpiredKeyBehavesLikeInsert) {
   uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
-  ASSERT_TRUE(ht_.Set("k", "v", 0, now + 1, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "v", 0, now + 1, 0).ok());
   clock_.AdvanceSeconds(2);
-  EXPECT_TRUE(ht_.Add("k", "v2", 0, 0).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kAdd, "k", "v2", 0, 0, 0).ok());
 }
 
 TEST_F(HashTableTest, PurgeDropsExpiredAndOldTombstones) {
   uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
-  ASSERT_TRUE(ht_.Set("expired", "v", 0, now + 1, 0).ok());
-  ASSERT_TRUE(ht_.Set("deleted", "v", 0, 0, 0).ok());
-  ASSERT_TRUE(ht_.Remove("deleted", 0).ok());
-  ASSERT_TRUE(ht_.Set("live", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "expired", "v", 0, now + 1, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "deleted", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kDelete, "deleted", {}, 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "live", "v", 0, 0, 0).ok());
   // Mark everything clean so purge may discard it.
   ht_.MarkClean("expired", 1);
   ht_.MarkClean("deleted", 3);
@@ -215,7 +248,8 @@ TEST_F(HashTableTest, PurgeDropsExpiredAndOldTombstones) {
 TEST_F(HashTableTest, EvictionKeepsMetadataByDefault) {
   for (int i = 0; i < 50; ++i) {
     std::string key = "k" + std::to_string(i);
-    ASSERT_TRUE(ht_.Set(key, std::string(1000, 'x'), 0, 0, 0).ok());
+    ASSERT_TRUE(
+        ht_.Store(StoreOp::kSet, key, std::string(1000, 'x'), 0, 0, 0).ok());
     ht_.MarkClean(key, static_cast<uint64_t>(i + 1));  // persisted
   }
   uint64_t before = ht_.mem_used();
@@ -238,7 +272,8 @@ TEST_F(HashTableTest, EvictionKeepsMetadataByDefault) {
 
 TEST_F(HashTableTest, DirtyValuesAreNotEvicted) {
   // Never persisted, so the value is dirty and pinned in memory.
-  ASSERT_TRUE(ht_.Set("dirty", std::string(1000, 'x'), 0, 0, 0).ok());
+  ASSERT_TRUE(
+      ht_.Store(StoreOp::kSet, "dirty", std::string(1000, 'x'), 0, 0, 0).ok());
   ht_.EvictTo(0);
   auto r = ht_.Get("dirty");
   ASSERT_TRUE(r.ok());
@@ -249,7 +284,8 @@ TEST_F(HashTableTest, FullEvictionRemovesEntries) {
   HashTable full(&clock_, EvictionPolicy::kFull);
   for (int i = 0; i < 20; ++i) {
     std::string key = "k" + std::to_string(i);
-    ASSERT_TRUE(full.Set(key, std::string(500, 'y'), 0, 0, 0).ok());
+    ASSERT_TRUE(
+        full.Store(StoreOp::kSet, key, std::string(500, 'y'), 0, 0, 0).ok());
     full.MarkClean(key, static_cast<uint64_t>(i + 1));
   }
   full.EvictTo(0);
@@ -257,7 +293,8 @@ TEST_F(HashTableTest, FullEvictionRemovesEntries) {
 }
 
 TEST_F(HashTableTest, RestoreFillsNonResidentValue) {
-  ASSERT_TRUE(ht_.Set("k", std::string(100, 'z'), 0, 0, 0).ok());
+  ASSERT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", std::string(100, 'z'), 0, 0, 0).ok());
   ht_.MarkClean("k", 1);
   ht_.EvictTo(0);
   ht_.EvictTo(0);  // second pass clears reference bits then evicts
@@ -275,9 +312,10 @@ TEST_F(HashTableTest, RestoreFillsNonResidentValue) {
 
 TEST_F(HashTableTest, MemAccountingReturnsToBaseline) {
   uint64_t base = ht_.mem_used();
-  ASSERT_TRUE(ht_.Set("k", std::string(4096, 'a'), 0, 0, 0).ok());
+  ASSERT_TRUE(
+      ht_.Store(StoreOp::kSet, "k", std::string(4096, 'a'), 0, 0, 0).ok());
   EXPECT_GT(ht_.mem_used(), base + 4000);
-  ASSERT_TRUE(ht_.Remove("k", 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kDelete, "k", {}, 0, 0, 0).ok());
   ht_.MarkClean("k", 2);
   ht_.Purge(100);
   EXPECT_EQ(ht_.mem_used(), base);
@@ -287,7 +325,7 @@ TEST_F(HashTableTest, MemAccountingReturnsToBaseline) {
 
 TEST_F(HashTableTest, EntryKeepsTheMutationsBufferAndGetSharesIt) {
   Blob value(std::string(1000, 'v'));
-  ASSERT_TRUE(ht_.Set("k", value, 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", value, 0, 0, 0).ok());
   auto a = ht_.Get("k");
   auto b = ht_.Get("k");
   ASSERT_TRUE(a.ok() && b.ok());
@@ -298,7 +336,7 @@ TEST_F(HashTableTest, EntryKeepsTheMutationsBufferAndGetSharesIt) {
 
 TEST_F(HashTableTest, EvictionDropsOnlyTheTablesReference) {
   Blob value(std::string(1000, 'e'));  // a second holder, as the DCP log is
-  ASSERT_TRUE(ht_.Set("k", value, 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", value, 0, 0, 0).ok());
   ht_.MarkClean("k", 1);
   ht_.EvictTo(0);
   ht_.EvictTo(0);  // second pass clears reference bits then evicts
@@ -310,15 +348,17 @@ TEST_F(HashTableTest, EvictionDropsOnlyTheTablesReference) {
 }
 
 TEST_F(HashTableTest, ClearResetsEntriesSeqnosAndMemory) {
-  ASSERT_TRUE(ht_.Set("a", std::string(100, 'a'), 0, 0, 0).ok());
-  ASSERT_TRUE(ht_.Set("b", std::string(100, 'b'), 0, 0, 0).ok());
+  ASSERT_TRUE(
+      ht_.Store(StoreOp::kSet, "a", std::string(100, 'a'), 0, 0, 0).ok());
+  ASSERT_TRUE(
+      ht_.Store(StoreOp::kSet, "b", std::string(100, 'b'), 0, 0, 0).ok());
   ht_.MarkClean("b", 2);
   ht_.Clear();
   EXPECT_TRUE(ht_.Get("a").status().IsNotFound());
   EXPECT_EQ(ht_.high_seqno(), 0u);
   EXPECT_EQ(ht_.persisted_seqno(), 0u);
   EXPECT_EQ(ht_.mem_used(), 0u);
-  auto meta = ht_.Set("a", "again", 0, 0, 0);
+  auto meta = ht_.Store(StoreOp::kSet, "a", "again", 0, 0, 0);
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->seqno, 1u);
 }
@@ -341,8 +381,8 @@ TEST_F(HashTableTest, ApplyRemotePreservesMetadata) {
 }
 
 TEST_F(HashTableTest, MarkCleanAdvancesPersistedSeqno) {
-  ASSERT_TRUE(ht_.Set("a", "1", 0, 0, 0).ok());
-  ASSERT_TRUE(ht_.Set("b", "2", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "a", "1", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "b", "2", 0, 0, 0).ok());
   EXPECT_EQ(ht_.persisted_seqno(), 0u);
   ht_.MarkClean("a", 1);
   EXPECT_EQ(ht_.persisted_seqno(), 1u);
@@ -352,10 +392,10 @@ TEST_F(HashTableTest, MarkCleanAdvancesPersistedSeqno) {
 
 TEST_F(HashTableTest, ForEachSkipsTombstonesAndExpired) {
   uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
-  ASSERT_TRUE(ht_.Set("live", "v", 0, 0, 0).ok());
-  ASSERT_TRUE(ht_.Set("dead", "v", 0, 0, 0).ok());
-  ASSERT_TRUE(ht_.Remove("dead", 0).ok());
-  ASSERT_TRUE(ht_.Set("exp", "v", 0, now + 1, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "live", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "dead", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kDelete, "dead", {}, 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "exp", "v", 0, now + 1, 0).ok());
   clock_.AdvanceSeconds(2);
   int count = 0;
   ht_.ForEach([&](const Document& doc, bool) {
@@ -374,7 +414,7 @@ TEST_F(HashTableTest, ForEachSkipsTombstonesAndExpired) {
 TEST_F(HashTableTest, GetlContentionSingleHolder) {
   // N threads race GETL on one key. The lock is a hard mutual exclusion:
   // at most one holder at a time, everyone else sees IsLocked (§3.1.1).
-  ASSERT_TRUE(ht_.Set("k", "0", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "k", "0", 0, 0, 0).ok());
   constexpr int kThreads = 8;
   constexpr int kAcquisitionsPerThread = 50;
 
@@ -400,8 +440,8 @@ TEST_F(HashTableTest, GetlContentionSingleHolder) {
         // plain Unlock, alternating to cover both release paths.
         holders.fetch_sub(1);
         if (acquired % 2 == 0) {
-          auto w = ht_.Set("k", std::to_string(t), 0, 0,
-                           locked->doc.meta.cas);
+          auto w = ht_.Store(StoreOp::kSet, "k", std::to_string(t), 0, 0,
+                             locked->doc.meta.cas);
           if (!w.ok()) violation.store(true);
         } else {
           if (!ht_.Unlock("k", locked->doc.meta.cas).ok()) {
@@ -420,7 +460,8 @@ TEST_F(HashTableTest, GetlContentionSingleHolder) {
   // All locks were released, so an outsider can lock and write again.
   auto final_lock = ht_.GetAndLock("k", 15000);
   ASSERT_TRUE(final_lock.ok());
-  EXPECT_TRUE(ht_.Set("k", "done", 0, 0, final_lock->doc.meta.cas).ok());
+  EXPECT_TRUE(ht_.Store(StoreOp::kSet, "k", "done", 0, 0,
+                        final_lock->doc.meta.cas).ok());
   EXPECT_EQ(ht_.Get("k")->doc.value, "done");
 }
 
@@ -436,7 +477,7 @@ TEST_F(HashTableTest, CasUnderConcurrentEviction) {
   constexpr int kKeys = 4;
   auto key_name = [](int k) { return "k" + std::to_string(k); };
   for (int k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(ht_.Set(key_name(k), "0", 0, 0, 0).ok());
+    ASSERT_TRUE(ht_.Store(StoreOp::kSet, key_name(k), "0", 0, 0, 0).ok());
   }
 
   // Shadow of what the flusher has persisted, keyed by document key. The
@@ -492,8 +533,8 @@ TEST_F(HashTableTest, CasUnderConcurrentEviction) {
           continue;
         }
         int cur = std::stoi(std::string(r->doc.value));
-        auto s = ht_.Set(key, std::to_string(cur + 1), 0, 0,
-                         r->doc.meta.cas);
+        auto s = ht_.Store(StoreOp::kSet, key, std::to_string(cur + 1), 0, 0,
+                           r->doc.meta.cas);
         if (s.ok()) {
           per_key_increments[ki].fetch_add(1);
           ++done;

@@ -144,7 +144,7 @@ TEST_P(HashTableModelTest, RandomOpsMatchModel) {
                                            clock.NowSeconds() + rng.Uniform(5))
                                      : 0;
       std::string value = "v" + std::to_string(step);
-      auto m = ht.Set(key, value, 0, expiry, 0);
+      auto m = ht.Store(kv::StoreOp::kSet, key, value, 0, expiry, 0);
       ASSERT_TRUE(m.ok());
       model[key] = ModelDoc{value, m->cas, expiry};
     } else if (action < 50) {  // CAS set (sometimes stale)
@@ -153,20 +153,20 @@ TEST_P(HashTableModelTest, RandomOpsMatchModel) {
                          ? it->second.cas
                          : rng.Next() | 1;  // usually valid, sometimes junk
       std::string value = "c" + std::to_string(step);
-      auto m = ht.Set(key, value, 0, 0, cas);
+      auto m = ht.Store(kv::StoreOp::kSet, key, value, 0, 0, cas);
       bool model_ok = it != model.end() && cas == it->second.cas;
       EXPECT_EQ(m.ok(), model_ok) << "step " << step;
       if (m.ok()) model[key] = ModelDoc{value, m->cas, 0};
     } else if (action < 62) {  // add
-      auto m = ht.Add(key, "a", 0, 0);
+      auto m = ht.Store(kv::StoreOp::kAdd, key, "a", 0, 0, 0);
       EXPECT_EQ(m.ok(), model.count(key) == 0) << "step " << step;
       if (m.ok()) model[key] = ModelDoc{"a", m->cas, 0};
     } else if (action < 72) {  // replace
-      auto m = ht.Replace(key, "r", 0, 0, 0);
+      auto m = ht.Store(kv::StoreOp::kReplace, key, "r", 0, 0, 0);
       EXPECT_EQ(m.ok(), model.count(key) == 1) << "step " << step;
       if (m.ok()) model[key] = ModelDoc{"r", m->cas, 0};
     } else if (action < 82) {  // remove
-      auto m = ht.Remove(key, 0);
+      auto m = ht.Store(kv::StoreOp::kDelete, key, {}, 0, 0, 0);
       EXPECT_EQ(m.ok(), model.count(key) == 1) << "step " << step;
       model.erase(key);
     } else if (action < 90) {  // advance time (triggers TTL expiry)

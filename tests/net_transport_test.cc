@@ -114,6 +114,27 @@ TEST(FaultyTransportTest, BlockIsOneWay) {
   EXPECT_TRUE(t.Request(kN0, kN1).ok());
 }
 
+// A name means one thing at both levels: a blocked message counts as
+// blocked per node and process-wide, a dropped one as dropped at both.
+TEST(FaultyTransportTest, BlockedAndDroppedCountUnderTheirOwnNames) {
+  FaultyTransport t(3);
+  harness::CounterDelta dropped("transport", "dropped");
+  harness::CounterDelta blocked("transport", "blocked");
+  harness::CounterDelta node_dropped("transport", "node.0.dropped");
+  harness::CounterDelta node_blocked("transport", "node.0.blocked");
+  t.Block(kC, kN0);
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(t.Request(kC, kN0).ok());
+  t.Unblock(kC, kN0);
+  LinkFaults f;
+  f.drop = 1.0;
+  t.SetDefaultFaults(f);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(t.Request(kC, kN0).ok());
+  EXPECT_EQ(blocked(), 5u);
+  EXPECT_EQ(node_blocked(), 5u);
+  EXPECT_EQ(dropped(), 3u);
+  EXPECT_EQ(node_dropped(), 3u);
+}
+
 TEST(FaultyTransportTest, BlockedLinksConsumeNoRandomness) {
   // A block must not advance the link RNG, or healing a partition would
   // desynchronize the schedule relative to a run without the partition's

@@ -343,6 +343,54 @@ TEST_F(WireConformanceTest, TouchAndStatsOverSocket) {
   EXPECT_TRUE(doc->is_object());
 }
 
+// Every request-argument rule the server enforces, one malformed frame per
+// rule. Each must come back InvalidArguments before the op reaches a
+// vBucket, so the node a frame lands on does not matter.
+TEST_F(WireConformanceTest, MalformedArgumentsGetInvalidArguments) {
+  const std::string k4(4, '\0'), k8(8, '\0'), k12(12, '\0');
+  struct Case {
+    const char* rule;
+    wire::Opcode op;
+    std::string key;
+    std::string extras;
+    uint64_t cas;
+  };
+  const Case kCases[] = {
+      {"ADD with a cas", wire::Opcode::kAdd, "k", k8, 7},
+      {"SET without extras", wire::Opcode::kSet, "k", "", 0},
+      {"SET with 4-byte extras", wire::Opcode::kSet, "k", k4, 0},
+      {"SET with 12-byte extras", wire::Opcode::kSet, "k", k12, 0},
+      {"ADD without extras", wire::Opcode::kAdd, "k", "", 0},
+      {"REPLACE with 4-byte extras", wire::Opcode::kReplace, "k", k4, 0},
+      {"DELETE with extras", wire::Opcode::kDelete, "k", k4, 0},
+      {"DELETE with 8-byte extras", wire::Opcode::kDelete, "k", k8, 0},
+      {"TOUCH without extras", wire::Opcode::kTouch, "k", "", 0},
+      {"TOUCH with 8-byte extras", wire::Opcode::kTouch, "k", k8, 0},
+      {"GET with extras", wire::Opcode::kGet, "k", k4, 0},
+      {"GETL without extras", wire::Opcode::kGetLocked, "k", "", 0},
+      {"GETL with 8-byte extras", wire::Opcode::kGetLocked, "k", k8, 0},
+      {"UNLOCK without a cas", wire::Opcode::kUnlockKey, "k", "", 0},
+      {"SET with an empty key", wire::Opcode::kSet, "", k8, 0},
+      {"ADD with an empty key", wire::Opcode::kAdd, "", k8, 0},
+      {"REPLACE with an empty key", wire::Opcode::kReplace, "", k8, 0},
+      {"DELETE with an empty key", wire::Opcode::kDelete, "", "", 0},
+      {"TOUCH with an empty key", wire::Opcode::kTouch, "", k4, 0},
+      {"GET with an empty key", wire::Opcode::kGet, "", "", 0},
+      {"GETL with an empty key", wire::Opcode::kGetLocked, "", k4, 0},
+      {"UNLOCK with an empty key", wire::Opcode::kUnlockKey, "", "", 7},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.rule);
+    wire::Message req = wire::Message::Req(c.op);
+    req.key = c.key;
+    req.extras = c.extras;
+    req.cas = c.cas;
+    auto resp = client::RawRoundTrip(ports_[0], req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, wire::kInvalidArguments) << resp->value;
+  }
+}
+
 TEST_F(WireConformanceTest, MisroutedFrameGetsNotMyVBucket) {
   client::WireClient client(ports_, "default");
   ASSERT_TRUE(client.Upsert("nmvb-key", "v").ok());

@@ -4,7 +4,8 @@
 // one line per node:
 //
 //   ops/s     interval rate from the delta of the node's wire.server_ns
-//             histogram count (one record per served op)
+//             histogram count (one record per served op); "-" on the
+//             first tick, which has no earlier sample
 //   p50/p99   per phase (server total, dispatch, engine, replicate,
 //             persist), microseconds. These are lifetime percentiles from
 //             the registry histograms — the JSON exposition carries summary
@@ -196,14 +197,16 @@ int main(int argc, char** argv) {
       std::string node_label = "?";
       const couchkv::json::Value* server =
           FindNodeMetric(*stat_doc, ".wire.server_ns", &node_label);
-      double rate = 0;
+      // "-" until an earlier sample exists: a first tick has no interval.
+      char rate[32] = "-";
       if (server != nullptr && server->Field("count").is_number()) {
         uint64_t v = static_cast<uint64_t>(server->Field("count").AsInt());
         auto it = last_ops.find(port);
         if (it != last_ops.end() && now > it->second.second &&
             v >= it->second.first) {
-          rate = static_cast<double>(v - it->second.first) * 1e9 /
-                 static_cast<double>(now - it->second.second);
+          std::snprintf(rate, sizeof(rate), "%.0f",
+                        static_cast<double>(v - it->second.first) * 1e9 /
+                            static_cast<double>(now - it->second.second));
         }
         last_ops[port] = {v, now};
       }
@@ -239,7 +242,7 @@ int main(int argc, char** argv) {
         }
       }
 
-      std::printf("%-6s %-6u %9.0f  %17s %17s %17s %17s %17s  %s\n",
+      std::printf("%-6s %-6u %9s  %17s %17s %17s %17s %17s  %s\n",
                   node_label.c_str(), port, rate, cols[0], cols[1], cols[2],
                   cols[3], cols[4], slowest);
       if (cfg.raw && !raw_dump.empty()) {
