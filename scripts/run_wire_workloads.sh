@@ -5,9 +5,14 @@
 #      measured traffic crosses real TCP sockets via WireClient)
 #   2. an open-loop run at a fixed target rate (coordinated-omission
 #      resistant latency: measured from scheduled send time)
-#   3. an external-process run: couchkv_server in its own process, loadgen
+#   3. an 8-thread smoke that must finish without an error
+#   4. an external-process run: couchkv_server in its own process, loadgen
 #      attached over --connect, then the server is killed -9 mid-suite and a
 #      second loadgen run must fail cleanly (errors, not hangs/crashes)
+#   5. the split of each run's latency: every row carries the request leg,
+#      server, reply leg and client parts, none negative, and the legs plus
+#      the server add up to no more than the read p50 and the client part;
+#      the in-process run's reply polls hit at least once
 #
 #   run_wire_workloads.sh <build-dir> <out-dir>
 #
@@ -38,6 +43,15 @@ echo "== wire workload: closed loop, uniform"
 echo "== wire workload: open loop @ 20k ops/s"
 "$LOADGEN" --threads 4 --duration-s "$DURATION" --keys 20000 \
   --target-ops 20000 --name wire_open_20k
+
+echo "== wire workload: 8 client threads, 2 s, no errors"
+"$LOADGEN" --threads 8 --duration-s 2 --keys 20000 --name wire_threads8
+THREADS8_ERRORS="$(sed -n 's/.*"errors":\([0-9]*\).*/\1/p' \
+  "$OUT_DIR/BENCH_wire_threads8.json")"
+if [ "$THREADS8_ERRORS" != 0 ]; then
+  echo "run_wire_workloads: 8-thread run had errors ($THREADS8_ERRORS)" >&2
+  exit 1
+fi
 
 echo "== wire workload: external server process"
 SERVER_OUT="$OUT_DIR/couchkv_server.out"
@@ -109,4 +123,41 @@ case "$KILLED_OPS" in
 esac
 
 "$JSON_CHECK" "$OUT_DIR"/BENCH_wire_*.json
+
+echo "== wire workload: latency split by leg"
+python3 - "$OUT_DIR" <<'PY'
+import glob, json, os, sys
+
+bad = []
+for path in sorted(glob.glob(os.path.join(sys.argv[1], "BENCH_wire_*.json"))):
+    name = os.path.basename(path)
+    doc = json.load(open(path))
+    for row in doc["rows"]:
+        for op in ("read", "write"):
+            parts = [op + p for p in ("", "_req_leg", "_server", "_reply_leg",
+                                      "_client")]
+            missing = [p for p in parts if p not in row]
+            if missing:
+                bad.append(f"{name}: no {', '.join(missing)}")
+                continue
+            if any(row[p][k] < 0 for p in parts for k in row[p]):
+                bad.append(f"{name}: a negative {op} column")
+            if row[op]["count"] == 0:
+                continue
+            legs = sum(row[op + p]["p50_us"]
+                       for p in ("_req_leg", "_server", "_reply_leg"))
+            # Medians do not add exactly; the client part is the slack.
+            over = legs - row[op]["p50_us"]
+            if over > row[op + "_client"]["p50_us"]:
+                bad.append(f"{name}: {op} legs + server p50 {legs:.1f} us "
+                           f"exceed the {op} p50 {row[op]['p50_us']:.1f} us "
+                           f"by more than the client part")
+zipf = json.load(open(os.path.join(sys.argv[1],
+                                   "BENCH_wire_closed_zipfian.json")))
+if zipf["registry_delta"].get("wire.client.spin_hits", 0) == 0:
+    bad.append("BENCH_wire_closed_zipfian.json: wire.client.spin_hits is 0")
+for b in bad:
+    print("run_wire_workloads: " + b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
 echo "run_wire_workloads: OK"

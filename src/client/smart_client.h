@@ -36,6 +36,13 @@ struct ServerTiming {
   uint32_t engine_us = 0;
   uint32_t replicate_us = 0;
   uint32_t persist_us = 0;
+  // The wire legs around the server's total, from the server's clock
+  // stamps: the client's send to the server's recv return, and the
+  // response being ready to the client's recv return. Both 0 when the
+  // server sent no stamps (a node not on the real clock) or a stamp falls
+  // outside the client's own send..recv window.
+  uint32_t request_leg_us = 0;
+  uint32_t reply_leg_us = 0;
 };
 
 // A fetched document plus its metadata.

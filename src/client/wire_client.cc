@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,7 +13,9 @@
 #include <cstring>
 
 #include "cluster/vbucket_map.h"
+#include "common/clock.h"
 #include "json/value.h"
+#include "stats/registry.h"
 
 namespace couchkv::client {
 
@@ -58,10 +61,13 @@ int ConnectPort(uint16_t port, uint64_t timeout_ms) {
   return fd;
 }
 
-// Parses the server-duration framed extra (if any) out of a response; the
-// trace id is the one the client itself attached (the frame does not echo
-// it back).
-ServerTiming TimingFromResp(const wire::Message& resp, uint64_t trace_id) {
+// Parses the server-duration and server-stamps framed extras (if any) out
+// of a response. The trace id is the one the client itself attached (the
+// frame does not echo it back); `sent_nanos`..`recv_nanos` is the client's
+// own window on the real clock, from just before its send to the return
+// of the recv that completed the response.
+ServerTiming TimingFromResp(const wire::Message& resp, uint64_t trace_id,
+                            uint64_t sent_nanos, uint64_t recv_nanos) {
   ServerTiming out;
   out.trace_id = trace_id;
   wire::ServerDuration sd;
@@ -72,18 +78,93 @@ ServerTiming TimingFromResp(const wire::Message& resp, uint64_t trace_id) {
     out.replicate_us = sd.replicate_us;
     out.persist_us = sd.persist_us;
   }
+  wire::ServerStamps ss;
+  if (wire::GetServerStampsFrame(resp.framing, &ss) &&
+      sent_nanos <= ss.recv_nanos && ss.recv_nanos <= ss.ready_nanos &&
+      ss.ready_nanos <= recv_nanos) {
+    out.request_leg_us =
+        static_cast<uint32_t>((ss.recv_nanos - sent_nanos) / 1000);
+    out.reply_leg_us =
+        static_cast<uint32_t>((recv_nanos - ss.ready_nanos) / 1000);
+  }
   return out;
 }
 
+// How long a reader polls its socket before it sleeps in recv(2). Most
+// replies come back within this, and a thread that is still running takes
+// them without the cross-vCPU wake-up a sleeping one costs (DESIGN.md
+// "Waiting for a reply").
+constexpr uint64_t kSpinBudgetNanos = 50'000;
+
+// What the polling costs, in the process-wide "wire" scope: resolved once,
+// then two relaxed adds per poll.
+struct SpinCounters {
+  std::shared_ptr<stats::Scope> scope;
+  stats::Counter* hits;    // the poll ended on a byte, EOF or an error
+  stats::Counter* misses;  // the budget ran out: the thread slept in recv
+  stats::Counter* nanos;   // time spent polling
+};
+
+const SpinCounters& Spin() {
+  static const SpinCounters counters = [] {
+    SpinCounters c;
+    c.scope = stats::Registry::Global().GetScope("wire");
+    c.hits = c.scope->GetCounter("client.spin_hits");
+    c.misses = c.scope->GetCounter("client.spin_misses");
+    c.nanos = c.scope->GetCounter("client.spin_ns");
+    return c;
+  }();
+  return counters;
+}
+
+// A non-blocking recv(2) that failed with `err` found nothing to read yet
+// (or was interrupted): keep polling.
+bool NothingYet(int err) {
+  return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
+}
+
+// recv(2) that first polls: non-blocking reads with the CPU yielded
+// between them, until a byte, EOF or an error comes back or the budget runs
+// out, and only then the blocking call (so SO_RCVTIMEO still bounds the
+// wait). The yield lets a server thread or another client on this vCPU run
+// while the reply is on its way.
+ssize_t SpinThenRecv(int fd, char* buf, size_t len) {
+  const SpinCounters& spin = Spin();
+  Clock* clock = Clock::Real();
+  const uint64_t start = clock->NowNanos();
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, len, MSG_DONTWAIT);
+    const int err = errno;
+    const uint64_t spent = clock->NowNanos() - start;
+    if (n >= 0 || !NothingYet(err)) {
+      spin.hits->Add();
+      spin.nanos->Add(spent);
+      errno = err;
+      return n;
+    }
+    if (spent >= kSpinBudgetNanos) {
+      spin.misses->Add();
+      spin.nanos->Add(spent);
+      return ::recv(fd, buf, len, 0);
+    }
+    sched_yield();
+  }
+}
+
 // Reads exactly one response frame from `fd` into `out` through `decoder`.
+// Only the first wait of a frame polls; the rest of a frame that arrives in
+// pieces is already on its way.
 Status ReadFrame(int fd, wire::FrameDecoder* decoder, wire::Message* out) {
   char buf[4096];
+  bool polled = false;
   for (;;) {
     Status err = Status::OK();
     auto r = decoder->Next(out, &err);
     if (r == wire::FrameDecoder::Result::kFrame) return Status::OK();
     if (r == wire::FrameDecoder::Result::kError) return err;
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ssize_t n = polled ? ::recv(fd, buf, sizeof(buf), 0)
+                       : SpinThenRecv(fd, buf, sizeof(buf));
+    polled = true;
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       return Status::TempFail("wire client: read timed out");
@@ -258,7 +339,7 @@ Status WireClient::FetchMap() {
 }
 
 Status WireClient::Exchange(uint32_t node_id, const wire::Message& req,
-                            wire::Message* resp) {
+                            wire::Message* resp, Window* window) {
   std::string bytes;
   COUCHKV_RETURN_IF_ERROR(wire::Encode(req, &bytes));
   LockGuard lock(mu_);
@@ -281,11 +362,13 @@ Status WireClient::Exchange(uint32_t node_id, const wire::Message& req,
       fresh_conn = true;
     }
     Status st = Status::OK();
+    window->sent_nanos = Clock::Real()->NowNanos();
     if (!SendAll(cit->second, bytes.data(), bytes.size())) {
       st = Status::TempFail("wire client: send failed");
     } else {
       wire::FrameDecoder decoder(wire::kMagicResponse);
       st = ReadFrame(cit->second, &decoder, resp);
+      window->recv_nanos = Clock::Real()->NowNanos();
       if (st.ok() && resp->opaque != req.opaque) {
         st = Status::TempFail("wire client: opaque mismatch");
       }
@@ -303,7 +386,7 @@ Status WireClient::Exchange(uint32_t node_id, const wire::Message& req,
 
 Status WireClient::Dispatch(std::string_view key, wire::Message req,
                             wire::Message* resp, uint16_t* vb_out,
-                            uint64_t* trace_out) {
+                            ServerTiming* timing_out) {
   req.opaque = g_next_opaque.fetch_add(1, std::memory_order_relaxed);
   // One trace id for the whole dispatch: every retry (NMVB redirect, port
   // re-learn) is a leg of the same logical op and lands in the flight
@@ -316,8 +399,8 @@ Status WireClient::Dispatch(std::string_view key, wire::Message req,
   wire::TraceFrame tf;
   tf.trace_id = trace_id;
   wire::PutTraceFrame(&req.framing, tf);
-  if (trace_out != nullptr) *trace_out = trace_id;
-  return router_.Run(
+  Window window;
+  Status st = router_.Run(
       key,
       [this](std::string_view k) {
         Route route;
@@ -334,23 +417,26 @@ Status WireClient::Dispatch(std::string_view key, wire::Message req,
         if (vb_out != nullptr) *vb_out = route.vb;
         // A transport failure is TempFail: the node may be down or rebooted
         // onto a new port, which the router's refresh re-learns.
-        COUCHKV_RETURN_IF_ERROR(Exchange(route.node, req, resp));
+        COUCHKV_RETURN_IF_ERROR(Exchange(route.node, req, resp, &window));
         if (resp->status == wire::kSuccess) return Status::OK();
         return wire::StatusFromWire(resp->status, resp->value);
       });
+  if (st.ok() && timing_out != nullptr) {
+    *timing_out = TimingFromResp(*resp, trace_id, window.sent_nanos,
+                                 window.recv_nanos);
+  }
+  return st;
 }
 
 StatusOr<GetReply> WireClient::Fetch(std::string_view key, wire::Message req) {
   req.key = key;
   wire::Message resp;
-  uint64_t trace = 0;
-  COUCHKV_RETURN_IF_ERROR(
-      Dispatch(key, std::move(req), &resp, nullptr, &trace));
   GetReply out;
+  COUCHKV_RETURN_IF_ERROR(
+      Dispatch(key, std::move(req), &resp, nullptr, &out.server));
   out.key = key;
   out.value = std::move(resp.value);
   out.cas = resp.cas;
-  out.server = TimingFromResp(resp, trace);
   // justified: a success GET always carries flags extras; tolerate their
   // absence (flags stay 0) rather than failing a fetched value.
   (void)wire::GetU32BE(resp.extras, 0, &out.flags);
@@ -370,13 +456,10 @@ StatusOr<MutateReply> WireClient::Mutate(std::string_view key,
     wire::PutDurabilityFrame(&req.framing, df);
   }
   wire::Message resp;
-  uint16_t vb = 0;
-  uint64_t trace = 0;
-  COUCHKV_RETURN_IF_ERROR(Dispatch(key, std::move(req), &resp, &vb, &trace));
   MutateReply out;
+  COUCHKV_RETURN_IF_ERROR(
+      Dispatch(key, std::move(req), &resp, &out.vbucket, &out.server));
   out.cas = resp.cas;
-  out.vbucket = vb;
-  out.server = TimingFromResp(resp, trace);
   // justified: mutation responses without seqno extras leave seqno 0.
   (void)wire::GetU64BE(resp.extras, 0, &out.seqno);
   return out;

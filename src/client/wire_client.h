@@ -105,22 +105,30 @@ class WireClient {
     std::map<uint32_t, uint16_t> ports;  // node id -> wire port
   };
 
+  // The client's own view of one exchange on the real clock: just before
+  // its send, and the return of the recv that completed the response.
+  struct Window {
+    uint64_t sent_nanos = 0;
+    uint64_t recv_nanos = 0;
+  };
+
   // Sends `req` to node `node_id` over the pooled connection, reconnecting
   // once on a dead socket. Fills `resp` on any protocol-level answer
-  // (including error statuses); returns non-OK only for transport failures.
+  // (including error statuses) and `window` with the last attempt's
+  // stamps; returns non-OK only for transport failures.
   Status Exchange(uint32_t node_id, const net::wire::Message& req,
-                  net::wire::Message* resp);
+                  net::wire::Message* resp, Window* window);
   // Fetches the cluster map from any reachable node (no counting; the
   // router counts refreshes).
   Status FetchMap();
   // Routes one request by key through the shared routing/retry loop, each
   // attempt an Exchange. OK only for a kSuccess response, which lands in
-  // `resp` with the vbucket used in `vb_out` and the trace id the op ran
-  // under in `trace_out` (both optional); every other wire status comes
-  // back as its Status.
+  // `resp` with the vbucket used in `vb_out` and, in `timing_out`, the
+  // trace id the op ran under, the server's report and the wire legs
+  // (both optional); every other wire status comes back as its Status.
   Status Dispatch(std::string_view key, net::wire::Message req,
                   net::wire::Message* resp, uint16_t* vb_out = nullptr,
-                  uint64_t* trace_out = nullptr);
+                  ServerTiming* timing_out = nullptr);
   // Dispatches a GET-family request and decodes the document reply.
   StatusOr<GetReply> Fetch(std::string_view key, net::wire::Message req);
   // Dispatches a mutation, attaching `dur` as a durability framed extra,

@@ -43,7 +43,7 @@ kv::Document VBucket::MakeDoc(std::string_view key, kv::Blob value,
 template <typename Find>
 StatusOr<kv::GetResult> VBucket::FindResident(std::string_view key, Find find,
                                               trace::Span& span) {
-  StatusOr<kv::GetResult> r = find();
+  StatusOr<kv::GetResult> r = find(true);
   if (!r.ok() || r->resident) return r;
   std::shared_ptr<storage::CouchFile> f = file();
   if (f == nullptr) return Status::Internal("non-resident, no storage");
@@ -51,7 +51,7 @@ StatusOr<kv::GetResult> VBucket::FindResident(std::string_view key, Find find,
   if (!doc.ok()) return doc.status();
   ht_.Restore(doc.value());
   span.Phase("disk");
-  r = find();
+  r = find(false);
   if (r.ok() && !r->resident) {
     // Only a concurrent eviction between the restore and the lookup.
     return Status::TempFail("value evicted during read-through");
@@ -65,7 +65,8 @@ StatusOr<kv::GetResult> VBucket::Get(std::string_view key) {
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckActive());
   if (inst_.ops_get != nullptr) inst_.ops_get->Add();
-  auto r = FindResident(key, [&] { return ht_.Get(key); }, span);
+  auto r = FindResident(
+      key, [&](bool count) { return ht_.Get(key, count); }, span);
   span.Phase("cache");
   return r;
 }
@@ -77,8 +78,8 @@ StatusOr<kv::GetResult> VBucket::GetAndLock(std::string_view key,
   span.Phase("dispatch");
   COUCHKV_RETURN_IF_ERROR(CheckActive());
   if (inst_.ops_get != nullptr) inst_.ops_get->Add();
-  auto r = FindResident(key, [&] { return ht_.GetAndLock(key, lock_ms); },
-                        span);
+  auto r = FindResident(
+      key, [&](bool) { return ht_.GetAndLock(key, lock_ms); }, span);
   span.Phase("cache");
   return r;
 }
@@ -102,7 +103,8 @@ StatusOr<kv::DocMeta> VBucket::Store(kv::StoreOp op, std::string_view key,
   kv::Blob buf;  // the document's value as emitted to DCP and the flusher
   if (op == kv::StoreOp::kTouch) {
     // TOUCH keeps the value, and the emitted document must carry it.
-    auto cur = FindResident(key, [&] { return ht_.Get(key); }, span);
+    auto cur = FindResident(
+        key, [&](bool count) { return ht_.Get(key, count); }, span);
     if (!cur.ok()) return cur.status();
     buf = std::move(cur->doc.value);
   } else if (op != kv::StoreOp::kDelete) {

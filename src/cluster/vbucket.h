@@ -147,10 +147,11 @@ class VBucket {
   // mutation (Store). Replication applies bypass it: refusing those would
   // stall DCP, not shed load.
   Status CheckWritable() const REQUIRES(op_mu_);
-  // Runs the cache lookup `find`. When it finds the value evicted, reads
-  // the document back from storage into the cache, marks `span`'s "disk"
-  // phase and runs `find` once more; a failed read returns the storage
-  // error before the second lookup, so a GETL takes no lock.
+  // Runs the cache lookup `find(true)`. When it finds the value evicted,
+  // reads the document back from storage into the cache, marks `span`'s
+  // "disk" phase and runs `find(false)`: the read-through is one cache
+  // miss, so the second lookup counts no cache event. A failed read returns
+  // the storage error before the second lookup, so a GETL takes no lock.
   template <typename Find>
   StatusOr<kv::GetResult> FindResident(std::string_view key, Find find,
                                        trace::Span& span) REQUIRES(op_mu_);

@@ -150,8 +150,14 @@ wire::Message WireService::Handle(const wire::Message& req,
   sd.replicate_us = NanosToU32Micros(t_replicate_end - t_engine_end);
   sd.persist_us = NanosToU32Micros(t_persist_end - t_replicate_end);
   // Only flex requesters understand flex responses; a classic client gets
-  // the exact frames it always got.
-  if (req.is_flex()) wire::PutServerDurationFrame(&resp.framing, sd);
+  // the exact frames it always got. The raw stamps go out only on the real
+  // clock, the one time base a client process shares with this node.
+  if (req.is_flex()) {
+    wire::PutServerDurationFrame(&resp.framing, sd);
+    if (clock == Clock::Real()) {
+      wire::PutServerStampsFrame(&resp.framing, {t_recv, t_done});
+    }
+  }
 
   h_server_->Record(t_done - t_recv);
   h_dispatch_->Record(t_dispatch_end - t_recv);

@@ -67,26 +67,28 @@ GetResult HashTable::MakeGetResult(Map::iterator it) {
   return r;
 }
 
-StatusOr<GetResult> HashTable::Get(std::string_view key) {
+StatusOr<GetResult> HashTable::Get(std::string_view key, bool count) {
   LockGuard lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
-    c_.misses->Add();
+    if (count) c_.misses->Add();
     return Status::NotFound();
   }
   StoredValue& sv = it->second;
   if (sv.meta.deleted) {
-    c_.misses->Add();
+    if (count) c_.misses->Add();
     return Status::NotFound();
   }
   if (IsExpired(sv)) {
-    c_.expirations->Add();
-    c_.misses->Add();
+    if (count) {
+      c_.expirations->Add();
+      c_.misses->Add();
+    }
     return Status::NotFound();
   }
   // A non-resident entry is a cache miss in the paper's sense: metadata is
   // here but the value must be read back from disk.
-  (sv.resident ? c_.hits : c_.misses)->Add();
+  if (count) (sv.resident ? c_.hits : c_.misses)->Add();
   return MakeGetResult(it);
 }
 

@@ -89,8 +89,11 @@ class HashTable {
 
   // Fetches a document. NotFound for absent/expired/tombstoned keys. If the
   // value has been evicted, result.resident is false and doc.value is empty;
-  // the caller (VBucket) re-reads from storage.
-  StatusOr<GetResult> Get(std::string_view key) EXCLUDES(mu_);
+  // the caller (VBucket) re-reads from storage. `count` false counts no
+  // cache event: the lookup after such a read-through, whose miss the
+  // first lookup already counted.
+  StatusOr<GetResult> Get(std::string_view key, bool count = true)
+      EXCLUDES(mu_);
 
   // The one front-end mutation (see StoreOp). cas==0 is unconditional;
   // cas!=0 requires a match (KeyExists on mismatch — the paper's optimistic-

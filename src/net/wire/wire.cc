@@ -274,6 +274,21 @@ bool GetServerDurationFrame(std::string_view framing, ServerDuration* d) {
          GetU32BE(p, 16, &d->persist_us);
 }
 
+void PutServerStampsFrame(std::string* framing, const ServerStamps& s) {
+  std::string payload;
+  PutU64BE(&payload, s.recv_nanos);
+  PutU64BE(&payload, s.ready_nanos);
+  AppendFrameTag(framing, kFrameTagServerStamps, payload);
+}
+
+bool GetServerStampsFrame(std::string_view framing, ServerStamps* s) {
+  std::string_view p;
+  if (!FindFrameTag(framing, kFrameTagServerStamps, &p) || p.size() != 16) {
+    return false;
+  }
+  return GetU64BE(p, 0, &s->recv_nanos) && GetU64BE(p, 8, &s->ready_nanos);
+}
+
 FrameDecoder::Result FrameDecoder::Next(Message* out, Status* error) {
   if (poisoned_) {
     *error = Status::ParseError("wire: decoder poisoned by earlier error");

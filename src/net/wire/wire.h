@@ -171,6 +171,7 @@ Status Encode(const Message& m, std::string* out);
 constexpr uint8_t kFrameTagTraceContext = 0x01;
 constexpr uint8_t kFrameTagDurability = 0x02;
 constexpr uint8_t kFrameTagServerDuration = 0x03;
+constexpr uint8_t kFrameTagServerStamps = 0x04;
 
 // Trace context, 16-byte payload: trace id u64, parent span id u32,
 // flags u32. Rides requests; the serving side tags its flight-recorder
@@ -202,6 +203,18 @@ struct ServerDuration {
   uint32_t persist_us = 0;    // flusher persistence wait (durable ops)
 };
 
+// Server clock stamps, 16-byte payload: two u64 CLOCK_MONOTONIC
+// nanosecond stamps, when the request's recv(2) returned and when its
+// response was ready. Rides responses to flex requests, but only from a
+// node on the real clock: CLOCK_MONOTONIC is one time base for every
+// process on the host, so a client there splits its wait into a request
+// leg (its send -> recv_nanos) and a reply leg (ready_nanos -> its recv
+// return) around the server's total.
+struct ServerStamps {
+  uint64_t recv_nanos = 0;
+  uint64_t ready_nanos = 0;
+};
+
 // Appends one TLV entry. Put* never fails (payloads are fixed-size and tiny);
 // Get* scans the framing area for its tag, skipping unknown entries, and
 // returns false when the tag is absent, its payload has the wrong size, or
@@ -212,6 +225,8 @@ void PutDurabilityFrame(std::string* framing, const DurabilityFrame& d);
 bool GetDurabilityFrame(std::string_view framing, DurabilityFrame* d);
 void PutServerDurationFrame(std::string* framing, const ServerDuration& d);
 bool GetServerDurationFrame(std::string_view framing, ServerDuration* d);
+void PutServerStampsFrame(std::string* framing, const ServerStamps& s);
+bool GetServerStampsFrame(std::string_view framing, ServerStamps* s);
 
 // --- Big-endian field helpers (for extras payloads) ---
 void PutU32BE(std::string* out, uint32_t v);

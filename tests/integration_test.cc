@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "client/smart_client.h"
+#include "harness/registry_counter.h"
 #include "n1ql/query_service.h"
 #include "storage/faulty_env.h"
 #include "xdcr/xdcr.h"
@@ -273,6 +274,26 @@ void WriteAndEvict(OneBucket& one, const std::string& key,
   auto evicted = one.vb()->hash_table().Get(key);
   ASSERT_TRUE(evicted.ok());
   ASSERT_FALSE(evicted->resident);
+}
+
+TEST(ReadThroughTest, ReadOfAnEvictedValueIsOneMissAndNoHit) {
+  OneBucket one;
+  const std::string value(1000, 'm');
+  ASSERT_NO_FATAL_FAILURE(WriteAndEvict(one, "k", value));
+  const std::string scope = "node.9.bucket.onecopy";
+  harness::CounterDelta misses(scope, "kv.misses");
+  harness::CounterDelta hits(scope, "kv.hits");
+
+  auto read = one.vb()->Get("k");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->doc.value, value);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 0u);
+
+  // The value is resident again: the next read is a plain hit.
+  ASSERT_TRUE(one.vb()->Get("k").ok());
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
 }
 
 TEST(ReadThroughTest, GetlWhoseReadFailsTakesNoLock) {

@@ -5,16 +5,29 @@
 // WireClient and raw frames): KV + CAS + GETL semantics over the wire,
 // NotMyVBucket from a mis-routed frame, pipelining, the cluster-map
 // bootstrap document, and the port policy (kernel-assigned ports, loud
-// double-bind failure, rediscovery after a listener restart).
+// double-bind failure, rediscovery after a listener restart). Last, the
+// client's wait for a reply (poll, then sleep in recv) against a scripted
+// raw listener: a silent peer, a late reply, a reply in two pieces, a peer
+// that closes, and server stamps from another clock.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/wire_client.h"
 #include "cluster/cluster.h"
 #include "cluster/vbucket_map.h"
+#include "harness/registry_counter.h"
 #include "json/value.h"
 #include "net/tcp_server.h"
 #include "net/wire/wire.h"
@@ -540,6 +553,223 @@ TEST_F(WireConformanceTest, ClientRediscoversRestartedListener) {
   }
   ASSERT_TRUE(client.RefreshMap().ok());
   EXPECT_EQ(client.port_of(0), fresh);
+}
+
+// --- The client's wait for a reply, against a scripted listener ------------
+
+using namespace std::chrono_literals;
+
+void WriteAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return;
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+std::string Encoded(const wire::Message& m) {
+  std::string out;
+  EXPECT_TRUE(wire::Encode(m, &out).ok());
+  return out;
+}
+
+wire::Message GetReplyTo(const wire::Message& req, std::string value) {
+  wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
+  wire::PutU32BE(&resp.extras, 0);  // flags
+  resp.value = std::move(value);
+  return resp;
+}
+
+// A raw listener on 127.0.0.1 standing in for a one-node cluster. It
+// answers GET_CLUSTER_MAP with a one-vBucket map naming itself and hands
+// every other request to `serve`, which writes (or withholds) the answer
+// and returns false to close the connection. Each connection has its own
+// thread, so a pooled connection never holds up a map fetch.
+class ScriptedListener {
+ public:
+  using Serve = std::function<bool(int fd, const wire::Message& req)>;
+
+  explicit ScriptedListener(Serve serve) : serve_(std::move(serve)) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(listen_fd_, 16), 0);
+    EXPECT_EQ(
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len),
+        0);
+    port_ = ntohs(addr.sin_port);
+    acceptor_ = std::thread([this] { AcceptLoop(); });
+  }
+
+  ~ScriptedListener() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // accept returns: no new connections
+    acceptor_.join();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    }
+    for (std::thread& t : conn_threads_) t.join();
+    // Closed only now, so no fd number is reused while a thread runs.
+    for (int fd : conn_fds_) ::close(fd);
+    ::close(listen_fd_);
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void AcceptLoop() {
+    for (;;) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+      if (fd < 0) return;
+      std::lock_guard<std::mutex> lock(mu_);
+      conn_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    }
+  }
+
+  void ServeConnection(int fd) {
+    wire::FrameDecoder decoder(wire::kMagicRequest);
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      wire::Message req;
+      Status err = Status::OK();
+      while (decoder.Next(&req, &err) == wire::FrameDecoder::Result::kFrame) {
+        if (req.opcode != static_cast<uint8_t>(wire::Opcode::kGetClusterMap)) {
+          if (!serve_(fd, req)) {
+            ::shutdown(fd, SHUT_RDWR);
+            return;
+          }
+          continue;
+        }
+        wire::Message resp = wire::Message::Resp(req, wire::kSuccess);
+        resp.value = R"({"map_version":1,"num_vbuckets":1,"nodes":[{"id":0,)"
+                     R"("port":)" +
+                     std::to_string(port_) + R"(}],"active":[0]})";
+        WriteAll(fd, Encoded(resp));
+      }
+    }
+  }
+
+  const Serve serve_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::thread acceptor_;
+  std::mutex mu_;
+  std::vector<int> conn_fds_;
+  std::vector<std::thread> conn_threads_;
+};
+
+// The wire client's reply-polling counters, as deltas over one case.
+struct SpinDeltas {
+  harness::CounterDelta hits{"wire", "client.spin_hits"};
+  harness::CounterDelta misses{"wire", "client.spin_misses"};
+};
+
+TEST(WireReplyWait, SilentPeerTimesOutAfterThePoll) {
+  ScriptedListener peer([](int, const wire::Message&) { return true; });
+  SpinDeltas spin;
+  const auto start = std::chrono::steady_clock::now();
+  auto resp = client::RawRoundTrip(
+      peer.port(), wire::Message::Req(wire::Opcode::kNoop), 300);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(resp.ok());
+  EXPECT_TRUE(resp.status().IsTempFail());
+  EXPECT_NE(resp.status().ToString().find("read timed out"), std::string::npos)
+      << resp.status().ToString();
+  // SO_RCVTIMEO bounds the wait; the poll adds at most its 50 us budget.
+  EXPECT_GE(waited, 290ms);
+  EXPECT_LT(waited, 800ms);
+  EXPECT_EQ(spin.misses(), 1u);
+  EXPECT_EQ(spin.hits(), 0u);
+}
+
+TEST(WireReplyWait, LateReplyIsAMissAndStillArrives) {
+  // 20 ms, far past the 50 us budget: even a yield that loses the CPU for
+  // a whole time slice does not make this a hit.
+  ScriptedListener peer([](int fd, const wire::Message& req) {
+    std::this_thread::sleep_for(20ms);
+    WriteAll(fd, Encoded(GetReplyTo(req, "late")));
+    return true;
+  });
+  client::WireClient client({peer.port()}, "default");
+  ASSERT_TRUE(client.RefreshMap().ok());
+  SpinDeltas spin;
+  auto r = client.Get("k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->value, "late");
+  EXPECT_EQ(spin.misses(), 1u);
+  EXPECT_EQ(spin.hits(), 0u);
+}
+
+TEST(WireReplyWait, ReplyInTwoPiecesDecodes) {
+  const std::string value(3000, 'h');
+  std::atomic<size_t> split{10};  // inside the header, then mid-value
+  ScriptedListener peer([&](int fd, const wire::Message& req) {
+    const std::string bytes = Encoded(GetReplyTo(req, value));
+    const size_t at = split.load();
+    WriteAll(fd, std::string_view(bytes).substr(0, at));
+    std::this_thread::sleep_for(100us);
+    WriteAll(fd, std::string_view(bytes).substr(at));
+    return true;
+  });
+  client::WireClient client({peer.port()}, "default");
+  ASSERT_TRUE(client.RefreshMap().ok());
+  for (size_t at : {size_t{10}, size_t{1500}}) {
+    split = at;
+    SpinDeltas spin;
+    auto r = client.Get("k");
+    ASSERT_TRUE(r.ok()) << "split at " << at << ": " << r.status().ToString();
+    EXPECT_EQ(r->value, value) << "split at " << at;
+    // One poll per frame, however many reads the frame takes.
+    EXPECT_EQ(spin.hits() + spin.misses(), 1u) << "split at " << at;
+  }
+}
+
+TEST(WireReplyWait, PeerClosingDuringThePollFailsAndTheNextOpReconnects) {
+  std::atomic<int> served{0};
+  ScriptedListener peer([&](int fd, const wire::Message& req) {
+    if (served.fetch_add(1) == 0) return false;  // close, no answer
+    WriteAll(fd, Encoded(GetReplyTo(req, "back")));
+    return true;
+  });
+  client::RetryPolicy once;
+  once.max_attempts = 1;
+  client::WireClient client({peer.port()}, "default", once);
+  ASSERT_TRUE(client.RefreshMap().ok());
+  auto first = client.Get("k");
+  ASSERT_FALSE(first.ok());
+  EXPECT_TRUE(first.status().IsTempFail());
+  EXPECT_NE(first.status().ToString().find("connection closed"),
+            std::string::npos)
+      << first.status().ToString();
+  auto second = client.Get("k");
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->value, "back");
+}
+
+TEST(WireReplyWait, StampsOutsideTheClientWindowGiveNoLegs) {
+  ScriptedListener peer([](int fd, const wire::Message& req) {
+    wire::Message resp = GetReplyTo(req, "v");
+    wire::ServerDuration sd;
+    sd.total_us = 3;
+    wire::PutServerDurationFrame(&resp.framing, sd);
+    // Stamps from a clock the client does not share (a ManualClock's, say).
+    wire::PutServerStampsFrame(&resp.framing, {1000, 2000});
+    WriteAll(fd, Encoded(resp));
+    return true;
+  });
+  client::WireClient client({peer.port()}, "default");
+  auto r = client.Get("k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->server.total_us, 3u);
+  EXPECT_EQ(r->server.request_leg_us, 0u);
+  EXPECT_EQ(r->server.reply_leg_us, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // interop (old peers never see framing, unknown tags are skipped), the
 // flight recorder's ring/inflight/JSON semantics, and socket-level tests
 // against a live 3-node cluster — a durable SET's server-reported phase
-// breakdown, OBSERVE_TRACE returning the matching recorder entry, per-opcode
-// wire counters, Prometheus exposition, and seed-determinism of recorder
-// dumps.
+// breakdown, the request and reply legs split from the server's clock
+// stamps (none from a node on a ManualClock), OBSERVE_TRACE returning the
+// matching recorder entry, per-opcode wire counters, Prometheus
+// exposition, and seed-determinism of recorder dumps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 
 #include "client/wire_client.h"
 #include "cluster/cluster.h"
+#include "common/clock.h"
 #include "common/crc32.h"
 #include "json/value.h"
 #include "net/tcp_server.h"
@@ -100,6 +102,24 @@ TEST(WireTraceCodec, DurabilityAndDurationFramesRoundTrip) {
   // Absent tag: false, output untouched.
   wire::TraceFrame tf;
   EXPECT_FALSE(wire::GetTraceFrame(framing, &tf));
+}
+
+TEST(WireTraceCodec, GoldenServerStampsBytes) {
+  std::string framing;
+  wire::PutServerStampsFrame(&framing,
+                             {0x0102030405060708ULL, 0x1112131415161718ULL});
+  EXPECT_EQ(framing, std::string("\x04\x10"
+                                 "\x01\x02\x03\x04\x05\x06\x07\x08"
+                                 "\x11\x12\x13\x14\x15\x16\x17\x18",
+                                 18));
+  wire::ServerStamps ss;
+  ASSERT_TRUE(wire::GetServerStampsFrame(framing, &ss));
+  EXPECT_EQ(ss.recv_nanos, 0x0102030405060708ULL);
+  EXPECT_EQ(ss.ready_nanos, 0x1112131415161718ULL);
+  // A payload of the wrong size under the tag is not a stamps entry.
+  std::string short_entry("\x04\x0f", 2);
+  short_entry.append(15, '\0');
+  EXPECT_FALSE(wire::GetServerStampsFrame(short_entry, &ss));
 }
 
 TEST(WireTraceCodec, UnknownTagsAreSkipped) {
@@ -290,6 +310,61 @@ TEST_F(WireTraceClusterTest, DurableSetReportsPhaseBreakdown) {
   EXPECT_NE(g->server.trace_id, 0u);
   EXPECT_EQ(g->server.replicate_us, 0u);
   EXPECT_EQ(g->server.persist_us, 0u);
+}
+
+TEST_F(WireTraceClusterTest, LegsAndServerTimeFitInTheClientWindow) {
+  client::WireClient client(ports_, "default");
+  ASSERT_TRUE(client.Upsert("legs", "v").ok());
+  bool saw_request_leg = false;
+  for (int i = 0; i < 20; ++i) {
+    const uint64_t t0 = Clock::Real()->NowNanos();
+    auto r = client.Get("legs");
+    const uint64_t t1 = Clock::Real()->NowNanos();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // Each part is a floored interval inside the op: they never sum past
+    // the client's own measurement.
+    const client::ServerTiming& t = r->server;
+    EXPECT_LE(uint64_t{t.request_leg_us} + t.total_us + t.reply_leg_us,
+              (t1 - t0) / 1000);
+    saw_request_leg |= t.request_leg_us > 0;
+  }
+  // A request crosses a real socket and wakes a server thread: that takes
+  // a microsecond at least, so some request leg must have been reported.
+  EXPECT_TRUE(saw_request_leg);
+}
+
+TEST(WireTraceManualClock, NodeOffTheRealClockReportsNoLegs) {
+  ManualClock manual(1'000'000'000);
+  cluster::ClusterOptions opts;
+  opts.clock = &manual;
+  cluster::Cluster cluster(opts);
+  cluster.AddNode();
+  cluster::BucketConfig cfg;
+  cfg.name = "default";
+  cfg.num_replicas = 0;
+  ASSERT_TRUE(cluster.CreateBucket(cfg).ok());
+  ASSERT_TRUE(cluster.StartWireServers("default").ok());
+  const uint16_t port = cluster.wire_port(cluster.node_ids()[0]);
+
+  client::WireClient client({port}, "default");
+  auto put = client.Upsert("k", "v");
+  ASSERT_TRUE(put.ok()) << put.status().ToString();
+  auto got = client.Get("k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (const client::ServerTiming& t : {put->server, got->server}) {
+    EXPECT_NE(t.trace_id, 0u);
+    EXPECT_EQ(t.request_leg_us, 0u);
+    EXPECT_EQ(t.reply_leg_us, 0u);
+  }
+  // The node's stamps are not on the client's clock, so none are sent.
+  wire::Message req = wire::Message::Req(wire::Opcode::kNoop);
+  wire::PutTraceFrame(&req.framing, {});
+  auto resp = client::RawRoundTrip(port, req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  wire::ServerDuration sd;
+  EXPECT_TRUE(wire::GetServerDurationFrame(resp->framing, &sd));
+  wire::ServerStamps ss;
+  EXPECT_FALSE(wire::GetServerStampsFrame(resp->framing, &ss));
 }
 
 TEST_F(WireTraceClusterTest, ObserveTraceFindsTheOpByTraceId) {

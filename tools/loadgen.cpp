@@ -198,14 +198,36 @@ int main(int argc, char** argv) {
   auto scope = couchkv::stats::Registry::Global().GetScope("loadgen");
   couchkv::Histogram* read_ns = scope->GetHistogram("read_ns");
   couchkv::Histogram* write_ns = scope->GetHistogram("write_ns");
-  // Server-reported duration (from the response's framed extra) and the
-  // derived client-minus-server remainder: what the network + client-side
-  // queueing cost on top of the server's own work.
-  couchkv::Histogram* read_server_ns = scope->GetHistogram("read_server_ns");
-  couchkv::Histogram* write_server_ns = scope->GetHistogram("write_server_ns");
-  couchkv::Histogram* read_net_ns = scope->GetHistogram("read_net_ns");
-  couchkv::Histogram* write_net_ns = scope->GetHistogram("write_net_ns");
+  // Each op's latency split four ways from the reply's framed extras: the
+  // request leg (send -> server recv return), the server's own duration,
+  // the reply leg (response ready -> client recv return), and the rest,
+  // which is client code (plus, open loop, the wait for the op's scheduled
+  // start).
+  struct Split {
+    couchkv::Histogram* req_leg;
+    couchkv::Histogram* server;
+    couchkv::Histogram* reply_leg;
+    couchkv::Histogram* client;
+  };
+  auto split_for = [&](const std::string& op) {
+    return Split{scope->GetHistogram(op + "_req_leg_ns"),
+                 scope->GetHistogram(op + "_server_ns"),
+                 scope->GetHistogram(op + "_reply_leg_ns"),
+                 scope->GetHistogram(op + "_client_ns")};
+  };
+  const Split read_split = split_for("read");
+  const Split write_split = split_for("write");
   couchkv::stats::Counter* errors = scope->GetCounter("errors");
+  // The wire client's reply polling (DESIGN.md "Waiting for a reply").
+  auto wire_scope = couchkv::stats::Registry::Global().GetScope("wire");
+  couchkv::stats::Counter* spin_hits =
+      wire_scope->GetCounter("client.spin_hits");
+  couchkv::stats::Counter* spin_misses =
+      wire_scope->GetCounter("client.spin_misses");
+  couchkv::stats::Counter* spin_ns = wire_scope->GetCounter("client.spin_ns");
+  const uint64_t hits0 = spin_hits->Value();
+  const uint64_t misses0 = spin_misses->Value();
+  const uint64_t spin_ns0 = spin_ns->Value();
 
   couchkv::bench::BenchReporter reporter(cfg.name);
   Clock* clock = Clock::Real();
@@ -249,29 +271,35 @@ int main(int argc, char** argv) {
         std::string key = KeyFor(k);
         bool is_read = rng.Uniform(100) < static_cast<uint64_t>(cfg.read_pct);
         Status st = Status::OK();
-        uint64_t server_ns = 0;
+        couchkv::client::ServerTiming timing;
         if (is_read) {
           auto r = client.Get(key);
           // A read of a never-written key under --no-preload is load, not
           // an error.
           st = r.ok() || r.status().IsNotFound() ? Status::OK() : r.status();
-          if (r.ok()) server_ns = uint64_t{r->server.total_us} * 1000;
+          if (r.ok()) timing = r->server;
         } else {
           couchkv::client::WriteOptions wopts;
           wopts.durability.replicate_to = cfg.replicate_to;
           wopts.durability.persist_to = cfg.persist_to;
           auto r = client.Upsert(key, value, wopts);
           st = r.ok() ? Status::OK() : r.status();
-          if (r.ok()) server_ns = uint64_t{r->server.total_us} * 1000;
+          if (r.ok()) timing = r->server;
         }
         uint64_t latency = clock->NowNanos() - op_start;
         if (!st.ok()) {
           errors->Add();
         } else {
+          const Split& split = is_read ? read_split : write_split;
+          const uint64_t req_leg = uint64_t{timing.request_leg_us} * 1000;
+          const uint64_t server = uint64_t{timing.total_us} * 1000;
+          const uint64_t reply_leg = uint64_t{timing.reply_leg_us} * 1000;
+          const uint64_t wire = req_leg + server + reply_leg;
           (is_read ? read_ns : write_ns)->Record(latency);
-          (is_read ? read_server_ns : write_server_ns)->Record(server_ns);
-          (is_read ? read_net_ns : write_net_ns)
-              ->Record(latency > server_ns ? latency - server_ns : 0);
+          split.req_leg->Record(req_leg);
+          split.server->Record(server);
+          split.reply_leg->Record(reply_leg);
+          split.client->Record(latency > wire ? latency - wire : 0);
           total_ops.fetch_add(1, std::memory_order_relaxed);
         }
         ++issued;
@@ -302,31 +330,30 @@ int main(int argc, char** argv) {
       couchkv::json::Value::Int(static_cast<int64_t>(errors->Value()));
   row["durability"] = couchkv::json::Value::Str(
       std::to_string(cfg.replicate_to) + "," + std::to_string(cfg.persist_to));
-  row["read"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.read_ns"));
-  row["write"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.write_ns"));
-  // Three views of the same ops: end-to-end from the client, the server's
-  // own accounting, and the difference (network + queue).
-  row["read_server"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.read_server_ns"));
-  row["write_server"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.write_server_ns"));
-  row["read_net"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.read_net_ns"));
-  row["write_net"] =
-      couchkv::bench::BenchReporter::LatencySummary(
-          reporter.HistDelta("loadgen.write_net_ns"));
+  // End to end from the client, then its four parts (see Split).
+  for (const char* op : {"read", "write"}) {
+    for (const char* part : {"", "_req_leg", "_server", "_reply_leg",
+                             "_client"}) {
+      const std::string field = std::string(op) + part;
+      row[field] = couchkv::bench::BenchReporter::LatencySummary(
+          reporter.HistDelta("loadgen." + field + "_ns"));
+    }
+  }
   reporter.AddRow(couchkv::json::Value::MakeObject(std::move(row)));
   if (!reporter.Write()) return 1;
+  const uint64_t ops = total_ops.load() + errors->Value();
+  const uint64_t hits = spin_hits->Value() - hits0;
+  const uint64_t polls = hits + spin_misses->Value() - misses0;
   std::printf("loadgen: %.0f ops/s over %.2fs (%llu ops, %llu errors)\n",
               achieved, elapsed_s,
               static_cast<unsigned long long>(total_ops.load()),
               static_cast<unsigned long long>(errors->Value()));
+  std::printf("loadgen: reply polls hit %.3f of %llu, %.2f us polling per "
+              "op\n",
+              polls > 0 ? static_cast<double>(hits) / polls : 0.0,
+              static_cast<unsigned long long>(polls),
+              ops > 0 ? static_cast<double>(spin_ns->Value() - spin_ns0) /
+                            1e3 / static_cast<double>(ops)
+                      : 0.0);
   return 0;
 }
