@@ -9,7 +9,9 @@
 #   4. an external-process run: couchkv_server in its own process, loadgen
 #      attached over --connect, then the server is killed -9 mid-suite and a
 #      second loadgen run must fail cleanly (errors, not hangs/crashes)
-#   5. the split of each run's latency: every row carries the request leg,
+#   5. each couchkv_top raw flight-recorder dump: both lists present, no
+#      record's phases past its total, no op in both lists
+#   6. the split of each run's latency: every row carries the request leg,
 #      server, reply leg and client parts, none negative, and the legs plus
 #      the server add up to no more than the read p50 and the client part;
 #      the in-process run's reply polls hit at least once
@@ -103,6 +105,48 @@ if ! awk -v n="$NPORTS" '
   echo "run_wire_workloads: couchkv_top first tick does not read \"-\"" \
     "ops/s, or its second tick lacks a node label or reads 0 ops/s" >&2
   cat "$TOP_OUT" >&2
+  exit 1
+fi
+
+# Every raw dump is one flight-recorder snapshot: it must hold both the
+# completed and the inflight array, no record's phases may sum past its
+# total, and no op may show in both lists. An op is told by its trace id;
+# untraced ops (trace id 0, couchkv_top's own) cannot be told apart.
+if ! python3 - "$TOP_OUT" <<'PY'
+import json, re, sys
+
+bad = []
+for line in open(sys.argv[1]):
+    m = re.match(r"  raw\[(\d+)\]: (.*)$", line.rstrip("\n"))
+    if not m:
+        continue
+    where = f"raw[{m.group(1)}]"
+    try:
+        doc = json.loads(m.group(2))
+        missing = [k for k in ("completed", "inflight")
+                   if not isinstance(doc.get(k), list)]
+        if missing:
+            bad.append(f"{where}: no {' or '.join(missing)} array")
+            continue
+        for r in doc["completed"]:
+            phases = sum(r[k] for k in ("dispatch_us", "engine_us",
+                                        "replicate_us", "persist_us"))
+            if phases > r["total_us"]:
+                bad.append(f"{where}: seq {r['seq']} phases sum to "
+                           f"{phases} us, past its total_us {r['total_us']}")
+        done = {r["trace_id"] for r in doc["completed"]
+                if r["trace_id"] != "0"}
+        for op in doc["inflight"]:
+            if op["trace_id"] in done:
+                bad.append(f"{where}: trace {op['trace_id']} is both "
+                           f"completed and in flight")
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        bad.append(f"{where}: malformed dump ({type(e).__name__}: {e})")
+for b in bad:
+    print("run_wire_workloads: couchkv_top " + b, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+then
   exit 1
 fi
 

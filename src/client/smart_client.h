@@ -27,7 +27,7 @@ struct WriteOptions {
 };
 
 // Server-reported timing for one op, parsed from the response's
-// server-duration framed extra. All zeros when the server did not report
+// server-timing framed extra. All zeros when the server did not report
 // (classic frames, or the in-process SmartClient which has no wire).
 struct ServerTiming {
   uint64_t trace_id = 0;  // trace this op ran under (0 = untraced)
@@ -36,11 +36,11 @@ struct ServerTiming {
   uint32_t engine_us = 0;
   uint32_t replicate_us = 0;
   uint32_t persist_us = 0;
-  // The wire legs around the server's total, from the server's clock
-  // stamps: the client's send to the server's recv return, and the
-  // response being ready to the client's recv return. Both 0 when the
-  // server sent no stamps (a node not on the real clock) or a stamp falls
-  // outside the client's own send..recv window.
+  // The wire legs around the server's total, from the server's receive
+  // stamp: the client's send to the server's recv return, and the response
+  // being ready (that stamp plus total) to the client's recv return. Both 0
+  // when the server sent no stamp (a node not on the real clock) or the
+  // server's span falls outside the client's own send..recv window.
   uint32_t request_leg_us = 0;
   uint32_t reply_leg_us = 0;
 };

@@ -61,31 +61,31 @@ int ConnectPort(uint16_t port, uint64_t timeout_ms) {
   return fd;
 }
 
-// Parses the server-duration and server-stamps framed extras (if any) out
-// of a response. The trace id is the one the client itself attached (the
-// frame does not echo it back); `sent_nanos`..`recv_nanos` is the client's
-// own window on the real clock, from just before its send to the return
-// of the recv that completed the response.
+// Parses the server-timing framed extra (if any) out of a response. The
+// trace id is the one the client itself attached (the frame does not echo
+// it back); `sent_nanos`..`recv_nanos` is the client's own window on the
+// real clock, from just before its send to the return of the recv that
+// completed the response. The server's response was ready at its receive
+// stamp plus its total; a stamp of 0 (a node off the real clock) gives no
+// legs.
 ServerTiming TimingFromResp(const wire::Message& resp, uint64_t trace_id,
                             uint64_t sent_nanos, uint64_t recv_nanos) {
   ServerTiming out;
   out.trace_id = trace_id;
-  wire::ServerDuration sd;
-  if (wire::GetServerDurationFrame(resp.framing, &sd)) {
-    out.total_us = sd.total_us;
-    out.dispatch_us = sd.dispatch_us;
-    out.engine_us = sd.engine_us;
-    out.replicate_us = sd.replicate_us;
-    out.persist_us = sd.persist_us;
-  }
-  wire::ServerStamps ss;
-  if (wire::GetServerStampsFrame(resp.framing, &ss) &&
-      sent_nanos <= ss.recv_nanos && ss.recv_nanos <= ss.ready_nanos &&
-      ss.ready_nanos <= recv_nanos) {
+  wire::ServerTimingFrame t;
+  if (!wire::GetServerTimingFrame(resp.framing, &t)) return out;
+  out.total_us = t.total_us;
+  out.dispatch_us = t.dispatch_us;
+  out.engine_us = t.engine_us;
+  out.replicate_us = t.replicate_us;
+  out.persist_us = t.persist_us;
+  const uint64_t ready_nanos = t.recv_nanos + uint64_t{t.total_us} * 1000;
+  // ready_nanos < t.recv_nanos only when a bogus stamp wrapped the sum.
+  if (t.recv_nanos != 0 && sent_nanos <= t.recv_nanos &&
+      t.recv_nanos <= ready_nanos && ready_nanos <= recv_nanos) {
     out.request_leg_us =
-        static_cast<uint32_t>((ss.recv_nanos - sent_nanos) / 1000);
-    out.reply_leg_us =
-        static_cast<uint32_t>((recv_nanos - ss.ready_nanos) / 1000);
+        static_cast<uint32_t>((t.recv_nanos - sent_nanos) / 1000);
+    out.reply_leg_us = static_cast<uint32_t>((recv_nanos - ready_nanos) / 1000);
   }
   return out;
 }
@@ -391,14 +391,12 @@ Status WireClient::Dispatch(std::string_view key, wire::Message req,
   // One trace id for the whole dispatch: every retry (NMVB redirect, port
   // re-learn) is a leg of the same logical op and lands in the flight
   // recorder under the same id. Attaching the frame makes the request a
-  // flex frame, which is also what asks the server for a duration report.
+  // flex frame, which is also what asks the server for its timing report.
   uint64_t trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   if (trace_id == 0) {
     trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  wire::TraceFrame tf;
-  tf.trace_id = trace_id;
-  wire::PutTraceFrame(&req.framing, tf);
+  wire::PutTraceFrame(&req.framing, trace_id);
   Window window;
   Status st = router_.Run(
       key,

@@ -244,7 +244,6 @@ void Bucket::FlusherLoop() {
     flush_ns_->Record(Clock::Real()->NowNanos() - flush_start_ns);
     {
       LockGuard lock(queue_mu_);
-      ++flush_epoch_;
       flushing_.store(false);
     }
     flush_cv_.NotifyAll();

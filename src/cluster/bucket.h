@@ -171,7 +171,6 @@ class Bucket {
   mutable Mutex queue_mu_{"cluster.flusher_queue"};  // guards the flusher's cv + flags
   CondVar queue_cv_;
   std::atomic<bool> flushing_{false};  // a batch is being written right now
-  uint64_t flush_epoch_ GUARDED_BY(queue_mu_) = 0;  // bumped per flush batch
   CondVar flush_cv_;                   // signaled after each commit
   std::atomic<bool> stop_{false};
   std::atomic<bool> stop_hard_{false};  // crash: exit without draining

@@ -79,7 +79,8 @@ StatusOr<kv::GetResult> VBucket::GetAndLock(std::string_view key,
   COUCHKV_RETURN_IF_ERROR(CheckActive());
   if (inst_.ops_get != nullptr) inst_.ops_get->Add();
   auto r = FindResident(
-      key, [&](bool) { return ht_.GetAndLock(key, lock_ms); }, span);
+      key, [&](bool count) { return ht_.GetAndLock(key, lock_ms, count); },
+      span);
   span.Phase("cache");
   return r;
 }

@@ -67,24 +67,17 @@ wire::Message WireService::Handle(const wire::Message& req,
   const uint64_t t_recv =
       ctx.received_nanos != 0 ? ctx.received_nanos : clock->NowNanos();
 
-  // Adopt the caller's trace context (if any) as this thread's ambient
-  // trace: nested engine spans tag themselves with it, so their slow-op
-  // lines join the wire trace that suffered them.
-  wire::TraceFrame tf;
-  const bool traced = wire::GetTraceFrame(req.framing, &tf);
-  trace::TraceContext tc;
-  if (traced) {
-    tc.trace_id = tf.trace_id;
-    tc.parent_span_id = tf.parent_span_id;
-    tc.flags = tf.flags;
-  }
-  trace::ScopedTrace scoped(tc);
+  // Adopt the caller's trace id (if any) as this thread's ambient trace:
+  // nested engine spans tag themselves with it, so their slow-op lines join
+  // the wire trace that suffered them.
+  uint64_t trace_id = 0;
+  wire::GetTraceFrame(req.framing, &trace_id);
+  trace::ScopedTrace scoped(trace_id);
 
   stats::FlightRecorder* rec = n != nullptr ? n->flight_recorder() : nullptr;
   const uint64_t token =
-      rec != nullptr
-          ? rec->BeginOp(req.opcode, req.vbucket, tc.trace_id, t_recv)
-          : 0;
+      rec != nullptr ? rec->Begin(req.opcode, req.vbucket, trace_id, t_recv)
+                     : 0;
 
   // Dispatch phase: everything between the socket read and the engine call
   // (frame decode plus in-order queueing behind earlier pipelined frames).
@@ -143,20 +136,20 @@ wire::Message WireService::Handle(const wire::Message& req,
   }
 
   const uint64_t t_done = clock->NowNanos();
-  wire::ServerDuration sd;
-  sd.total_us = NanosToU32Micros(t_done - t_recv);
-  sd.dispatch_us = NanosToU32Micros(t_dispatch_end - t_recv);
-  sd.engine_us = NanosToU32Micros(t_engine_end - t_dispatch_end);
-  sd.replicate_us = NanosToU32Micros(t_replicate_end - t_engine_end);
-  sd.persist_us = NanosToU32Micros(t_persist_end - t_replicate_end);
+  // The op's one timing record: the response's framed extra, the flight
+  // recorder entry and the slow-op line all read it.
+  wire::ServerTimingFrame timing;
+  timing.total_us = NanosToU32Micros(t_done - t_recv);
+  timing.dispatch_us = NanosToU32Micros(t_dispatch_end - t_recv);
+  timing.engine_us = NanosToU32Micros(t_engine_end - t_dispatch_end);
+  timing.replicate_us = NanosToU32Micros(t_replicate_end - t_engine_end);
+  timing.persist_us = NanosToU32Micros(t_persist_end - t_replicate_end);
   // Only flex requesters understand flex responses; a classic client gets
-  // the exact frames it always got. The raw stamps go out only on the real
-  // clock, the one time base a client process shares with this node.
+  // the exact frames it always got. The receive stamp goes out only on the
+  // real clock, the one time base a client process shares with this node.
   if (req.is_flex()) {
-    wire::PutServerDurationFrame(&resp.framing, sd);
-    if (clock == Clock::Real()) {
-      wire::PutServerStampsFrame(&resp.framing, {t_recv, t_done});
-    }
+    if (clock == Clock::Real()) timing.recv_nanos = t_recv;
+    wire::PutServerTimingFrame(&resp.framing, timing);
   }
 
   h_server_->Record(t_done - t_recv);
@@ -167,32 +160,31 @@ wire::Message WireService::Handle(const wire::Message& req,
 
   if (rec != nullptr) {
     stats::OpRecord r;
-    r.trace_id = tc.trace_id;
+    r.trace_id = trace_id;
     r.start_nanos = t_recv;
     r.key_hash = Crc32(req.key);
-    r.total_us = sd.total_us;
-    r.dispatch_us = sd.dispatch_us;
-    r.engine_us = sd.engine_us;
-    r.replicate_us = sd.replicate_us;
-    r.persist_us = sd.persist_us;
+    r.total_us = timing.total_us;
+    r.dispatch_us = timing.dispatch_us;
+    r.engine_us = timing.engine_us;
+    r.replicate_us = timing.replicate_us;
+    r.persist_us = timing.persist_us;
     r.vbucket = req.vbucket;
     r.status = resp.status;
     r.opcode = req.opcode;
-    rec->Record(r);
-    rec->EndOp(token);
+    rec->Complete(token, r);
   }
 
   const uint64_t threshold_us = trace::SlowOpThresholdUs();
-  if (threshold_us != 0 && sd.total_us >= threshold_us &&
+  if (threshold_us != 0 && timing.total_us >= threshold_us &&
       COUCHKV_LOG_ENABLED(kWarn)) {
     std::ostringstream msg;
     msg << "slow wire op " << wire::OpcodeName(req.opcode) << " on node "
-        << node_id_ << " took " << sd.total_us << "us (dispatch="
-        << sd.dispatch_us << "us engine=" << sd.engine_us << "us replicate="
-        << sd.replicate_us << "us persist=" << sd.persist_us << "us)";
-    if (tc.trace_id != 0) {
-      msg << " trace=" << tc.trace_id;
-    }
+        << node_id_ << " took " << timing.total_us
+        << "us (dispatch=" << timing.dispatch_us
+        << "us engine=" << timing.engine_us
+        << "us replicate=" << timing.replicate_us
+        << "us persist=" << timing.persist_us << "us)";
+    if (trace_id != 0) msg << " trace=" << trace_id;
     if (rec != nullptr) {
       msg << " flight-recorder tail: " << rec->ToJson(t_done, 4);
     }

@@ -20,13 +20,12 @@
 // Tracing: every request is timed against the node's Clock into a
 // dispatch / engine / replicate / persist phase breakdown, recorded in the
 // node's flight recorder, and — when the request was a flex frame — shipped
-// back in a server-duration framed extra (plus, on the real clock, the raw
-// receive and response-ready stamps the client splits its wait by). A
-// trace-context framed extra on the request tags the recorder entry and
-// becomes the thread's ambient trace for the duration of the op (nested
-// spans and outbound transport hops join it). A durability framed extra on
-// a mutation blocks the response until the requirement holds, with the
-// replicate and persist waits timed separately.
+// back in one server-timing framed extra (which, on the real clock, also
+// carries the receive stamp the client splits its wait by). A trace-id
+// framed extra on the request tags the recorder entry and becomes the
+// thread's ambient trace for the duration of the op (nested spans join it).
+// A durability framed extra on a mutation blocks the response until the
+// requirement holds, with the replicate and persist waits timed separately.
 #ifndef COUCHKV_CLUSTER_WIRE_SERVICE_H_
 #define COUCHKV_CLUSTER_WIRE_SERVICE_H_
 

@@ -31,7 +31,6 @@ uint64_t Histogram::BucketLow(int idx) {
 
 void Histogram::Record(uint64_t nanos) {
   buckets_[BucketFor(nanos)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(nanos, std::memory_order_relaxed);
 }
 
@@ -40,21 +39,18 @@ void Histogram::Merge(const Histogram& other) {
     buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
   }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
   sum_.fetch_add(other.sum(), std::memory_order_relaxed);
 }
 
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0);
   sum_.store(0);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {
   HistogramSnapshot s;
-  // Derive count from the bucket copy rather than reading count_: a writer
-  // between the two reads would otherwise leave count out of sync with the
-  // buckets and skew Percentile()'s target rank.
+  // count is the sum of the bucket copy, so it always agrees with the
+  // buckets Percentile() walks.
   for (int i = 0; i < kNumBuckets; ++i) {
     s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     s.count += s.buckets[i];

@@ -43,7 +43,6 @@ void IndexPartition::LogApply(const KeyVersion& kv) {
       // the sync instead of silently skipping another 64 applies' worth of
       // durability.
       applies_since_sync_ = 64;
-      sync_failures_.fetch_add(1, std::memory_order_relaxed);
       log_sync_failures_->Add();
       LOG_WARN << "gsi partition " << partition_id_ << " log sync failed: "
                << st.ToString() << "; will retry on next apply";

@@ -62,7 +62,6 @@ class IndexPartition {
 
   size_t num_entries() const;
   uint64_t disk_bytes_written() const { return disk_bytes_.load(); }
-  uint64_t log_sync_failures() const { return sync_failures_.load(); }
 
  private:
   struct TreeKey {
@@ -87,7 +86,6 @@ class IndexPartition {
   std::shared_ptr<stats::Scope> stats_scope_;
   stats::Counter* log_append_failures_ = nullptr;
   stats::Counter* log_sync_failures_ = nullptr;
-  std::atomic<uint64_t> sync_failures_{0};
 
   mutable SharedMutex mu_{"gsi.indexer"};
   std::map<TreeKey, uint16_t> tree_ GUARDED_BY(mu_);  // value: owning vbucket

@@ -67,28 +67,30 @@ GetResult HashTable::MakeGetResult(Map::iterator it) {
   return r;
 }
 
-StatusOr<GetResult> HashTable::Get(std::string_view key, bool count) {
-  LockGuard lock(mu_);
+HashTable::Map::iterator HashTable::FindLive(std::string_view key,
+                                             bool count) {
   auto it = map_.find(key);
-  if (it == map_.end()) {
+  if (it == map_.end() || it->second.meta.deleted) {
     if (count) c_.misses->Add();
-    return Status::NotFound();
+    return map_.end();
   }
-  StoredValue& sv = it->second;
-  if (sv.meta.deleted) {
-    if (count) c_.misses->Add();
-    return Status::NotFound();
-  }
-  if (IsExpired(sv)) {
+  if (IsExpired(it->second)) {
     if (count) {
       c_.expirations->Add();
       c_.misses->Add();
     }
-    return Status::NotFound();
+    return map_.end();
   }
   // A non-resident entry is a cache miss in the paper's sense: metadata is
   // here but the value must be read back from disk.
-  if (count) (sv.resident ? c_.hits : c_.misses)->Add();
+  if (count) (it->second.resident ? c_.hits : c_.misses)->Add();
+  return it;
+}
+
+StatusOr<GetResult> HashTable::Get(std::string_view key, bool count) {
+  LockGuard lock(mu_);
+  auto it = FindLive(key, count);
+  if (it == map_.end()) return Status::NotFound();
   return MakeGetResult(it);
 }
 
@@ -166,12 +168,10 @@ StatusOr<DocMeta> HashTable::Store(StoreOp op, std::string_view key,
 }
 
 StatusOr<GetResult> HashTable::GetAndLock(std::string_view key,
-                                          uint64_t lock_ms) {
+                                          uint64_t lock_ms, bool count) {
   LockGuard lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second.meta.deleted || IsExpired(it->second)) {
-    return Status::NotFound();
-  }
+  auto it = FindLive(key, count);
+  if (it == map_.end()) return Status::NotFound();
   StoredValue& sv = it->second;
   if (IsLockedNow(sv)) {
     c_.lock_conflicts->Add();

@@ -110,9 +110,9 @@ class HashTable {
   // avoid deadlocks, §3.1.1). While locked, mutations without the lock CAS
   // fail with Locked. An evicted value is not locked: the result comes back
   // non-resident, and the caller reads the value back (Restore) and asks
-  // again.
-  StatusOr<GetResult> GetAndLock(std::string_view key, uint64_t lock_ms)
-      EXCLUDES(mu_);
+  // again with `count` false. Counts cache events exactly as Get does.
+  StatusOr<GetResult> GetAndLock(std::string_view key, uint64_t lock_ms,
+                                 bool count = true) EXCLUDES(mu_);
 
   // Releases a GETL lock; requires the CAS returned by GetAndLock.
   Status Unlock(std::string_view key, uint64_t cas) EXCLUDES(mu_);
@@ -189,6 +189,12 @@ class HashTable {
       REQUIRES(mu_);
   static size_t EntryFootprint(const std::string& key, const StoredValue& sv);
 
+  // The front-end reads' shared lookup: the live entry for `key`, or
+  // map_.end() for an absent, deleted or expired one. With `count` it
+  // counts the cache event: an absent or deleted key is a kv.misses, an
+  // expired one a kv.expirations and a kv.misses, a live entry a kv.hits
+  // when resident and a kv.misses when not.
+  Map::iterator FindLive(std::string_view key, bool count) REQUIRES(mu_);
   // Fills a GetResult from a live entry and marks it referenced.
   GetResult MakeGetResult(Map::iterator it) REQUIRES(mu_);
 

@@ -156,7 +156,6 @@ void TcpServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    accepted_total_.fetch_add(1, std::memory_order_relaxed);
     stat_accepted_->Add();
     ReapFinished();
     auto conn = std::make_unique<Conn>();
@@ -195,7 +194,6 @@ void TcpServer::ConnLoop(Conn* conn) {
         // Malformed framing: answer with a protocol error (best effort —
         // we cannot know the intended opaque) and drop the connection;
         // resynchronizing inside a corrupt byte stream is guesswork.
-        protocol_errors_total_.fetch_add(1, std::memory_order_relaxed);
         stat_protocol_errors_->Add();
         wire::Message resp;
         resp.magic = wire::kMagicResponse;
@@ -213,7 +211,6 @@ void TcpServer::ConnLoop(Conn* conn) {
       stat_ops_[req.opcode]->Add();
       wire::Message resp = handler_(req, ctx);
       resp.opaque = req.opaque;  // the handler never re-correlates frames
-      frames_total_.fetch_add(1, std::memory_order_relaxed);
       stat_frames_->Add();
       std::string bytes;
       Status enc = wire::Encode(resp, &bytes);

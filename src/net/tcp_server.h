@@ -75,18 +75,6 @@ class TcpServer {
   uint16_t port() const { return port_.load(std::memory_order_acquire); }
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // Lifetime totals (exposed for tests; also mirrored into the "wire"
-  // stats scope).
-  uint64_t connections_accepted() const {
-    return accepted_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t frames_served() const {
-    return frames_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t protocol_errors() const {
-    return protocol_errors_total_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Conn {
     int fd = -1;
@@ -121,12 +109,9 @@ class TcpServer {
   Mutex mu_{"net.tcp_server"};
   std::vector<std::unique_ptr<Conn>> conns_ GUARDED_BY(mu_);
 
-  std::atomic<uint64_t> accepted_total_{0};
-  std::atomic<uint64_t> frames_total_{0};
-  std::atomic<uint64_t> protocol_errors_total_{0};
-
   // Scope "wire": server-side traffic counters shared by every listener in
-  // the process.
+  // the process (server.connections, server.frames,
+  // server.protocol_errors); the registry is their only store.
   std::shared_ptr<stats::Scope> scope_;
   stats::Counter* stat_accepted_ = nullptr;
   stats::Counter* stat_frames_ = nullptr;

@@ -219,21 +219,16 @@ void AppendFrameTag(std::string* framing, uint8_t tag,
 
 }  // namespace
 
-void PutTraceFrame(std::string* framing, const TraceFrame& t) {
+void PutTraceFrame(std::string* framing, uint64_t trace_id) {
   std::string payload;
-  PutU64BE(&payload, t.trace_id);
-  PutU32BE(&payload, t.parent_span_id);
-  PutU32BE(&payload, t.flags);
-  AppendFrameTag(framing, kFrameTagTraceContext, payload);
+  PutU64BE(&payload, trace_id);
+  AppendFrameTag(framing, kFrameTagTraceId, payload);
 }
 
-bool GetTraceFrame(std::string_view framing, TraceFrame* t) {
+bool GetTraceFrame(std::string_view framing, uint64_t* trace_id) {
   std::string_view p;
-  if (!FindFrameTag(framing, kFrameTagTraceContext, &p) || p.size() != 16) {
-    return false;
-  }
-  return GetU64BE(p, 0, &t->trace_id) && GetU32BE(p, 8, &t->parent_span_id) &&
-         GetU32BE(p, 12, &t->flags);
+  return FindFrameTag(framing, kFrameTagTraceId, &p) && p.size() == 8 &&
+         GetU64BE(p, 0, trace_id);
 }
 
 void PutDurabilityFrame(std::string* framing, const DurabilityFrame& d) {
@@ -254,39 +249,25 @@ bool GetDurabilityFrame(std::string_view framing, DurabilityFrame* d) {
   return GetU32BE(p, 2, &d->timeout_ms);
 }
 
-void PutServerDurationFrame(std::string* framing, const ServerDuration& d) {
+void PutServerTimingFrame(std::string* framing, const ServerTimingFrame& t) {
   std::string payload;
-  PutU32BE(&payload, d.total_us);
-  PutU32BE(&payload, d.dispatch_us);
-  PutU32BE(&payload, d.engine_us);
-  PutU32BE(&payload, d.replicate_us);
-  PutU32BE(&payload, d.persist_us);
-  AppendFrameTag(framing, kFrameTagServerDuration, payload);
+  PutU64BE(&payload, t.recv_nanos);
+  PutU32BE(&payload, t.total_us);
+  PutU32BE(&payload, t.dispatch_us);
+  PutU32BE(&payload, t.engine_us);
+  PutU32BE(&payload, t.replicate_us);
+  PutU32BE(&payload, t.persist_us);
+  AppendFrameTag(framing, kFrameTagServerTiming, payload);
 }
 
-bool GetServerDurationFrame(std::string_view framing, ServerDuration* d) {
+bool GetServerTimingFrame(std::string_view framing, ServerTimingFrame* t) {
   std::string_view p;
-  if (!FindFrameTag(framing, kFrameTagServerDuration, &p) || p.size() != 20) {
+  if (!FindFrameTag(framing, kFrameTagServerTiming, &p) || p.size() != 28) {
     return false;
   }
-  return GetU32BE(p, 0, &d->total_us) && GetU32BE(p, 4, &d->dispatch_us) &&
-         GetU32BE(p, 8, &d->engine_us) && GetU32BE(p, 12, &d->replicate_us) &&
-         GetU32BE(p, 16, &d->persist_us);
-}
-
-void PutServerStampsFrame(std::string* framing, const ServerStamps& s) {
-  std::string payload;
-  PutU64BE(&payload, s.recv_nanos);
-  PutU64BE(&payload, s.ready_nanos);
-  AppendFrameTag(framing, kFrameTagServerStamps, payload);
-}
-
-bool GetServerStampsFrame(std::string_view framing, ServerStamps* s) {
-  std::string_view p;
-  if (!FindFrameTag(framing, kFrameTagServerStamps, &p) || p.size() != 16) {
-    return false;
-  }
-  return GetU64BE(p, 0, &s->recv_nanos) && GetU64BE(p, 8, &s->ready_nanos);
+  return GetU64BE(p, 0, &t->recv_nanos) && GetU32BE(p, 8, &t->total_us) &&
+         GetU32BE(p, 12, &t->dispatch_us) && GetU32BE(p, 16, &t->engine_us) &&
+         GetU32BE(p, 20, &t->replicate_us) && GetU32BE(p, 24, &t->persist_us);
 }
 
 FrameDecoder::Result FrameDecoder::Next(Message* out, Status* error) {

@@ -168,19 +168,13 @@ Status Encode(const Message& m, std::string* out);
 // Each entry is tag (1 B), payload length (1 B), payload. Readers scan for
 // the tag they want and skip everything else, so new tags never break old
 // peers.
-constexpr uint8_t kFrameTagTraceContext = 0x01;
-constexpr uint8_t kFrameTagDurability = 0x02;
-constexpr uint8_t kFrameTagServerDuration = 0x03;
-constexpr uint8_t kFrameTagServerStamps = 0x04;
 
-// Trace context, 16-byte payload: trace id u64, parent span id u32,
-// flags u32. Rides requests; the serving side tags its flight-recorder
-// entry (and any onward hops) with the same trace id.
-struct TraceFrame {
-  uint64_t trace_id = 0;
-  uint32_t parent_span_id = 0;
-  uint32_t flags = 0;
-};
+// Trace id, 8-byte payload: one u64 (0 means "no trace"). Rides requests;
+// the serving side tags its flight-recorder entry and its slow-op lines
+// with it.
+constexpr uint8_t kFrameTagTraceId = 0x01;
+constexpr uint8_t kFrameTagDurability = 0x02;
+constexpr uint8_t kFrameTagServerTiming = 0x03;
 
 // Durability requirement, 6-byte payload: replicate_to u8, persist_to u8,
 // timeout_ms u32. Rides mutation requests; the server blocks the response
@@ -192,10 +186,17 @@ struct DurabilityFrame {
   uint32_t timeout_ms = 0;
 };
 
-// Server-reported duration, 20-byte payload: five u32 microsecond fields.
-// Rides responses to flex requests. Phases sum to <= total (the remainder
-// is response packing); a phase that did not run reports 0.
-struct ServerDuration {
+// Server timing, 28-byte payload: the receive stamp u64, then five u32
+// microsecond fields. Rides every response to a flex request. Phases sum to
+// <= total (the remainder is response packing); a phase that did not run
+// reports 0. `recv_nanos` is the CLOCK_MONOTONIC stamp of the recv(2) that
+// delivered the request, and 0 from a node that is not on the real clock:
+// CLOCK_MONOTONIC is one time base for every process on the host, so a
+// client there splits its wait into a request leg (its send -> recv_nanos)
+// and a reply leg (recv_nanos + total -> its recv return) around the
+// server's total.
+struct ServerTimingFrame {
+  uint64_t recv_nanos = 0;
   uint32_t total_us = 0;
   uint32_t dispatch_us = 0;   // socket read -> engine call
   uint32_t engine_us = 0;     // KV engine (hash table + front-end)
@@ -203,30 +204,16 @@ struct ServerDuration {
   uint32_t persist_us = 0;    // flusher persistence wait (durable ops)
 };
 
-// Server clock stamps, 16-byte payload: two u64 CLOCK_MONOTONIC
-// nanosecond stamps, when the request's recv(2) returned and when its
-// response was ready. Rides responses to flex requests, but only from a
-// node on the real clock: CLOCK_MONOTONIC is one time base for every
-// process on the host, so a client there splits its wait into a request
-// leg (its send -> recv_nanos) and a reply leg (ready_nanos -> its recv
-// return) around the server's total.
-struct ServerStamps {
-  uint64_t recv_nanos = 0;
-  uint64_t ready_nanos = 0;
-};
-
 // Appends one TLV entry. Put* never fails (payloads are fixed-size and tiny);
 // Get* scans the framing area for its tag, skipping unknown entries, and
 // returns false when the tag is absent, its payload has the wrong size, or
 // the TLV stream is truncated.
-void PutTraceFrame(std::string* framing, const TraceFrame& t);
-bool GetTraceFrame(std::string_view framing, TraceFrame* t);
+void PutTraceFrame(std::string* framing, uint64_t trace_id);
+bool GetTraceFrame(std::string_view framing, uint64_t* trace_id);
 void PutDurabilityFrame(std::string* framing, const DurabilityFrame& d);
 bool GetDurabilityFrame(std::string_view framing, DurabilityFrame* d);
-void PutServerDurationFrame(std::string* framing, const ServerDuration& d);
-bool GetServerDurationFrame(std::string_view framing, ServerDuration* d);
-void PutServerStampsFrame(std::string* framing, const ServerStamps& s);
-bool GetServerStampsFrame(std::string_view framing, ServerStamps* s);
+void PutServerTimingFrame(std::string* framing, const ServerTimingFrame& t);
+bool GetServerTimingFrame(std::string_view framing, ServerTimingFrame* t);
 
 // --- Big-endian field helpers (for extras payloads) ---
 void PutU32BE(std::string* out, uint32_t v);

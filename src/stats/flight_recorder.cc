@@ -11,8 +11,8 @@ FlightRecorder::FlightRecorder(size_t capacity)
   inflight_.reserve(kMaxInflight);
 }
 
-uint64_t FlightRecorder::BeginOp(uint8_t opcode, uint16_t vbucket,
-                                 uint64_t trace_id, uint64_t start_nanos) {
+uint64_t FlightRecorder::Begin(uint8_t opcode, uint16_t vbucket,
+                               uint64_t trace_id, uint64_t start_nanos) {
   LockGuard lock(mu_);
   if (inflight_.size() >= kMaxInflight) return 0;
   InflightOp op;
@@ -25,19 +25,15 @@ uint64_t FlightRecorder::BeginOp(uint8_t opcode, uint16_t vbucket,
   return op.token;
 }
 
-void FlightRecorder::EndOp(uint64_t token) {
-  if (token == 0) return;
+void FlightRecorder::Complete(uint64_t token, const OpRecord& r) {
   LockGuard lock(mu_);
-  for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
-    if (it->token == token) {
-      inflight_.erase(it);
-      return;
-    }
+  if (token != 0) {
+    auto it = std::find_if(inflight_.begin(), inflight_.end(),
+                           [&](const InflightOp& op) {
+                             return op.token == token;
+                           });
+    if (it != inflight_.end()) inflight_.erase(it);
   }
-}
-
-void FlightRecorder::Record(const OpRecord& r) {
-  LockGuard lock(mu_);
   OpRecord stamped = r;
   stamped.seq = ++completed_total_;
   if (ring_.size() < capacity_) {
@@ -58,20 +54,21 @@ void FlightRecorder::Clear() {
   // visibly absent rather than renumbered.
 }
 
-std::vector<OpRecord> FlightRecorder::Completed() const {
-  LockGuard lock(mu_);
+std::vector<OpRecord> FlightRecorder::CompletedLocked() const {
+  if (ring_.size() < capacity_) return ring_;
+  // next_slot_ points at the oldest record once the ring has wrapped.
   std::vector<OpRecord> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // next_slot_ points at the oldest record once the ring has wrapped.
-    out.insert(out.end(), ring_.begin() + static_cast<long>(next_slot_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<long>(next_slot_));
-  }
+  out.insert(out.end(), ring_.begin() + static_cast<long>(next_slot_),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<long>(next_slot_));
   return out;
+}
+
+std::vector<OpRecord> FlightRecorder::Completed() const {
+  LockGuard lock(mu_);
+  return CompletedLocked();
 }
 
 std::vector<FlightRecorder::InflightOp> FlightRecorder::Inflight() const {
@@ -111,8 +108,14 @@ void AppendRecordJson(const OpRecord& r, std::string* out) {
 
 std::string FlightRecorder::ToJson(uint64_t now_nanos, size_t max_records,
                                    uint64_t trace_id_filter) const {
-  std::vector<OpRecord> completed = Completed();
-  std::vector<InflightOp> inflight = Inflight();
+  std::vector<OpRecord> completed;
+  std::vector<InflightOp> inflight;
+  {
+    // One snapshot of both lists, so no op shows in both.
+    LockGuard lock(mu_);
+    completed = CompletedLocked();
+    inflight = inflight_;
+  }
   if (trace_id_filter != 0) {
     completed.erase(std::remove_if(completed.begin(), completed.end(),
                                    [&](const OpRecord& r) {

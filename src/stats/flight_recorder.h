@@ -6,10 +6,13 @@
 // OBSERVE_TRACE, appended to torture-failure reports, and dumped alongside
 // slow-op WARN logs.
 //
-// Lock discipline: one Mutex, held only for tiny fixed-size copies (no
-// allocation, no I/O under the lock). All durations are supplied by the
-// caller from the node's Clock, so a ManualClock test gets bit-identical
-// records run after run.
+// Lock discipline: one Mutex, taken twice per op (Begin, Complete) and
+// held only for tiny fixed-size copies (no allocation, no I/O under the
+// lock). Complete moves an op from the in-flight table to the ring in one
+// critical section and a dump copies both under one lock, so a dump shows
+// every op in at most one list. All durations are supplied by the caller
+// from the node's Clock, so a ManualClock test gets bit-identical records
+// run after run.
 #ifndef COUCHKV_STATS_FLIGHT_RECORDER_H_
 #define COUCHKV_STATS_FLIGHT_RECORDER_H_
 
@@ -48,17 +51,16 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Registers an op as in flight; returns a nonzero token for EndOp, or 0
-  // when the in-flight table is full (the op is simply not tracked while
+  // Registers an op as in flight; returns a nonzero token for Complete, or
+  // 0 when the in-flight table is full (the op is simply not tracked while
   // running — it still gets its completion record).
-  uint64_t BeginOp(uint8_t opcode, uint16_t vbucket, uint64_t trace_id,
-                   uint64_t start_nanos);
-  // Releases the in-flight slot. Token 0 is a no-op.
-  void EndOp(uint64_t token);
+  uint64_t Begin(uint8_t opcode, uint16_t vbucket, uint64_t trace_id,
+                 uint64_t start_nanos);
 
-  // Appends a completed op (stamps r.seq). The oldest record falls off once
-  // the ring is full.
-  void Record(const OpRecord& r);
+  // Releases the op's in-flight slot (token 0: none) and appends its
+  // completed record (stamping r.seq), in one critical section. The oldest
+  // record falls off once the ring is full.
+  void Complete(uint64_t token, const OpRecord& r);
 
   // Forgets everything — a crashed process would have lost its recorder.
   void Clear();
@@ -73,7 +75,7 @@ class FlightRecorder {
     uint16_t vbucket = 0;
     uint8_t opcode = 0;
   };
-  // Ops currently between BeginOp and EndOp, oldest first.
+  // Ops currently between Begin and Complete, oldest first.
   std::vector<InflightOp> Inflight() const;
 
   // JSON dump: {"completed":[...],"inflight":[...]} with numeric opcodes,
@@ -87,6 +89,8 @@ class FlightRecorder {
   size_t capacity() const { return capacity_; }
 
  private:
+  std::vector<OpRecord> CompletedLocked() const REQUIRES(mu_);
+
   const size_t capacity_;
 
   mutable Mutex mu_{"stats.flight_recorder"};

@@ -21,23 +21,15 @@ std::atomic<uint64_t> g_slow_op_threshold_us{[] {
   return static_cast<uint64_t>(100'000);  // 100ms
 }()};
 
-std::atomic<uint32_t> g_next_span_id{1};
-
-thread_local TraceContext t_current_trace;
+thread_local uint64_t t_current_trace_id = 0;
 
 }  // namespace
 
-uint32_t NextSpanId() {
-  uint32_t id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  return id == 0 ? g_next_span_id.fetch_add(1, std::memory_order_relaxed)
-                 : id;
+ScopedTrace::ScopedTrace(uint64_t trace_id) : prev_(t_current_trace_id) {
+  t_current_trace_id = trace_id;
 }
 
-ScopedTrace::ScopedTrace(const TraceContext& ctx) : prev_(t_current_trace) {
-  t_current_trace = ctx;
-}
-
-ScopedTrace::~ScopedTrace() { t_current_trace = prev_; }
+ScopedTrace::~ScopedTrace() { t_current_trace_id = prev_; }
 
 uint64_t SlowOpThresholdUs() {
   return g_slow_op_threshold_us.load(std::memory_order_relaxed);
@@ -50,7 +42,7 @@ void SetSlowOpThresholdUs(uint64_t us) {
 Span::Span(const char* op, Histogram* latency)
     : op_(op),
       latency_(latency),
-      trace_id_(t_current_trace.trace_id),
+      trace_id_(t_current_trace_id),
       start_(Clock::Real()->NowNanos()) {}
 
 void Span::Phase(const char* name) {
@@ -77,7 +69,7 @@ void Span::Finish() {
     msg << "slow op " << op_ << " took " << total / 1000 << "us (threshold "
         << threshold_us << "us)";
     if (trace_id_ != 0) {
-      msg << " trace=" << std::hex << trace_id_ << std::dec;
+      msg << " trace=" << trace_id_;
     }
     uint64_t prev = start_;
     for (int i = 0; i < num_phases_; ++i) {

@@ -21,35 +21,22 @@ namespace couchkv::trace {
 uint64_t SlowOpThresholdUs();
 void SetSlowOpThresholdUs(uint64_t us);
 
-// The distributed trace context that rides wire frames (the 16-byte framed
-// extra): which end-to-end operation this work belongs to. trace_id 0 means
-// "no trace" everywhere.
-struct TraceContext {
-  uint64_t trace_id = 0;
-  uint32_t parent_span_id = 0;
-  uint32_t flags = 0;
-
-  bool valid() const { return trace_id != 0; }
-};
-
-// Process-wide span-id source (never returns 0).
-uint32_t NextSpanId();
-
-// RAII installer for the calling thread's ambient trace: what a server
+// RAII installer for the calling thread's ambient trace id (the id a wire
+// request's trace framed extra carries; 0 means "no trace"): what a server
 // handler installs before diving into the engine so that nested spans can
-// tag themselves (see Span::trace_id) without threading a context parameter
-// through every KV signature. Restores the previous context on destruction,
-// so nested scopes (a server handler that itself issues traced calls)
-// unwind correctly.
+// tag themselves (see Span::trace_id) without threading a parameter through
+// every KV signature. Restores the previous id on destruction, so nested
+// scopes (a server handler that itself issues traced calls) unwind
+// correctly.
 class ScopedTrace {
  public:
-  explicit ScopedTrace(const TraceContext& ctx);
+  explicit ScopedTrace(uint64_t trace_id);
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
   ~ScopedTrace();
 
  private:
-  TraceContext prev_;
+  uint64_t prev_;
 };
 
 class Span {

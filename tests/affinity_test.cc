@@ -22,6 +22,7 @@
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
 #include "dcp/dcp.h"
+#include "harness/registry_counter.h"
 #include "net/tcp_server.h"
 
 namespace couchkv {
@@ -162,6 +163,7 @@ TEST(AffinitySpawnTest, TcpServerLoopsAdoptNetDomains) {
         return resp;
       });
   ASSERT_TRUE(server.Start().ok());
+  const harness::CounterDelta accepted("wire", "server.connections");
   // One real connection, closed immediately: its ConnLoop thread spawns,
   // sees EOF, and exits — enough to adopt kNetConn.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -173,7 +175,7 @@ TEST(AffinitySpawnTest, TcpServerLoopsAdoptNetDomains) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   ::close(fd);
-  while (server.connections_accepted() == 0) std::this_thread::yield();
+  while (accepted() == 0) std::this_thread::yield();
   server.Stop();  // joins accept + conn threads
   EXPECT_GT(lockdep::DomainAdoptions(Domain::kNetAccept), accept_before);
   EXPECT_GT(lockdep::DomainAdoptions(Domain::kNetConn), conn_before);

@@ -300,17 +300,26 @@ TEST(ReadThroughTest, GetlWhoseReadFailsTakesNoLock) {
   OneBucket one;
   const std::string value(1000, 'l');
   ASSERT_NO_FATAL_FAILURE(WriteAndEvict(one, "k", value));
-  const uint64_t cas = one.vb()->hash_table().Get("k")->doc.meta.cas;
+  const uint64_t cas =
+      one.vb()->hash_table().Get("k", /*count=*/false)->doc.meta.cas;
+  const std::string scope = "node.9.bucket.onecopy";
+  harness::CounterDelta misses(scope, "kv.misses");
+  harness::CounterDelta hits(scope, "kv.hits");
 
   one.disk.FailNextReads(1);
   auto failed = one.vb()->GetAndLock("k", 15000);
   EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
-  EXPECT_EQ(one.vb()->hash_table().Get("k")->doc.meta.cas, cas);
+  EXPECT_EQ(one.vb()->hash_table().Get("k", false)->doc.meta.cas, cas);
+  EXPECT_EQ(misses(), 1u);
 
+  // A GETL read-through counts as a GET's does: one miss for the evicted
+  // value, nothing for the lookup after the read-back.
   auto locked = one.vb()->GetAndLock("k", 15000);
   ASSERT_TRUE(locked.ok()) << locked.status().ToString();
   EXPECT_EQ(locked->doc.value, value);
   EXPECT_NE(locked->doc.meta.cas, cas);
+  EXPECT_EQ(misses(), 2u);
+  EXPECT_EQ(hits(), 0u);
 }
 
 TEST(ReadThroughTest, TouchOfAnEvictedValueKeepsTheValueOnDisk) {

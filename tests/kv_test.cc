@@ -178,6 +178,32 @@ TEST_F(HashTableTest, LockInvalidatesOldCas) {
       ht_.Store(StoreOp::kSet, "k", "x", 0, 0, m->cas).status().IsKeyExists());
 }
 
+TEST_F(HashTableTest, GetlCountsCacheEventsAsGetDoes) {
+  auto count = [&](const char* name) {
+    return scope_.GetCounter(name)->Value();
+  };
+  const uint32_t now = static_cast<uint32_t>(clock_.NowSeconds());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "live", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "gone", "v", 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kDelete, "gone", {}, 0, 0, 0).ok());
+  ASSERT_TRUE(ht_.Store(StoreOp::kSet, "old", "v", 0, now + 10, 0).ok());
+  clock_.AdvanceSeconds(11);
+
+  // A resident key is a hit.
+  ASSERT_TRUE(ht_.GetAndLock("live", 15000).ok());
+  EXPECT_EQ(count("kv.hits"), 1u);
+  EXPECT_EQ(count("kv.misses"), 0u);
+  // An absent or deleted key is a miss.
+  EXPECT_TRUE(ht_.GetAndLock("absent", 15000).status().IsNotFound());
+  EXPECT_TRUE(ht_.GetAndLock("gone", 15000).status().IsNotFound());
+  EXPECT_EQ(count("kv.misses"), 2u);
+  // An expired key is an expiration and a miss.
+  EXPECT_TRUE(ht_.GetAndLock("old", 15000).status().IsNotFound());
+  EXPECT_EQ(count("kv.expirations"), 1u);
+  EXPECT_EQ(count("kv.misses"), 3u);
+  EXPECT_EQ(count("kv.hits"), 1u);
+}
+
 // --- TTL ---
 
 TEST_F(HashTableTest, ExpiryHidesDocument) {

@@ -18,6 +18,7 @@
 #include "client/wire_client.h"
 #include "cluster/cluster.h"
 #include "common/random.h"
+#include "harness/registry_counter.h"
 #include "net/tcp_server.h"
 #include "net/wire/wire.h"
 
@@ -233,7 +234,7 @@ class WireSocketAbuseTest : public ::testing::Test {
 };
 
 TEST_F(WireSocketAbuseTest, HandBuiltBadFramesCloseCleanly) {
-  const uint64_t errors_before = server_->protocol_errors();
+  const harness::CounterDelta errors("wire", "server.protocol_errors");
 
   std::string bad_magic = ValidSetFrame();
   bad_magic[0] = '\x42';
@@ -256,11 +257,12 @@ TEST_F(WireSocketAbuseTest, HandBuiltBadFramesCloseCleanly) {
   // A connection that opens and says nothing at all.
   BlastRaw("");
 
-  EXPECT_GE(server_->protocol_errors(), errors_before + 3);
+  EXPECT_GE(errors(), 3u);
   ExpectServerStillServes();
 }
 
 TEST_F(WireSocketAbuseTest, SeededByteMutationFuzzOverSocket) {
+  const harness::CounterDelta accepted("wire", "server.connections");
   const std::string valid = ValidSetFrame();
   Rng rng(424242);
   for (int iter = 0; iter < 100; ++iter) {
@@ -277,7 +279,7 @@ TEST_F(WireSocketAbuseTest, SeededByteMutationFuzzOverSocket) {
   ExpectServerStillServes();
   // Every accepted connection from the loop must have been reaped into a
   // terminal state; total accepted = 100 fuzz + 1 probe (+ SetUp's none).
-  EXPECT_GE(server_->connections_accepted(), 101u);
+  EXPECT_GE(accepted(), 101u);
 }
 
 TEST_F(WireSocketAbuseTest, PipelinedGarbageAfterValidFramesServesPrefix) {
@@ -294,11 +296,11 @@ TEST_F(WireSocketAbuseTest, PipelinedGarbageAfterValidFramesServesPrefix) {
   junk[0] = '\x55';
   burst += junk;
 
-  const uint64_t frames_before = server_->frames_served();
-  const uint64_t errors_before = server_->protocol_errors();
+  const harness::CounterDelta frames("wire", "server.frames");
+  const harness::CounterDelta errors("wire", "server.protocol_errors");
   BlastRaw(burst);
-  EXPECT_GE(server_->frames_served(), frames_before + 2);
-  EXPECT_GE(server_->protocol_errors(), errors_before + 1);
+  EXPECT_GE(frames(), 2u);
+  EXPECT_GE(errors(), 1u);
   ExpectServerStillServes();
 }
 

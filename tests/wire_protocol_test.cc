@@ -8,7 +8,7 @@
 // double-bind failure, rediscovery after a listener restart). Last, the
 // client's wait for a reply (poll, then sleep in recv) against a scripted
 // raw listener: a silent peer, a late reply, a reply in two pieces, a peer
-// that closes, and server stamps from another clock.
+// that closes, and a server receive stamp from another clock.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -754,22 +754,28 @@ TEST(WireReplyWait, PeerClosingDuringThePollFailsAndTheNextOpReconnects) {
 }
 
 TEST(WireReplyWait, StampsOutsideTheClientWindowGiveNoLegs) {
-  ScriptedListener peer([](int fd, const wire::Message& req) {
+  // Stamps from a clock the client does not share (a ManualClock's, say),
+  // and one so large that the stamp plus the total wraps around.
+  const uint64_t stamps[] = {1000, UINT64_MAX - 1000};
+  std::atomic<int> served{0};
+  ScriptedListener peer([&](int fd, const wire::Message& req) {
     wire::Message resp = GetReplyTo(req, "v");
-    wire::ServerDuration sd;
-    sd.total_us = 3;
-    wire::PutServerDurationFrame(&resp.framing, sd);
-    // Stamps from a clock the client does not share (a ManualClock's, say).
-    wire::PutServerStampsFrame(&resp.framing, {1000, 2000});
+    wire::ServerTimingFrame st;
+    st.recv_nanos = stamps[served.fetch_add(1) % 2];
+    st.total_us = 3;
+    wire::PutServerTimingFrame(&resp.framing, st);
     WriteAll(fd, Encoded(resp));
     return true;
   });
   client::WireClient client({peer.port()}, "default");
-  auto r = client.Get("k");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->server.total_us, 3u);
-  EXPECT_EQ(r->server.request_leg_us, 0u);
-  EXPECT_EQ(r->server.reply_leg_us, 0u);
+  for (uint64_t stamp : stamps) {
+    SCOPED_TRACE(stamp);
+    auto r = client.Get("k");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->server.total_us, 3u);
+    EXPECT_EQ(r->server.request_leg_us, 0u);
+    EXPECT_EQ(r->server.reply_leg_us, 0u);
+  }
 }
 
 }  // namespace

@@ -2,14 +2,19 @@
 // interop (old peers never see framing, unknown tags are skipped), the
 // flight recorder's ring/inflight/JSON semantics, and socket-level tests
 // against a live 3-node cluster — a durable SET's server-reported phase
-// breakdown, the request and reply legs split from the server's clock
-// stamps (none from a node on a ManualClock), OBSERVE_TRACE returning the
-// matching recorder entry, per-opcode wire counters, Prometheus
-// exposition, and seed-determinism of recorder dumps.
+// breakdown, the request and reply legs split from the server's receive
+// stamp (none from a node on a ManualClock), OBSERVE_TRACE returning the
+// matching recorder entry, both slow-op lines of one op naming its trace id
+// alike, per-opcode wire counters, Prometheus exposition, and
+// seed-determinism of recorder dumps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/wire_client.h"
@@ -35,27 +40,21 @@ TEST(WireTraceCodec, GoldenFlexRequestBytes) {
   m.vbucket = 0x0042;
   m.opaque = 0x01020304;
   m.key = "key";
-  wire::TraceFrame tf;
-  tf.trace_id = 0x0123456789ABCDEFULL;
-  tf.parent_span_id = 0x11223344;
-  tf.flags = 0x55667788;
-  wire::PutTraceFrame(&m.framing, tf);
+  wire::PutTraceFrame(&m.framing, 0x0123456789ABCDEFULL);
 
   std::string encoded;
   ASSERT_TRUE(wire::Encode(m, &encoded).ok());
 
   const std::string expected(
-      "\x08\x00\x12\x03"                   // flex magic, GET, framing 18, key 3
+      "\x08\x00\x0a\x03"                   // flex magic, GET, framing 10, key 3
       "\x00\x00\x00\x42"                   // extras 0, data type 0, vbucket
-      "\x00\x00\x00\x15"                   // body = 18 + 3
+      "\x00\x00\x00\x0d"                   // body = 10 + 3
       "\x01\x02\x03\x04"                   // opaque
       "\x00\x00\x00\x00\x00\x00\x00\x00"   // cas
-      "\x01\x10"                           // TLV: trace tag, 16-byte payload
+      "\x01\x08"                           // TLV: trace tag, 8-byte payload
       "\x01\x23\x45\x67\x89\xab\xcd\xef"   // trace id
-      "\x11\x22\x33\x44"                   // parent span id
-      "\x55\x66\x77\x88"                   // flags
       "key",
-      45);
+      37);
   EXPECT_EQ(encoded, expected);
 
   wire::FrameDecoder dec(wire::kMagicRequest);
@@ -68,11 +67,13 @@ TEST(WireTraceCodec, GoldenFlexRequestBytes) {
   EXPECT_TRUE(out.is_request());
   EXPECT_EQ(out.vbucket, 0x0042);
   EXPECT_EQ(out.key, "key");
-  wire::TraceFrame rt;
-  ASSERT_TRUE(wire::GetTraceFrame(out.framing, &rt));
-  EXPECT_EQ(rt.trace_id, tf.trace_id);
-  EXPECT_EQ(rt.parent_span_id, tf.parent_span_id);
-  EXPECT_EQ(rt.flags, tf.flags);
+  uint64_t trace_id = 0;
+  ASSERT_TRUE(wire::GetTraceFrame(out.framing, &trace_id));
+  EXPECT_EQ(trace_id, 0x0123456789ABCDEFULL);
+  // The 16-byte trace payload of earlier peers is not a trace id.
+  std::string old_entry("\x01\x10", 2);
+  old_entry.append(16, '\x01');
+  EXPECT_FALSE(wire::GetTraceFrame(old_entry, &trace_id));
 }
 
 TEST(WireTraceCodec, DurabilityAndDurationFramesRoundTrip) {
@@ -82,44 +83,88 @@ TEST(WireTraceCodec, DurabilityAndDurationFramesRoundTrip) {
   df.persist_to = 1;
   df.timeout_ms = 1234;
   wire::PutDurabilityFrame(&framing, df);
-  wire::ServerDuration sd;
-  sd.total_us = 100;
-  sd.dispatch_us = 5;
-  sd.engine_us = 20;
-  sd.replicate_us = 30;
-  sd.persist_us = 40;
-  wire::PutServerDurationFrame(&framing, sd);
+  wire::ServerTimingFrame st;
+  st.recv_nanos = 777;
+  st.total_us = 100;
+  st.dispatch_us = 5;
+  st.engine_us = 20;
+  st.replicate_us = 30;
+  st.persist_us = 40;
+  wire::PutServerTimingFrame(&framing, st);
 
   wire::DurabilityFrame df2;
   ASSERT_TRUE(wire::GetDurabilityFrame(framing, &df2));
   EXPECT_EQ(df2.replicate_to, 2);
   EXPECT_EQ(df2.persist_to, 1);
   EXPECT_EQ(df2.timeout_ms, 1234u);
-  wire::ServerDuration sd2;
-  ASSERT_TRUE(wire::GetServerDurationFrame(framing, &sd2));
-  EXPECT_EQ(sd2.total_us, 100u);
-  EXPECT_EQ(sd2.persist_us, 40u);
+  wire::ServerTimingFrame st2;
+  ASSERT_TRUE(wire::GetServerTimingFrame(framing, &st2));
+  EXPECT_EQ(st2.recv_nanos, 777u);
+  EXPECT_EQ(st2.total_us, 100u);
+  EXPECT_EQ(st2.persist_us, 40u);
   // Absent tag: false, output untouched.
-  wire::TraceFrame tf;
-  EXPECT_FALSE(wire::GetTraceFrame(framing, &tf));
+  uint64_t trace_id = 5;
+  EXPECT_FALSE(wire::GetTraceFrame(framing, &trace_id));
+  EXPECT_EQ(trace_id, 5u);
 }
 
-TEST(WireTraceCodec, GoldenServerStampsBytes) {
-  std::string framing;
-  wire::PutServerStampsFrame(&framing,
-                             {0x0102030405060708ULL, 0x1112131415161718ULL});
-  EXPECT_EQ(framing, std::string("\x04\x10"
-                                 "\x01\x02\x03\x04\x05\x06\x07\x08"
-                                 "\x11\x12\x13\x14\x15\x16\x17\x18",
-                                 18));
-  wire::ServerStamps ss;
-  ASSERT_TRUE(wire::GetServerStampsFrame(framing, &ss));
-  EXPECT_EQ(ss.recv_nanos, 0x0102030405060708ULL);
-  EXPECT_EQ(ss.ready_nanos, 0x1112131415161718ULL);
-  // A payload of the wrong size under the tag is not a stamps entry.
-  std::string short_entry("\x04\x0f", 2);
-  short_entry.append(15, '\0');
-  EXPECT_FALSE(wire::GetServerStampsFrame(short_entry, &ss));
+TEST(WireTraceCodec, GoldenServerTimingBytes) {
+  // A flex GET response: one server-timing entry, then the usual extras
+  // and value.
+  wire::Message req = wire::Message::Req(wire::Opcode::kGet);
+  req.opaque = 0x01020304;
+  wire::Message m = wire::Message::Resp(req, wire::kSuccess);
+  m.cas = 0x0a0b0c0d0e0f1011ULL;
+  wire::PutU32BE(&m.extras, 0x21222324);
+  m.value = "v";
+  wire::ServerTimingFrame st;
+  st.recv_nanos = 0x0102030405060708ULL;
+  st.total_us = 0x11121314;
+  st.dispatch_us = 0x21222324;
+  st.engine_us = 0x31323334;
+  st.replicate_us = 0x41424344;
+  st.persist_us = 0x51525354;
+  wire::PutServerTimingFrame(&m.framing, st);
+
+  std::string encoded;
+  ASSERT_TRUE(wire::Encode(m, &encoded).ok());
+  const std::string expected(
+      "\x18\x00\x1e\x00"                   // flex response, GET, framing 30
+      "\x04\x00\x00\x00"                   // extras 4, data type 0, status
+      "\x00\x00\x00\x23"                   // body = 30 + 4 + 1
+      "\x01\x02\x03\x04"                   // opaque
+      "\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11"   // cas
+      "\x03\x1c"                           // TLV: timing tag, 28 bytes
+      "\x01\x02\x03\x04\x05\x06\x07\x08"   // receive stamp
+      "\x11\x12\x13\x14"                   // total
+      "\x21\x22\x23\x24"                   // dispatch
+      "\x31\x32\x33\x34"                   // engine
+      "\x41\x42\x43\x44"                   // replicate
+      "\x51\x52\x53\x54"                   // persist
+      "\x21\x22\x23\x24"                   // extras: flags
+      "v",
+      59);
+  EXPECT_EQ(encoded, expected);
+
+  wire::FrameDecoder dec(wire::kMagicResponse);
+  dec.Feed(encoded);
+  wire::Message out;
+  Status error = Status::OK();
+  ASSERT_EQ(dec.Next(&out, &error), wire::FrameDecoder::Result::kFrame);
+  EXPECT_EQ(out.magic, wire::kMagicFlexResponse);
+  wire::ServerTimingFrame got;
+  ASSERT_TRUE(wire::GetServerTimingFrame(out.framing, &got));
+  EXPECT_EQ(got.recv_nanos, st.recv_nanos);
+  EXPECT_EQ(got.total_us, st.total_us);
+  EXPECT_EQ(got.dispatch_us, st.dispatch_us);
+  EXPECT_EQ(got.engine_us, st.engine_us);
+  EXPECT_EQ(got.replicate_us, st.replicate_us);
+  EXPECT_EQ(got.persist_us, st.persist_us);
+  EXPECT_EQ(out.value, "v");
+  // A payload of the wrong size under the tag is not a timing entry.
+  std::string short_entry("\x03\x1b", 2);
+  short_entry.append(27, '\0');
+  EXPECT_FALSE(wire::GetServerTimingFrame(short_entry, &got));
 }
 
 TEST(WireTraceCodec, UnknownTagsAreSkipped) {
@@ -128,15 +173,13 @@ TEST(WireTraceCodec, UnknownTagsAreSkipped) {
   framing.push_back('\x7f');  // unknown tag
   framing.push_back('\x03');
   framing.append("abc");
-  wire::TraceFrame tf;
-  tf.trace_id = 99;
-  wire::PutTraceFrame(&framing, tf);
+  wire::PutTraceFrame(&framing, 99);
   framing.push_back('\x6e');  // another unknown tag after
   framing.push_back('\x00');
 
-  wire::TraceFrame out;
+  uint64_t out = 0;
   ASSERT_TRUE(wire::GetTraceFrame(framing, &out));
-  EXPECT_EQ(out.trace_id, 99u);
+  EXPECT_EQ(out, 99u);
   // Truncated TLV stream: scan fails closed, no crash.
   std::string truncated = "\x7f\x10";  // claims 16 bytes, has none
   EXPECT_FALSE(wire::GetTraceFrame(truncated, &out));
@@ -145,7 +188,7 @@ TEST(WireTraceCodec, UnknownTagsAreSkipped) {
 TEST(WireTraceCodec, FlexKeyLimitedTo255Bytes) {
   wire::Message m = wire::Message::Req(wire::Opcode::kGet);
   m.key = std::string(250, 'k');  // fine classic, fine flex
-  wire::PutTraceFrame(&m.framing, wire::TraceFrame{1, 0, 0});
+  wire::PutTraceFrame(&m.framing, 1);
   std::string encoded;
   EXPECT_TRUE(wire::Encode(m, &encoded).ok());
 }
@@ -178,7 +221,7 @@ stats::OpRecord MakeRecord(uint64_t trace_id, uint8_t opcode) {
 
 TEST(FlightRecorder, RingKeepsNewestAndSeqIsMonotonic) {
   stats::FlightRecorder rec(4);
-  for (uint64_t i = 1; i <= 6; ++i) rec.Record(MakeRecord(i, 1));
+  for (uint64_t i = 1; i <= 6; ++i) rec.Complete(0, MakeRecord(i, 1));
   std::vector<stats::OpRecord> got = rec.Completed();
   ASSERT_EQ(got.size(), 4u);
   // Oldest two (trace 1, 2) fell off; order is oldest-first.
@@ -191,11 +234,11 @@ TEST(FlightRecorder, RingKeepsNewestAndSeqIsMonotonic) {
 
 TEST(FlightRecorder, ClearForgetsRecordsButKeepsSeqCounting) {
   stats::FlightRecorder rec(8);
-  rec.Record(MakeRecord(1, 1));
-  rec.Record(MakeRecord(2, 1));
+  rec.Complete(0, MakeRecord(1, 1));
+  rec.Complete(0, MakeRecord(2, 1));
   rec.Clear();
   EXPECT_TRUE(rec.Completed().empty());
-  rec.Record(MakeRecord(3, 1));
+  rec.Complete(0, MakeRecord(3, 1));
   // Seq continues from before the Clear: pre-crash records are visibly
   // absent, not renumbered.
   EXPECT_EQ(rec.Completed().front().seq, 3u);
@@ -205,23 +248,68 @@ TEST(FlightRecorder, InflightTableTracksAndCaps) {
   stats::FlightRecorder rec;
   std::vector<uint64_t> tokens;
   for (size_t i = 0; i < stats::FlightRecorder::kMaxInflight; ++i) {
-    uint64_t t = rec.BeginOp(1, 0, 100 + i, 1000);
+    uint64_t t = rec.Begin(1, 0, 100 + i, 1000);
     ASSERT_NE(t, 0u);
     tokens.push_back(t);
   }
   // Table full: untracked, not an error.
-  EXPECT_EQ(rec.BeginOp(1, 0, 999, 1000), 0u);
-  rec.EndOp(tokens[0]);
+  EXPECT_EQ(rec.Begin(1, 0, 999, 1000), 0u);
+  rec.Complete(tokens[0], MakeRecord(100, 1));
   EXPECT_EQ(rec.Inflight().size(), stats::FlightRecorder::kMaxInflight - 1);
-  EXPECT_NE(rec.BeginOp(1, 0, 999, 1000), 0u);
-  rec.EndOp(0);  // no-op
+  EXPECT_EQ(rec.Completed().size(), 1u);
+  EXPECT_NE(rec.Begin(1, 0, 999, 1000), 0u);
+  // Token 0 (an untracked op) releases no slot but is still recorded.
+  rec.Complete(0, MakeRecord(999, 1));
+  EXPECT_EQ(rec.Inflight().size(), stats::FlightRecorder::kMaxInflight);
+  EXPECT_EQ(rec.Completed().size(), 2u);
+}
+
+// Ops complete on several threads while this one dumps the recorder: no
+// dump shows one op (one trace id) both in flight and completed.
+TEST(FlightRecorder, ConcurrentDumpsNeverShowAnOpInBothLists) {
+  stats::FlightRecorder rec(16);
+  constexpr int kThreads = 8;
+  constexpr int kDumps = 1000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        const uint64_t trace_id = (uint64_t(t) << 32) | i;
+        const uint64_t token = rec.Begin(1, 0, trace_id, 1000);
+        rec.Complete(token, MakeRecord(trace_id, 1));
+        if (i == 1) started.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < kThreads) std::this_thread::yield();
+  int both = 0;
+  for (int d = 0; d < kDumps; ++d) {
+    auto doc = json::Parse(rec.ToJson(2000));
+    if (!doc.ok()) {
+      ADD_FAILURE() << "dump does not parse";
+      break;
+    }
+    std::set<std::string> completed;
+    for (const json::Value& r : doc->Field("completed").AsArray()) {
+      completed.insert(r.Field("trace_id").AsString());
+    }
+    for (const json::Value& op : doc->Field("inflight").AsArray()) {
+      both += completed.count(op.Field("trace_id").AsString()) != 0;
+    }
+  }
+  stop.store(true);
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(both, 0) << "over " << kDumps << " dumps";
+  EXPECT_TRUE(rec.Inflight().empty());
 }
 
 TEST(FlightRecorder, ToJsonFiltersByTraceId) {
   stats::FlightRecorder rec;
-  rec.Record(MakeRecord(111, 1));
-  rec.Record(MakeRecord(222, 2));
-  uint64_t tok = rec.BeginOp(3, 9, 222, 5000);
+  rec.Complete(0, MakeRecord(111, 1));
+  rec.Complete(0, MakeRecord(222, 2));
+  uint64_t tok = rec.Begin(3, 9, 222, 5000);
   ASSERT_NE(tok, 0u);
   std::string all = rec.ToJson(6000);
   EXPECT_NE(all.find("\"trace_id\":\"111\""), std::string::npos);
@@ -271,7 +359,7 @@ TEST_F(WireTraceClusterTest, ClassicRequestGetsClassicResponse) {
 TEST_F(WireTraceClusterTest, FlexRequestWithUnknownTagIsServed) {
   // A newer client shipping a framing tag this server does not know: the
   // tag is skipped, the op succeeds, and the flex response carries a
-  // server-duration entry.
+  // server-timing entry.
   wire::Message req = wire::Message::Req(wire::Opcode::kNoop);
   req.framing.push_back('\x7f');
   req.framing.push_back('\x02');
@@ -280,8 +368,8 @@ TEST_F(WireTraceClusterTest, FlexRequestWithUnknownTagIsServed) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->status, wire::kSuccess);
   EXPECT_TRUE(resp->is_flex());
-  wire::ServerDuration sd;
-  EXPECT_TRUE(wire::GetServerDurationFrame(resp->framing, &sd));
+  wire::ServerTimingFrame st;
+  EXPECT_TRUE(wire::GetServerTimingFrame(resp->framing, &st));
 }
 
 TEST_F(WireTraceClusterTest, DurableSetReportsPhaseBreakdown) {
@@ -356,15 +444,16 @@ TEST(WireTraceManualClock, NodeOffTheRealClockReportsNoLegs) {
     EXPECT_EQ(t.request_leg_us, 0u);
     EXPECT_EQ(t.reply_leg_us, 0u);
   }
-  // The node's stamps are not on the client's clock, so none are sent.
+  // The node's clock is not the client's, so its receive stamp goes out
+  // as 0.
   wire::Message req = wire::Message::Req(wire::Opcode::kNoop);
-  wire::PutTraceFrame(&req.framing, {});
+  wire::PutTraceFrame(&req.framing, 0);
   auto resp = client::RawRoundTrip(port, req);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
-  wire::ServerDuration sd;
-  EXPECT_TRUE(wire::GetServerDurationFrame(resp->framing, &sd));
-  wire::ServerStamps ss;
-  EXPECT_FALSE(wire::GetServerStampsFrame(resp->framing, &ss));
+  wire::ServerTimingFrame st;
+  st.recv_nanos = 1;
+  EXPECT_TRUE(wire::GetServerTimingFrame(resp->framing, &st));
+  EXPECT_EQ(st.recv_nanos, 0u);
 }
 
 TEST_F(WireTraceClusterTest, ObserveTraceFindsTheOpByTraceId) {
@@ -397,6 +486,49 @@ TEST_F(WireTraceClusterTest, ObserveTraceFindsTheOpByTraceId) {
                 rec.Field("replicate_us").AsInt() +
                 rec.Field("persist_us").AsInt(),
             rec.Field("total_us").AsInt());
+}
+
+// The engine span's slow-op line and the wire op's slow-op line print the
+// op's trace id in one format, the decimal OBSERVE_TRACE takes, so one grep
+// for trace=<id> finds both.
+TEST_F(WireTraceClusterTest, SlowOpLinesCarryOneDecimalTraceId) {
+  client::WireClient client(ports_, "default");
+  const uint64_t saved_threshold = trace::SlowOpThresholdUs();
+  trace::SetSlowOpThresholdUs(1);
+  testing::internal::CaptureStderr();
+  std::vector<uint64_t> trace_ids;
+  for (int i = 0; i < 20; ++i) {
+    auto r = client.Upsert("slow-" + std::to_string(i), std::string(4096, 'x'));
+    if (!r.ok()) break;
+    trace_ids.push_back(r->server.trace_id);
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  trace::SetSlowOpThresholdUs(saved_threshold);
+  ASSERT_EQ(trace_ids.size(), 20u);
+
+  std::vector<std::string> lines;
+  std::istringstream in(err);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  // Whether `line` carries exactly trace=<id> (not a longer number).
+  auto carries = [](const std::string& line, uint64_t id) {
+    const std::string tag = " trace=" + std::to_string(id);
+    const size_t at = line.find(tag);
+    return at != std::string::npos &&
+           (at + tag.size() == line.size() || line[at + tag.size()] == ' ');
+  };
+  int joined = 0;
+  for (uint64_t id : trace_ids) {
+    bool wire_line = false;
+    bool span_line = false;
+    for (const std::string& line : lines) {
+      if (!carries(line, id)) continue;
+      wire_line |= line.find("slow wire op SET") != std::string::npos;
+      span_line |= line.find("slow op kv.set") != std::string::npos;
+    }
+    joined += wire_line && span_line;
+  }
+  // Every wire op takes a microsecond or more; its engine span mostly does.
+  EXPECT_GT(joined, 0) << err.substr(0, 4000);
 }
 
 TEST_F(WireTraceClusterTest, EveryDispatchedOpcodeIncrementsItsCounter) {
